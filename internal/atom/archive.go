@@ -73,6 +73,8 @@ type ArchiveSink interface {
 	ReadBlock(off uint64, acc *obs.Resources) ([]byte, error)
 }
 
+var errNoArchive = fmt.Errorf("atom: record references archived history but no archive is attached")
+
 // SetArchive attaches the cold-archive sink. Must be set before reads that
 // may cross the watermark and before ArchiveOlderThan.
 func (m *Manager) SetArchive(sink ArchiveSink) { m.arc = sink }
@@ -106,36 +108,11 @@ func encodeArcAtomChunk(prevOff uint64, entries []HistoryEntry) []byte {
 }
 
 func decodeArcAtomChunk(src []byte) (prevOff uint64, entries []HistoryEntry, err error) {
-	if len(src) < 9 || src[0] != arcAtomChunk {
-		return 0, nil, fmt.Errorf("atom: not an atom archive chunk")
+	var k entryKeeper
+	if prevOff, err = walkArcAtomChunk(src, &k); err != nil {
+		return 0, nil, err
 	}
-	prevOff = binary.LittleEndian.Uint64(src[1:])
-	off := 9
-	n, sz := binary.Uvarint(src[off:])
-	if sz <= 0 {
-		return 0, nil, fmt.Errorf("atom: corrupt archive chunk count")
-	}
-	off += sz
-	entries = make([]HistoryEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		attr, an, err := decodeString(src[off:])
-		if err != nil {
-			return 0, nil, err
-		}
-		off += an
-		if off >= len(src) {
-			return 0, nil, fmt.Errorf("atom: truncated archive chunk entry")
-		}
-		flags := src[off]
-		off++
-		v, vn, err := decodeVersion(src[off:])
-		if err != nil {
-			return 0, nil, err
-		}
-		off += vn
-		entries = append(entries, HistoryEntry{Attr: attr, BackRef: flags&0x01 != 0, Ver: v})
-	}
-	return prevOff, entries, nil
+	return prevOff, k.kept, nil
 }
 
 // encodeArcSnapChunk stores whole snapshots newest-first, each
@@ -158,31 +135,12 @@ func encodeArcSnapChunk(prevOff uint64, snaps []*Snapshot) []byte {
 }
 
 func decodeArcSnapChunk(src []byte) (prevOff uint64, snaps []*Snapshot, err error) {
-	if len(src) < 9 || src[0] != arcSnapChunk {
-		return 0, nil, fmt.Errorf("atom: not a snapshot archive chunk")
+	k := snapKeeper{chunk: true}
+	if prevOff, err = walkArcSnapChunk(src, &k); err != nil {
+		return 0, nil, err
 	}
-	prevOff = binary.LittleEndian.Uint64(src[1:])
-	off := 9
-	n, sz := binary.Uvarint(src[off:])
-	if sz <= 0 {
-		return 0, nil, fmt.Errorf("atom: corrupt archive chunk count")
-	}
-	off += sz
-	snaps = make([]*Snapshot, 0, n)
-	for i := uint64(0); i < n; i++ {
-		bl, sz := binary.Uvarint(src[off:])
-		if sz <= 0 || int(bl) > len(src)-off-sz {
-			return 0, nil, fmt.Errorf("atom: corrupt archived snapshot length")
-		}
-		off += sz
-		s, err := DecodeSnapshot(src[off : off+int(bl)])
-		if err != nil {
-			return 0, nil, err
-		}
-		off += int(bl)
-		snaps = append(snaps, s)
-	}
-	return prevOff, snaps, nil
+	k.flush()
+	return prevOff, k.all, nil
 }
 
 // --- Archive read paths ------------------------------------------------------
@@ -197,7 +155,7 @@ func (m *Manager) arcLoadInto(a *Atom, acc *obs.Resources) error {
 		return nil
 	}
 	if m.arc == nil {
-		return fmt.Errorf("atom: record references archived history but no archive is attached")
+		return errNoArchive
 	}
 	for off != 0 {
 		payload, err := m.arc.ReadBlock(off, acc)
@@ -241,7 +199,7 @@ func (m *Manager) arcSnapChain(p ArcPtr, acc *obs.Resources) ([]*Snapshot, error
 		return nil, nil
 	}
 	if m.arc == nil {
-		return nil, fmt.Errorf("atom: record references archived history but no archive is attached")
+		return nil, errNoArchive
 	}
 	var newestFirst []*Snapshot
 	for off := p.Off; off != 0; {

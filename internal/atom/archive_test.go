@@ -25,7 +25,7 @@ func (s testSink) ReadBlock(off uint64, acc *obs.Resources) ([]byte, error) {
 	return s.a.ReadBlock(off, acc)
 }
 
-func newArchivedManager(t *testing.T, strat Strategy) *Manager {
+func newArchivedManager(t testing.TB, strat Strategy) *Manager {
 	t.Helper()
 	m := newManager(t, strat)
 	m.SetArchive(testSink{a: storage.NewMemArchive()})

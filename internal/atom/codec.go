@@ -2,7 +2,6 @@ package atom
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"tcodm/internal/storage"
@@ -25,26 +24,6 @@ func appendVersion(dst []byte, v Version) []byte {
 	return value.AppendRecord(dst, v.Val)
 }
 
-func decodeVersion(src []byte) (Version, int, error) {
-	if len(src) < 2*temporal.IntervalWireSize {
-		return Version{}, 0, fmt.Errorf("atom: short version encoding")
-	}
-	valid, err := temporal.DecodeInterval(src)
-	if err != nil {
-		return Version{}, 0, err
-	}
-	trans, err := temporal.DecodeInterval(src[temporal.IntervalWireSize:])
-	if err != nil {
-		return Version{}, 0, err
-	}
-	off := 2 * temporal.IntervalWireSize
-	val, n, err := value.DecodeRecord(src[off:])
-	if err != nil {
-		return Version{}, 0, err
-	}
-	return Version{Valid: valid, Trans: trans, Val: val}, off + n, nil
-}
-
 func appendVersions(dst []byte, vs []Version) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
@@ -53,35 +32,9 @@ func appendVersions(dst []byte, vs []Version) []byte {
 	return dst
 }
 
-func decodeVersions(src []byte) ([]Version, int, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 {
-		return nil, 0, fmt.Errorf("atom: corrupt version count")
-	}
-	off := sz
-	out := make([]Version, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, vn, err := decodeVersion(src[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, v)
-		off += vn
-	}
-	return out, off, nil
-}
-
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-func decodeString(src []byte) (string, int, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 || int(n) > len(src)-sz {
-		return "", 0, fmt.Errorf("atom: corrupt string encoding")
-	}
-	return string(src[sz : sz+int(n)]), sz + int(n), nil
 }
 
 // encodeAtomBody serializes the atom's common fields plus the versions
@@ -129,69 +82,6 @@ func filterVersions(vs []Version, keep func(Version) bool) []Version {
 	return out
 }
 
-func decodeAtomBody(src []byte) (*Atom, int, error) {
-	if len(src) < 8 {
-		return nil, 0, fmt.Errorf("atom: short atom body")
-	}
-	a := &Atom{ID: value.ID(binary.LittleEndian.Uint64(src)), BackRefs: map[string][]Version{}}
-	off := 8
-	typ, n, err := decodeString(src[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	a.Type = typ
-	off += n
-	ls, n, err := temporal.DecodeElement(src[off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	a.Lifespan = ls
-	off += n
-	attrCount, sz := binary.Uvarint(src[off:])
-	if sz <= 0 {
-		return nil, 0, fmt.Errorf("atom: corrupt attribute count")
-	}
-	off += sz
-	a.Attrs = make([]AttrData, attrCount)
-	for i := range a.Attrs {
-		name, n, err := decodeString(src[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		if off >= len(src) {
-			return nil, 0, fmt.Errorf("atom: truncated attribute flags")
-		}
-		flags := src[off]
-		off++
-		vs, n, err := decodeVersions(src[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		a.Attrs[i] = AttrData{Name: name, Set: flags&0x01 != 0, Versions: vs}
-	}
-	brCount, sz := binary.Uvarint(src[off:])
-	if sz <= 0 {
-		return nil, 0, fmt.Errorf("atom: corrupt back-ref count")
-	}
-	off += sz
-	for i := uint64(0); i < brCount; i++ {
-		key, n, err := decodeString(src[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		vs, n, err := decodeVersions(src[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		off += n
-		a.BackRefs[key] = vs
-	}
-	return a, off, nil
-}
-
 // EncodeFull serializes an atom with its entire hot history (embedded
 // strategy). A non-zero archive pointer rides as a fixed trailer; atoms
 // without archived history encode byte-identically to the legacy format.
@@ -203,17 +93,12 @@ func EncodeFull(a *Atom) []byte {
 
 // DecodeFull deserializes an EncodeFull record.
 func DecodeFull(src []byte) (*Atom, error) {
-	if len(src) == 0 || src[0] != recFullAtom {
-		return nil, fmt.Errorf("atom: not a full-atom record")
-	}
-	a, n, err := decodeAtomBody(src[1:])
+	k := new(atomKeeper)
+	arc, err := walkFull(src, k)
 	if err != nil {
 		return nil, err
 	}
-	if a.Arc, err = decodeArcTrailer(src[1+n:]); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return k.done(arc), nil
 }
 
 // SepHeader is the separated-strategy current record's header: where the
@@ -241,25 +126,12 @@ func EncodeCurrent(a *Atom, h SepHeader) []byte {
 
 // DecodeCurrent deserializes an EncodeCurrent record.
 func DecodeCurrent(src []byte) (*Atom, SepHeader, error) {
-	if len(src) < 21 || src[0] != recCurrentAtom {
-		return nil, SepHeader{}, fmt.Errorf("atom: not a current-atom record")
-	}
-	var h SepHeader
-	h.Head = storage.UnpackRID(binary.LittleEndian.Uint64(src[1:]))
-	h.HeadCount = binary.LittleEndian.Uint32(src[9:])
-	wm, err := temporal.DecodeInstant(src[13:])
+	k := new(atomKeeper)
+	h, arc, err := walkCurrent(src, k)
 	if err != nil {
 		return nil, SepHeader{}, err
 	}
-	h.Watermark = wm
-	a, n, err := decodeAtomBody(src[21:])
-	if err != nil {
-		return nil, SepHeader{}, err
-	}
-	if a.Arc, err = decodeArcTrailer(src[21+n:]); err != nil {
-		return nil, SepHeader{}, err
-	}
-	return a, h, nil
+	return k.done(arc), h, nil
 }
 
 // HistoryEntry is one archived version inside a history segment: the
@@ -290,36 +162,11 @@ func EncodeSegment(prev storage.RID, entries []HistoryEntry) []byte {
 
 // DecodeSegment deserializes an EncodeSegment record.
 func DecodeSegment(src []byte) (prev storage.RID, entries []HistoryEntry, err error) {
-	if len(src) < 9 || src[0] != recHistorySeg {
-		return storage.NilRID, nil, fmt.Errorf("atom: not a history segment")
+	var k entryKeeper
+	if prev, err = walkSegment(src, &k); err != nil {
+		return storage.NilRID, nil, err
 	}
-	prev = storage.UnpackRID(binary.LittleEndian.Uint64(src[1:]))
-	off := 9
-	n, sz := binary.Uvarint(src[off:])
-	if sz <= 0 {
-		return storage.NilRID, nil, fmt.Errorf("atom: corrupt segment count")
-	}
-	off += sz
-	entries = make([]HistoryEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		attr, an, err := decodeString(src[off:])
-		if err != nil {
-			return storage.NilRID, nil, err
-		}
-		off += an
-		if off >= len(src) {
-			return storage.NilRID, nil, fmt.Errorf("atom: truncated segment entry")
-		}
-		flags := src[off]
-		off++
-		v, vn, err := decodeVersion(src[off:])
-		if err != nil {
-			return storage.NilRID, nil, err
-		}
-		off += vn
-		entries = append(entries, HistoryEntry{Attr: attr, BackRef: flags&0x01 != 0, Ver: v})
-	}
-	return prev, entries, nil
+	return prev, k.kept, nil
 }
 
 // Snapshot is one tuple-strategy whole-state record: the atom's complete
@@ -402,120 +249,12 @@ func sortedKeys(m map[string]value.V) []string {
 
 // DecodeSnapshot deserializes an EncodeSnapshot record.
 func DecodeSnapshot(src []byte) (*Snapshot, error) {
-	if len(src) < 9 || src[0] != recSnapshot {
-		return nil, fmt.Errorf("atom: not a snapshot record")
-	}
-	s := &Snapshot{
-		ID:       value.ID(binary.LittleEndian.Uint64(src[1:])),
-		Vals:     map[string]value.V{},
-		Sets:     map[string][]value.V{},
-		BackRefs: map[string][]value.ID{},
-	}
-	off := 9
-	typ, n, err := decodeString(src[off:])
+	var k snapKeeper
+	arc, err := walkSnapshot(src, &k)
 	if err != nil {
 		return nil, err
 	}
-	s.Type = typ
-	off += n
-	vf, err := temporal.DecodeInstant(src[off:])
-	if err != nil {
-		return nil, err
-	}
-	s.ValidFrom = vf
-	off += temporal.InstantWireSize
-	tf, err := temporal.DecodeInstant(src[off:])
-	if err != nil {
-		return nil, err
-	}
-	s.TransFrom = tf
-	off += temporal.InstantWireSize
-	if off >= len(src) {
-		return nil, fmt.Errorf("atom: truncated snapshot")
-	}
-	s.Deleted = src[off] == 1
-	off++
-	if off+8 > len(src) {
-		return nil, fmt.Errorf("atom: truncated snapshot prev pointer")
-	}
-	s.Prev = storage.UnpackRID(binary.LittleEndian.Uint64(src[off:]))
-	off += 8
-
-	nv, sz := binary.Uvarint(src[off:])
-	if sz <= 0 {
-		return nil, fmt.Errorf("atom: corrupt snapshot value count")
-	}
-	off += sz
-	for i := uint64(0); i < nv; i++ {
-		k, n, err := decodeString(src[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		v, n, err := value.DecodeRecord(src[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		s.Vals[k] = v
-	}
-	ns, sz := binary.Uvarint(src[off:])
-	if sz <= 0 {
-		return nil, fmt.Errorf("atom: corrupt snapshot set count")
-	}
-	off += sz
-	for i := uint64(0); i < ns; i++ {
-		k, n, err := decodeString(src[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		cnt, sz := binary.Uvarint(src[off:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("atom: corrupt snapshot set size")
-		}
-		off += sz
-		vals := make([]value.V, 0, cnt)
-		for j := uint64(0); j < cnt; j++ {
-			v, n, err := value.DecodeRecord(src[off:])
-			if err != nil {
-				return nil, err
-			}
-			off += n
-			vals = append(vals, v)
-		}
-		s.Sets[k] = vals
-	}
-	nb, sz := binary.Uvarint(src[off:])
-	if sz <= 0 {
-		return nil, fmt.Errorf("atom: corrupt snapshot backref count")
-	}
-	off += sz
-	for i := uint64(0); i < nb; i++ {
-		k, n, err := decodeString(src[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		cnt, sz := binary.Uvarint(src[off:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("atom: corrupt snapshot backref size")
-		}
-		off += sz
-		ids := make([]value.ID, 0, cnt)
-		for j := uint64(0); j < cnt; j++ {
-			if off+8 > len(src) {
-				return nil, fmt.Errorf("atom: truncated snapshot backref")
-			}
-			ids = append(ids, value.ID(binary.LittleEndian.Uint64(src[off:])))
-			off += 8
-		}
-		s.BackRefs[k] = ids
-	}
-	if s.Arc, err = decodeArcTrailer(src[off:]); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return k.done(arc), nil
 }
 
 // RecordKind classifies an atom-layer heap record by its tag byte.

@@ -116,7 +116,20 @@ func Strategies() []Strategy {
 	return []Strategy{StrategyEmbedded, StrategySeparated, StrategyTuple}
 }
 
-func runEquivalence(t *testing.T, seed int64, strategies []Strategy, retroactive bool) {
+// equivalenceRun is one random operation sequence applied to a manager per
+// strategy and to the shadow model.
+type equivalenceRun struct {
+	managers map[Strategy]*Manager
+	shadow   *shadowDB
+	ids      []value.ID
+	vt, tt   temporal.Instant // the largest valid and transaction times used
+}
+
+// buildEquivalence drives the seeded op sequence. newMgr makes each
+// strategy's manager (newManager, or newArchivedManager when the caller
+// goes on to tier the history).
+func buildEquivalence(t *testing.T, seed int64, strategies []Strategy, retroactive bool,
+	newMgr func(testing.TB, Strategy) *Manager) *equivalenceRun {
 	t.Helper()
 	const (
 		nAtoms = 8
@@ -124,7 +137,7 @@ func runEquivalence(t *testing.T, seed int64, strategies []Strategy, retroactive
 	)
 	managers := map[Strategy]*Manager{}
 	for _, s := range strategies {
-		managers[s] = newManager(t, s)
+		managers[s] = newMgr(t, s)
 	}
 	shadow := newShadow()
 
@@ -215,6 +228,13 @@ func runEquivalence(t *testing.T, seed int64, strategies []Strategy, retroactive
 			lastFrom[id] = from
 		}
 	}
+	return &equivalenceRun{managers: managers, shadow: shadow, ids: ids, vt: vt, tt: tt}
+}
+
+func runEquivalence(t *testing.T, seed int64, strategies []Strategy, retroactive bool) {
+	t.Helper()
+	run := buildEquivalence(t, seed, strategies, retroactive, newManager)
+	managers, shadow, ids, vt, tt := run.managers, run.shadow, run.ids, run.vt, run.tt
 
 	// Cross-check a (vt, tt) grid, including Now.
 	ttPoints := []temporal.Instant{1, tt / 4, tt / 2, tt - 1, tt, Now}

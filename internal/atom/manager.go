@@ -67,26 +67,26 @@ type Options struct {
 // point-in-time view over the manager's obs metrics (see atomMetrics), kept
 // for callers that predate the observability layer.
 type Stats struct {
-	FastLoads    uint64 // reads satisfied by the current record alone
-	FullLoads    uint64 // reads that materialized the complete history
-	SegmentReads uint64 // history segments fetched
+	FastLoads    uint64 // reader calls answered by the atom's home record alone
+	FullLoads    uint64 // reader calls that read on past it, plus full materializations (Load, maintenance)
+	SegmentReads uint64 // history segments and atom archive chunks read
 	SnapshotHops uint64 // tuple-chain records walked
 }
 
 // atomMetrics holds the manager's instrumentation handles. Defaults are
 // standalone obs counters so direct-construction callers (tests, tools)
 // still get Stats(); SetMetrics rebinds to a registry or disables them.
-// The counters sit on hot read paths and stay counter-only; the chain-depth
-// and decode-latency histograms fire once per full materialization, which
-// is already a multi-page operation.
+// Every Read counts exactly one fast or full load and, when a registry is
+// attached, observes its latency once; the chain-depth histogram fires only
+// for reads (and materializations) that leave the home record.
 type atomMetrics struct {
 	fastLoads        *obs.Counter
 	fullLoads        *obs.Counter
 	segmentReads     *obs.Counter
 	snapshotHops     *obs.Counter
 	archivedVersions *obs.Counter   // versions migrated to the cold archive
-	chainDepth       *obs.Histogram // segments (or snapshots) walked per full load
-	decodeNS         *obs.Histogram // full-history materialization latency
+	chainDepth       *obs.Histogram // segments, chunks or snapshots walked per full load
+	decodeNS         *obs.Histogram // latency of one Read, whatever the placement
 }
 
 func standaloneAtomMetrics() atomMetrics {
@@ -97,7 +97,7 @@ func standaloneAtomMetrics() atomMetrics {
 		snapshotHops:     obs.NewCounter(),
 		archivedVersions: obs.NewCounter(),
 		chainDepth:       obs.NewHistogram(),
-		decodeNS:         obs.NewHistogram(),
+		// decodeNS stays nil: reads take the clock only for a registry.
 	}
 }
 

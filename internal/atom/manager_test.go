@@ -10,7 +10,7 @@ import (
 	"tcodm/internal/value"
 )
 
-func personnelSchema(t *testing.T) *schema.Schema {
+func personnelSchema(t testing.TB) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	must := func(err error) {
@@ -45,7 +45,7 @@ func personnelSchema(t *testing.T) *schema.Schema {
 	return s
 }
 
-func newManager(t *testing.T, strat Strategy) *Manager {
+func newManager(t testing.TB, strat Strategy) *Manager {
 	t.Helper()
 	dev := storage.NewMemDevice()
 	pool := storage.NewBufferPool(dev, 256)
@@ -60,7 +60,7 @@ func newManager(t *testing.T, strat Strategy) *Manager {
 	return m
 }
 
-func newManagerOpts(t *testing.T, opts Options) *Manager {
+func newManagerOpts(t testing.TB, opts Options) *Manager {
 	t.Helper()
 	dev := storage.NewMemDevice()
 	pool := storage.NewBufferPool(dev, 256)

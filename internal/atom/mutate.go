@@ -2,7 +2,6 @@ package atom
 
 import (
 	"fmt"
-	"time"
 
 	"tcodm/internal/obs"
 	"tcodm/internal/schema"
@@ -419,10 +418,6 @@ func (m *Manager) appendHistory(hdr SepHeader, entries []HistoryEntry) (SepHeade
 // loadSeparatedFull materializes the complete atom: current record plus the
 // whole history chain. Segment hops count as version-chain steps in acc.
 func (m *Manager) loadSeparatedFull(rid storage.RID, acc *obs.Resources) (*Atom, SepHeader, error) {
-	start := time.Time{}
-	if m.met.decodeNS != nil {
-		start = time.Now()
-	}
 	data, err := m.heap.FetchAcc(rid, acc)
 	if err != nil {
 		return nil, SepHeader{}, err
@@ -459,9 +454,6 @@ func (m *Manager) loadSeparatedFull(rid storage.RID, acc *obs.Resources) (*Atom,
 		seg = prev
 	}
 	m.met.chainDepth.Record(depth)
-	if !start.IsZero() {
-		m.met.decodeNS.Observe(time.Since(start))
-	}
 	return a, hdr, nil
 }
 

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 
+	"tcodm/internal/atom"
 	"tcodm/internal/schema"
 )
 
@@ -26,6 +27,14 @@ type Analyzed struct {
 	AtomType *schema.AtomType     // ClassAtom/ClassHistory
 	MolType  *schema.MoleculeType // ClassMolecule
 	RootType *schema.AtomType     // ClassMolecule: the root's atom type
+
+	// Reads is everything the statement needs of one candidate atom of the
+	// FROM (or molecule root) type, so the executor reads each candidate
+	// once: the attributes WHERE and the plain projections evaluate at the
+	// slice point, the attributes whose history WHEN, HISTORY() and the
+	// temporal aggregates range over, and whether WHEN needs the lifespan.
+	// Evaluation may touch nothing outside it.
+	Reads *atom.ReadSet
 }
 
 // Analyze resolves the query against the schema, normalizing unqualified
@@ -141,7 +150,56 @@ func Analyze(q *Query, sch *schema.Schema) (*Analyzed, error) {
 			return nil, fmt.Errorf("query: ORDER BY column %q is not in the projection list", q.OrderBy)
 		}
 	}
+	a.Reads = readSet(q, a.Class, base)
 	return a, nil
+}
+
+// readSet derives the statement's per-candidate read set from its resolved
+// clauses. base is the candidates' atom type.
+func readSet(q *Query, class QueryClass, base *schema.AtomType) *atom.ReadSet {
+	rs := &atom.ReadSet{
+		// A HISTORY() statement slices only to give WHERE a state; every
+		// other class also needs Alive at the slice point.
+		State:    class != ClassHistory || q.Where != nil,
+		Lifespan: q.When != nil && q.When.Lifespan,
+	}
+	add := func(list *[]string, name string) {
+		for _, have := range *list {
+			if have == name {
+				return
+			}
+		}
+		*list = append(*list, name)
+	}
+	var whereRefs func(e *Expr)
+	whereRefs = func(e *Expr) {
+		switch {
+		case e == nil:
+		case e.Ref != nil:
+			add(&rs.Attrs, e.Ref.Attr)
+		default:
+			whereRefs(e.Left)
+			whereRefs(e.Right)
+		}
+	}
+	whereRefs(q.Where)
+	for _, p := range q.Projs {
+		switch {
+		case p.Count != "" || p.Attr.Type != base.Name:
+			// Counts and constituent attributes come from the molecule.
+		case p.Agg != "":
+			add(&rs.Histories, p.Attr.Attr)
+		default:
+			add(&rs.Attrs, p.Attr.Attr)
+		}
+	}
+	if q.History != nil {
+		add(&rs.Histories, q.History.Attr)
+	}
+	if q.When != nil && !q.When.Lifespan {
+		add(&rs.Histories, q.When.Attr.Attr)
+	}
+	return rs
 }
 
 // orderColumn resolves the ORDER BY name against the output columns,

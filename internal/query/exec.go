@@ -457,23 +457,27 @@ func whenStartBound(w *WhenClause) (temporal.Instant, bool) {
 	}
 }
 
+// errOutsideReadSet reports a bug in readSet: evaluation reached for
+// something analysis did not put in the statement's read set. It is an
+// error rather than a NULL because a silently wrong row is the worse
+// failure.
+func errOutsideReadSet(what, attr string) error {
+	return fmt.Errorf("query: internal error: %s of %q is outside the statement's read set", what, attr)
+}
+
 // whenHolds evaluates the WHEN clause exactly for one atom.
-func (e *Engine) whenHolds(id value.ID, w *WhenClause, tt temporal.Instant, acc *obs.Resources) (bool, error) {
+func whenHolds(w *WhenClause, rd *atom.Reading) (bool, error) {
 	if w.Lifespan {
-		life, err := e.Mgr.LifespanAcc(id, acc)
-		if err != nil {
-			return false, err
-		}
-		for _, iv := range life {
+		for _, iv := range rd.Lifespan {
 			if w.Pred.Holds(iv, w.Period) {
 				return true, nil
 			}
 		}
 		return false, nil
 	}
-	hist, err := e.Mgr.HistoryAcc(id, w.Attr.Attr, tt, acc)
-	if err != nil {
-		return false, err
+	hist, ok := rd.History(w.Attr.Attr)
+	if !ok {
+		return false, errOutsideReadSet("history", w.Attr.Attr)
 	}
 	for _, v := range hist {
 		if w.Pred.Holds(v.Valid, w.Period) {
@@ -493,18 +497,20 @@ func (e *Engine) atomProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 		window = *q.During
 	}
 	return func(id value.ID, ctx *execCtx, sink *frag) error {
-		return e.processCandidate(a, vt, tt, id, ctx, func(st *atom.State) error {
+		return e.processCandidate(a, vt, tt, id, ctx, func(rd *atom.Reading) error {
 			row := make([]value.V, 0, len(q.Projs))
 			for _, p := range q.Projs {
+				var v value.V
+				var err error
 				if p.Agg != "" {
-					v, err := e.evalAggregate(st.ID, p, window, tt, &ctx.res)
-					if err != nil {
-						return err
-					}
-					row = append(row, v)
-					continue
+					v, err = evalAggregate(rd, p, window)
+				} else {
+					v, err = projectValue(rd.State, p)
 				}
-				row = append(row, projectValue(st, p))
+				if err != nil {
+					return err
+				}
+				row = append(row, v)
 			}
 			sink.rows = append(sink.rows, row)
 			ctx.emitOut++
@@ -514,11 +520,12 @@ func (e *Engine) atomProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 }
 
 // evalAggregate computes a temporal aggregate over one atom's attribute
-// history within the window.
-func (e *Engine) evalAggregate(id value.ID, p Projection, window temporal.Interval, tt temporal.Instant, acc *obs.Resources) (value.V, error) {
-	hist, err := e.Mgr.HistoryAcc(id, p.Attr.Attr, tt, acc)
-	if err != nil {
-		return value.Null, err
+// history within the window. Aggregates over one attribute share the one
+// history the candidate's reading holds.
+func evalAggregate(rd *atom.Reading, p Projection, window temporal.Interval) (value.V, error) {
+	hist, ok := rd.History(p.Attr.Attr)
+	if !ok {
+		return value.Null, errOutsideReadSet("history", p.Attr.Attr)
 	}
 	sf := history.FromVersions(hist)
 	switch p.Agg {
@@ -541,73 +548,98 @@ func (e *Engine) evalAggregate(id value.ID, p Projection, window temporal.Interv
 	}
 }
 
-// processCandidate applies the WHEN and WHERE filters to one candidate and
-// calls emit with its qualifying state, accumulating per-stage counts into
-// ctx. A nil return with no emit means the candidate was filtered out.
-func (e *Engine) processCandidate(a *Analyzed, vt, tt temporal.Instant, id value.ID, ctx *execCtx, emit func(*atom.State) error) error {
-	q := a.Query
+// readCandidate reads one candidate — once, keeping the statement's read
+// set — and charges the time to first, the duration of the first stage that
+// consumes the reading.
+func (e *Engine) readCandidate(a *Analyzed, vt, tt temporal.Instant, id value.ID, ctx *execCtx, first *time.Duration) (atom.Reading, error) {
 	ctx.scanned++
 	ctx.res.Atoms++
-	if q.When != nil {
-		start := ctx.now()
-		ok, err := e.whenHolds(id, q.When, tt, &ctx.res)
-		ctx.whenDur += since(start)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
+	start := ctx.now()
+	rd, err := e.Mgr.Read(id, a.Reads, vt, tt, &ctx.res)
+	*first += since(start)
+	return rd, err
+}
+
+// passesWhen applies the WHEN filter to a reading, accounting the stage.
+func passesWhen(w *WhenClause, rd *atom.Reading, ctx *execCtx) (bool, error) {
+	start := ctx.now()
+	ok, err := whenHolds(w, rd)
+	ctx.whenDur += since(start)
+	if ok {
 		ctx.whenOut++
 	}
+	return ok, err
+}
+
+// passesWhere applies the WHERE filter to a state, accounting the stage.
+func passesWhere(where *Expr, st *atom.State, ctx *execCtx) (bool, error) {
 	start := ctx.now()
-	st, err := e.Mgr.StateAtAcc(id, vt, tt, &ctx.res)
-	ctx.sliceDur += since(start)
+	ok, err := evalBool(where, st)
+	ctx.whereDur += since(start)
+	if ok {
+		ctx.whereOut++
+	}
+	return ok, err
+}
+
+// processCandidate reads one candidate, applies the WHEN and WHERE filters
+// and calls emit with the qualifying reading, accumulating per-stage counts
+// into ctx. A nil return with no emit means the candidate was filtered out.
+func (e *Engine) processCandidate(a *Analyzed, vt, tt temporal.Instant, id value.ID, ctx *execCtx, emit func(*atom.Reading) error) error {
+	q := a.Query
+	first := &ctx.sliceDur
+	if q.When != nil {
+		first = &ctx.whenDur
+	}
+	rd, err := e.readCandidate(a, vt, tt, id, ctx, first)
 	if err != nil {
 		return err
 	}
-	// Without a WHEN clause the query is a pure time-slice: only atoms
-	// alive at vt qualify. With WHEN, selection is by history.
-	if q.When == nil && !st.Alive {
+	if q.When != nil {
+		if ok, err := passesWhen(q.When, &rd, ctx); err != nil || !ok {
+			return err
+		}
+	} else if !rd.State.Alive {
+		// Without a WHEN clause the query is a pure time-slice: only atoms
+		// alive at vt qualify. With WHEN, selection is by history.
 		return nil
 	}
 	ctx.sliceOut++
 	if q.Where != nil {
-		start := ctx.now()
-		ok, err := evalBool(q.Where, st)
-		ctx.whereDur += since(start)
-		if err != nil {
+		if ok, err := passesWhere(q.Where, rd.State, ctx); err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		ctx.whereOut++
 	}
-	start = ctx.now()
-	err = emit(st)
+	start := ctx.now()
+	err = emit(&rd)
 	ctx.emitDur += since(start)
 	return err
 }
 
-func projectValue(st *atom.State, p Projection) value.V {
+// projectValue reads one plain projection off a state.
+func projectValue(st *atom.State, p Projection) (value.V, error) {
 	if p.Count != "" {
-		return value.Null // counts are molecule-level; unreachable for atoms
+		return value.Null, nil // counts are molecule-level; unreachable for atoms
 	}
-	if v, ok := st.Vals[p.Attr.Attr]; ok {
-		return v
+	return attrValue(st, p.Attr.Attr)
+}
+
+// attrValue is an attribute's value in a state: the value of a plain
+// attribute, the cardinality of a set attribute at the slice point.
+func attrValue(st *atom.State, attr string) (value.V, error) {
+	if v, ok := st.Vals[attr]; ok {
+		return v, nil
 	}
-	// Set attribute: project its cardinality at the slice point.
-	if vs, ok := st.Sets[p.Attr.Attr]; ok {
-		return value.Int(int64(len(vs)))
+	if vs, ok := st.Sets[attr]; ok {
+		return value.Int(int64(len(vs))), nil
 	}
-	return value.Null
+	return value.Null, errOutsideReadSet("value", attr)
 }
 
 // historyProc builds the per-candidate pipeline for HISTORY() queries. The
-// stage order differs from the atom pipeline (the time-slice only runs when
-// a WHERE needs a state to evaluate against), so it does not share
-// processCandidate.
+// stages differ from the atom pipeline (no liveness test, and the read set
+// carries a state only when a WHERE needs one to evaluate against), so it
+// does not share processCandidate.
 func (e *Engine) historyProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 	q := a.Query
 	window := temporal.All()
@@ -615,47 +647,33 @@ func (e *Engine) historyProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 		window = *q.During
 	}
 	return func(id value.ID, ctx *execCtx, sink *frag) error {
-		ctx.scanned++
-		ctx.res.Atoms++
-		if q.When != nil {
-			start := ctx.now()
-			ok, err := e.whenHolds(id, q.When, tt, &ctx.res)
-			ctx.whenDur += since(start)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			ctx.whenOut++
+		first := &ctx.emitDur
+		switch {
+		case q.When != nil:
+			first = &ctx.whenDur
+		case q.Where != nil:
+			first = &ctx.sliceDur
 		}
-		if q.Where != nil {
-			start := ctx.now()
-			st, err := e.Mgr.StateAtAcc(id, vt, tt, &ctx.res)
-			ctx.sliceDur += since(start)
-			if err != nil {
-				return err
-			}
-			ctx.sliceOut++
-			start = ctx.now()
-			ok, err := evalBool(q.Where, st)
-			ctx.whereDur += since(start)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			ctx.whereOut++
-		} else {
-			ctx.sliceOut++
-		}
-		start := ctx.now()
-		hist, err := e.Mgr.HistoryAcc(id, q.History.Attr, tt, &ctx.res)
+		rd, err := e.readCandidate(a, vt, tt, id, ctx, first)
 		if err != nil {
-			ctx.emitDur += since(start)
 			return err
 		}
+		if q.When != nil {
+			if ok, err := passesWhen(q.When, &rd, ctx); err != nil || !ok {
+				return err
+			}
+		}
+		ctx.sliceOut++
+		if q.Where != nil {
+			if ok, err := passesWhere(q.Where, rd.State, ctx); err != nil || !ok {
+				return err
+			}
+		}
+		hist, ok := rd.History(q.History.Attr)
+		if !ok {
+			return errOutsideReadSet("history", q.History.Attr)
+		}
+		start := ctx.now()
 		for _, v := range hist {
 			iv := v.Valid.Intersect(window)
 			if iv.IsEmpty() {
@@ -678,7 +696,8 @@ func (e *Engine) historyProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 func (e *Engine) moleculeProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 	q := a.Query
 	return func(id value.ID, ctx *execCtx, sink *frag) error {
-		return e.processCandidate(a, vt, tt, id, ctx, func(st *atom.State) error {
+		return e.processCandidate(a, vt, tt, id, ctx, func(rd *atom.Reading) error {
+			st := rd.State
 			// Materialization is the expensive per-candidate stage (it can touch
 			// thousands of atoms per molecule), so poll cancellation on every
 			// molecule rather than at the sampled scan cadence.
@@ -705,7 +724,10 @@ func (e *Engine) moleculeProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 				ctx.emitOut++
 				return nil
 			}
-			rows := moleculeRows(q, a, st, mol)
+			rows, err := moleculeRows(q, a, st, mol)
+			if err != nil {
+				return err
+			}
 			sink.rows = append(sink.rows, rows...)
 			ctx.emitOut += int64(len(rows))
 			return nil
@@ -717,7 +739,7 @@ func (e *Engine) moleculeProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 // non-root constituent types unnest the molecule: one row per combination
 // of constituents, inner-join style (a molecule lacking a referenced type
 // yields no rows). Root attributes and COUNTs repeat per row.
-func moleculeRows(q *Query, a *Analyzed, root *atom.State, mol *molecule.Molecule) [][]value.V {
+func moleculeRows(q *Query, a *Analyzed, root *atom.State, mol *molecule.Molecule) ([][]value.V, error) {
 	// The referenced non-root types, in first-appearance order.
 	var unnest []string
 	seen := map[string]bool{}
@@ -730,30 +752,38 @@ func moleculeRows(q *Query, a *Analyzed, root *atom.State, mol *molecule.Molecul
 	// Current bindings: type -> chosen constituent state.
 	binding := map[string]*atom.State{}
 	var rows [][]value.V
-	var emit func(level int)
-	emit = func(level int) {
+	var emit func(level int) error
+	emit = func(level int) error {
 		if level == len(unnest) {
 			row := make([]value.V, 0, len(q.Projs))
 			for _, p := range q.Projs {
+				st := root
 				switch {
 				case p.Count != "":
 					row = append(row, value.Int(int64(len(mol.AtomsOfType(p.Count)))))
-				case p.Attr.Type == a.RootType.Name:
-					row = append(row, projectValue(root, p))
-				default:
-					row = append(row, projectValue(binding[p.Attr.Type], p))
+					continue
+				case p.Attr.Type != a.RootType.Name:
+					st = binding[p.Attr.Type]
 				}
+				v, err := projectValue(st, p)
+				if err != nil {
+					return err
+				}
+				row = append(row, v)
 			}
 			rows = append(rows, row)
-			return
+			return nil
 		}
 		for _, st := range mol.AtomsOfType(unnest[level]) {
 			binding[unnest[level]] = st
-			emit(level + 1)
+			if err := emit(level + 1); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	emit(0)
-	return rows
+	err := emit(0)
+	return rows, err
 }
 
 // evalHaving qualifies a molecule: each comparison leaf `T.attr op lit`
@@ -880,13 +910,7 @@ func evalValue(e *Expr, st *atom.State) (value.V, error) {
 	case e.Lit != nil:
 		return *e.Lit, nil
 	case e.Ref != nil:
-		if v, ok := st.Vals[e.Ref.Attr]; ok {
-			return v, nil
-		}
-		if vs, ok := st.Sets[e.Ref.Attr]; ok {
-			return value.Int(int64(len(vs))), nil
-		}
-		return value.Null, fmt.Errorf("query: atom state has no attribute %q", e.Ref.Attr)
+		return attrValue(st, e.Ref.Attr)
 	default:
 		return value.Null, fmt.Errorf("query: expression %s is not a value", e)
 	}

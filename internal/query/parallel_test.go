@@ -103,20 +103,15 @@ func signature(res *Result, err error) string {
 // at vt=50, every seventh is deleted at vt=80. With the default 64-chunk
 // partitioning, n >= several hundred gives every worker real work.
 func buildScaledFixture(n int, timeIndex bool) (*Engine, error) {
-	dev := storage.NewMemDevice()
-	pool := storage.NewBufferPool(dev, 1024)
-	if err := storage.InitMeta(pool); err != nil {
-		return nil, err
-	}
-	heap := storage.NewHeap(pool, nil)
-	sch, err := buildTestSchema()
+	m, _, err := newTestManager(storage.NewMemDevice(), atom.StrategySeparated, 1024, timeIndex)
 	if err != nil {
 		return nil, err
 	}
-	m, err := atom.NewManager(heap, pool, sch, atom.Options{Strategy: atom.StrategySeparated, TimeIndex: timeIndex})
-	if err != nil {
-		return nil, err
-	}
+	return fillScaledFixture(m, n)
+}
+
+// fillScaledFixture loads the scaled personnel database into m.
+func fillScaledFixture(m *atom.Manager, n int) (*Engine, error) {
 	var depts []value.ID
 	for i := 0; i < 8; i++ {
 		d, err := m.Insert("Dept", map[string]value.V{"name": value.String_(fmt.Sprintf("dept%d", i))}, 0, 1)

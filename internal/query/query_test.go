@@ -66,20 +66,31 @@ func fixture(t *testing.T, timeIndex bool) (*Engine, []value.ID, []value.ID) {
 
 // buildFixture is the t-free form of fixture.
 func buildFixture(timeIndex bool) (*Engine, []value.ID, []value.ID, error) {
-	dev := storage.NewMemDevice()
-	pool := storage.NewBufferPool(dev, 256)
-	if err := storage.InitMeta(pool); err != nil {
+	m, _, err := newTestManager(storage.NewMemDevice(), atom.StrategySeparated, 256, timeIndex)
+	if err != nil {
 		return nil, nil, nil, err
+	}
+	return fillFixture(m)
+}
+
+// newTestManager makes an empty manager over the test schema on dev behind
+// a pool of poolPages frames.
+func newTestManager(dev storage.Device, strat atom.Strategy, poolPages int, timeIndex bool) (*atom.Manager, *storage.BufferPool, error) {
+	pool := storage.NewBufferPool(dev, poolPages)
+	if err := storage.InitMeta(pool); err != nil {
+		return nil, nil, err
 	}
 	heap := storage.NewHeap(pool, nil)
 	sch, err := buildTestSchema()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	m, err := atom.NewManager(heap, pool, sch, atom.Options{Strategy: atom.StrategySeparated, TimeIndex: timeIndex})
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	m, err := atom.NewManager(heap, pool, sch, atom.Options{Strategy: strat, TimeIndex: timeIndex})
+	return m, pool, err
+}
+
+// fillFixture loads the small personnel database into m.
+func fillFixture(m *atom.Manager) (*Engine, []value.ID, []value.ID, error) {
 	var depts, emps []value.ID
 	for _, n := range []string{"kernel", "tools"} {
 		d, err := m.Insert("Dept", map[string]value.V{"name": value.String_(n)}, 0, 1)

@@ -86,6 +86,15 @@ func (t *AtomType) AttrIndex(name string) int {
 	return -1
 }
 
+// AttrIndexBytes is AttrIndex for a name still in a record's bytes: the
+// lookup converts nothing, so readers match stored names without allocating.
+func (t *AtomType) AttrIndexBytes(name []byte) int {
+	if i, ok := t.byName[string(name)]; ok {
+		return i
+	}
+	return -1
+}
+
 // MoleculeEdge is one edge of a molecule type: traverse reference attribute
 // Attr of atom type From, reaching atom type To. Reverse marks traversal
 // against the declared direction (from the target type back to the owner of
@@ -296,6 +305,13 @@ func (s *Schema) Freeze() { s.frozen = true }
 // AtomType returns the named atom type, with ok=false if absent.
 func (s *Schema) AtomType(name string) (*AtomType, bool) {
 	t, ok := s.atomTypes[name]
+	return t, ok
+}
+
+// AtomTypeBytes is AtomType for a name still in a record's bytes (no
+// allocation).
+func (s *Schema) AtomTypeBytes(name []byte) (*AtomType, bool) {
+	t, ok := s.atomTypes[string(name)]
 	return t, ok
 }
 

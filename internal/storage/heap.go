@@ -366,50 +366,83 @@ func (h *Heap) Fetch(rid RID) ([]byte, error) {
 // is what makes serial and parallel query accounting comparable.
 func (h *Heap) FetchAcc(rid RID, acc *obs.Resources) ([]byte, error) {
 	h.met.fetches.Inc()
-	data, _, err := h.fetchResolved(rid, acc)
-	return data, err
+	return h.fetchCopy(rid, acc)
 }
 
-// fetchResolved returns the payload plus the physical location it ended up
-// reading from (after following at most one forwarding hop). Pages touched
-// are charged to acc (nil = uncharged).
-func (h *Heap) fetchResolved(rid RID, acc *obs.Resources) ([]byte, RID, error) {
-	p, err := h.pool.Fetch(rid.Page)
+// fetchCopy is resolve plus a private copy of the payload.
+func (h *Heap) fetchCopy(rid RID, acc *obs.Resources) ([]byte, error) {
+	data, pinned, err := h.resolve(rid, acc)
 	if err != nil {
-		return nil, NilRID, err
+		return nil, err
 	}
-	acc.Add(obs.Resources{Pages: 1})
-	raw, err := p.ReadRecord(rid.Slot)
+	if pinned != nil {
+		data = append([]byte(nil), data...)
+		h.pool.Unpin(pinned)
+	}
+	return data, nil
+}
+
+// View hands fn the payload stored at rid without copying it: a plain
+// record is a slice of its buffer-pool frame, which stays pinned until fn
+// returns (an overflow record is assembled first, as Fetch does). fn must
+// not keep data, or anything aliasing it, past its return, and must not
+// write to it. Frame bytes cannot change under the pin because readers hold
+// the engine lock shared and writers hold it exclusively. Counting and page
+// charges are exactly FetchAcc's.
+func (h *Heap) View(rid RID, acc *obs.Resources, fn func(data []byte) error) error {
+	h.met.fetches.Inc()
+	data, pinned, err := h.resolve(rid, acc)
 	if err != nil {
-		h.pool.Unpin(p)
-		return nil, NilRID, err
+		return err
 	}
-	if len(raw) == 0 {
-		h.pool.Unpin(p)
-		return nil, NilRID, fmt.Errorf("storage: empty physical record at %v", rid)
+	if pinned != nil {
+		defer h.pool.Unpin(pinned)
 	}
-	flag := raw[0]
-	if flag&flagForward != 0 {
-		target := UnpackRID(binary.LittleEndian.Uint64(raw[1:]))
-		h.pool.Unpin(p)
-		h.met.forwardHops.Inc()
-		return h.fetchResolved(target, acc)
+	return fn(data)
+}
+
+// resolve is the one record resolver: it follows forwarding stubs, strips
+// the moved-record prefix and reassembles overflow chains, charging every
+// page touched to acc (nil = uncharged). For a plain record the payload
+// aliases the returned page, which is still pinned — the caller unpins it
+// when done with the bytes. An overflow payload is a private buffer and the
+// returned page is nil.
+func (h *Heap) resolve(rid RID, acc *obs.Resources) ([]byte, *Page, error) {
+	for {
+		p, err := h.pool.Fetch(rid.Page)
+		if err != nil {
+			return nil, nil, err
+		}
+		acc.Add(obs.Resources{Pages: 1})
+		raw, err := p.ReadRecord(rid.Slot)
+		if err != nil {
+			h.pool.Unpin(p)
+			return nil, nil, err
+		}
+		if len(raw) == 0 {
+			h.pool.Unpin(p)
+			return nil, nil, fmt.Errorf("storage: empty physical record at %v", rid)
+		}
+		flag := raw[0]
+		if flag&flagForward != 0 {
+			rid = UnpackRID(binary.LittleEndian.Uint64(raw[1:]))
+			h.pool.Unpin(p)
+			h.met.forwardHops.Inc()
+			continue
+		}
+		body := raw[1:]
+		if flag&flagMoved != 0 {
+			body = body[8:] // skip home RID
+		}
+		if flag&flagOverflow != 0 {
+			total := binary.LittleEndian.Uint32(body)
+			first := PageID(binary.LittleEndian.Uint32(body[4:]))
+			h.pool.Unpin(p)
+			data, err := h.readOverflowChain(first, total, acc)
+			return data, nil, err
+		}
+		return body, p, nil
 	}
-	body := raw[1:]
-	if flag&flagMoved != 0 {
-		body = body[8:] // skip home RID
-	}
-	if flag&flagOverflow != 0 {
-		total := binary.LittleEndian.Uint32(body)
-		first := PageID(binary.LittleEndian.Uint32(body[4:]))
-		h.pool.Unpin(p)
-		data, err := h.readOverflowChain(first, total, acc)
-		return data, rid, err
-	}
-	out := make([]byte, len(body))
-	copy(out, body)
-	h.pool.Unpin(p)
-	return out, rid, nil
 }
 
 // Update replaces the payload of the record whose home is rid.
@@ -1152,7 +1185,7 @@ func (h *Heap) Scan(fn func(rid RID, data []byte) (bool, error)) error {
 		}
 		h.pool.Unpin(p)
 		for _, rid := range stubs {
-			data, _, err := h.fetchResolved(rid, nil)
+			data, err := h.fetchCopy(rid, nil)
 			if err != nil {
 				return err
 			}

@@ -25,6 +25,9 @@ type PoolStats struct {
 	Misses    uint64
 	Evictions uint64
 	Flushes   uint64
+	// Pinned is the number of frames pinned right now. Every pin belongs to
+	// a call in progress, so it reads 0 whenever the pool is idle.
+	Pinned int
 }
 
 // HitRatio returns the fraction of fetches served from the pool.
@@ -134,11 +137,18 @@ func (bp *BufferPool) SetFlushHook(h FlushHook) { bp.onFlush = h }
 func (bp *BufferPool) Stats() PoolStats {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	pinned := 0
+	for _, fr := range bp.frames {
+		if fr.page.pin > 0 {
+			pinned++
+		}
+	}
 	return PoolStats{
 		Hits:      bp.met.hits.Value(),
 		Misses:    bp.met.misses.Value(),
 		Evictions: bp.met.evictions.Value(),
 		Flushes:   bp.met.flushes.Value(),
+		Pinned:    pinned,
 	}
 }
 

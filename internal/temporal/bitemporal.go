@@ -111,9 +111,15 @@ func AppendElement(dst []byte, e Element) []byte {
 	return dst
 }
 
-// DecodeElement decodes an element produced by AppendElement, returning the
-// element and the number of bytes consumed.
-func DecodeElement(src []byte) (Element, int, error) {
+// ElementWire is an element in its wire form, validated and read in place:
+// the interval bytes that follow AppendElement's length prefix. It aliases
+// the buffer it was split from.
+type ElementWire []byte
+
+// SplitElement validates the element encoded at the head of src — length,
+// truncation, canonical form — and returns it in place with the number of
+// bytes consumed. Nothing is allocated.
+func SplitElement(src []byte) (ElementWire, int, error) {
 	if len(src) < 4 {
 		return nil, 0, fmt.Errorf("temporal: short element encoding (%d bytes)", len(src))
 	}
@@ -122,23 +128,59 @@ func DecodeElement(src []byte) (Element, int, error) {
 	if len(src) < need {
 		return nil, 0, fmt.Errorf("temporal: element encoding truncated: need %d bytes, have %d", need, len(src))
 	}
+	w := ElementWire(src[4:need])
+	for i := 0; i < n; i++ {
+		iv := w.Interval(i)
+		if iv.IsEmpty() || (i > 0 && w.Interval(i-1).To >= iv.From) {
+			return nil, 0, fmt.Errorf("temporal: decoded element is not canonical: %s", w.Decode())
+		}
+	}
+	return w, need, nil
+}
+
+// Len returns the number of intervals.
+func (w ElementWire) Len() int { return len(w) / IntervalWireSize }
+
+// Interval returns the i-th interval.
+func (w ElementWire) Interval(i int) Interval {
+	b := w[i*IntervalWireSize:]
+	return Interval{
+		From: Instant(binary.BigEndian.Uint64(b) ^ (1 << 63)),
+		To:   Instant(binary.BigEndian.Uint64(b[InstantWireSize:]) ^ (1 << 63)),
+	}
+}
+
+// Contains reports whether instant t is in the element.
+func (w ElementWire) Contains(t Instant) bool {
+	for i, n := 0, w.Len(); i < n; i++ {
+		if w.Interval(i).Contains(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// Decode materializes the element (nil when empty).
+func (w ElementWire) Decode() Element {
+	n := w.Len()
 	if n == 0 {
-		return nil, 4, nil
+		return nil
 	}
 	e := make(Element, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		iv, err := DecodeInterval(src[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		e[i] = iv
-		off += IntervalWireSize
+	for i := range e {
+		e[i] = w.Interval(i)
 	}
-	if !e.IsCanonical() {
-		return nil, 0, fmt.Errorf("temporal: decoded element is not canonical: %s", e)
+	return e
+}
+
+// DecodeElement decodes an element produced by AppendElement, returning the
+// element and the number of bytes consumed.
+func DecodeElement(src []byte) (Element, int, error) {
+	w, n, err := SplitElement(src)
+	if err != nil {
+		return nil, 0, err
 	}
-	return e, off, nil
+	return w.Decode(), n, nil
 }
 
 // Clock issues strictly monotone transaction-time instants. The zero value

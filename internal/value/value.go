@@ -290,34 +290,53 @@ func AppendRecord(dst []byte, v V) []byte {
 	}
 }
 
-// DecodeRecord decodes a value produced by AppendRecord, returning the
-// value and the number of bytes consumed.
-func DecodeRecord(src []byte) (V, int, error) {
+// RecordSize returns the length of the record encoding at the head of src,
+// validating everything DecodeRecord validates without building the value —
+// what a reader needs to step over a value it does not want.
+func RecordSize(src []byte) (int, error) {
 	if len(src) == 0 {
-		return Null, 0, fmt.Errorf("value: empty record encoding")
+		return 0, fmt.Errorf("value: empty record encoding")
 	}
-	k := Kind(src[0])
-	switch k {
+	switch Kind(src[0]) {
 	case KindNull:
-		return Null, 1, nil
+		return 1, nil
 	case KindString:
 		n, sz := binary.Uvarint(src[1:])
 		if sz <= 0 {
-			return Null, 0, fmt.Errorf("value: corrupt string length")
+			return 0, fmt.Errorf("value: corrupt string length")
 		}
 		start := 1 + sz
 		end := start + int(n)
 		if end > len(src) || end < start {
-			return Null, 0, fmt.Errorf("value: string payload truncated (need %d bytes, have %d)", end, len(src))
+			return 0, fmt.Errorf("value: string payload truncated (need %d bytes, have %d)", end, len(src))
 		}
-		return String_(string(src[start:end])), end, nil
+		return end, nil
 	case KindBool, KindInt, KindFloat, KindInstant, KindID:
 		if len(src) < 9 {
-			return Null, 0, fmt.Errorf("value: numeric payload truncated")
+			return 0, fmt.Errorf("value: numeric payload truncated")
 		}
-		return V{kind: k, num: binary.LittleEndian.Uint64(src[1:9])}, 9, nil
+		return 9, nil
 	default:
-		return Null, 0, fmt.Errorf("value: unknown kind tag %d", src[0])
+		return 0, fmt.Errorf("value: unknown kind tag %d", src[0])
+	}
+}
+
+// DecodeRecord decodes a value produced by AppendRecord, returning the
+// value and the number of bytes consumed. String payloads are copied, so
+// the value never aliases src.
+func DecodeRecord(src []byte) (V, int, error) {
+	n, err := RecordSize(src)
+	if err != nil {
+		return Null, 0, err
+	}
+	switch k := Kind(src[0]); k {
+	case KindNull:
+		return Null, n, nil
+	case KindString:
+		_, sz := binary.Uvarint(src[1:])
+		return String_(string(src[1+sz : n])), n, nil
+	default:
+		return V{kind: k, num: binary.LittleEndian.Uint64(src[1:9])}, n, nil
 	}
 }
 

@@ -1,143 +1,79 @@
-// Command tcobench regenerates the reconstructed evaluation suite: every
-// table and figure catalogued in DESIGN.md and EXPERIMENTS.md. Run with no
-// arguments for the full suite at default scale, or name specific
-// experiments:
+// Command tcobench prints the paper-axis evaluation tables catalogued in
+// DESIGN.md §4 and EXPERIMENTS.md (history placement: embedded vs
+// separated vs tuple). Run with no arguments for every table at default
+// scale, or name the ones wanted:
 //
 //	tcobench                # everything
 //	tcobench -scale 2 R-T1  # a bigger R-T1 only
 //
-// Alongside the printed tables, the run is written as machine-readable
-// telemetry to BENCH_scale<N>.json in -out (wall time, result rows, and
-// engine counter snapshots per experiment). -debug-addr serves expvar and
-// pprof while the suite runs; -linger keeps the server up afterwards.
+// Systems numbers (throughput, latency, recovery, wire and tracing
+// overhead, the per-layer ledger) come from `bash bench/run.sh`, not from
+// here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"tcodm/internal/experiments"
-	"tcodm/internal/obs"
 )
 
-// benchResult is one experiment in the JSON report.
-type benchResult struct {
-	ID        string            `json:"id"`
-	Title     string            `json:"title"`
-	ElapsedNS int64             `json:"elapsed_ns"`
-	Columns   []string          `json:"columns"`
-	Rows      [][]string        `json:"rows"`
-	Notes     []string          `json:"notes,omitempty"`
-	Counters  map[string]uint64 `json:"counters,omitempty"`
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// benchReport is the whole run.
-type benchReport struct {
-	Scale       int           `json:"scale"`
-	StartedAt   time.Time     `json:"started_at"`
-	TotalNS     int64         `json:"total_ns"`
-	Experiments []benchResult `json:"experiments"`
-}
-
-func main() {
-	scale := flag.Int("scale", 1, "workload scale factor")
-	out := flag.String("out", ".", "directory for the BENCH_scale<N>.json report (empty = no report)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar+pprof on this address while the suite runs")
-	linger := flag.Duration("linger", 0, "keep the process (and debug server) alive this long after the suite")
-	remote := flag.String("remote", "", "run R-T7 against this tcoserve address instead of an in-process loopback server")
-	ncores := flag.String("ncores", "1,2,4", "comma-separated worker counts for the R-T9 parallel-scaling sweep")
-	flag.Parse()
+// run is main with its inputs and outputs named; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcobench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Int("scale", 1, "workload scale factor")
+	ncores := fs.String("ncores", "1,2,4", "comma-separated worker counts for the R-T9 parallel-scaling sweep")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tcobench:", err)
+		return 1
+	}
 	cores, err := parseCores(*ncores)
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	var ids []string
+	known := map[string]bool{}
+	for _, e := range experiments.Suite {
+		ids = append(ids, e.ID)
+		known[e.ID] = true
 	}
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
-		want[strings.ToUpper(a)] = true
-	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
-
-	report := &benchReport{Scale: *scale, StartedAt: time.Now()}
-	if *debugAddr != "" {
-		// Expose the report as it accumulates: each finished experiment's
-		// counters and timings appear under /debug/vars key "tcodm".
-		obs.SetDebugVars(func() any { return report })
-		addr, err := obs.StartDebugServer(*debugAddr)
-		if err != nil {
-			fatal(err)
+	for _, a := range fs.Args() {
+		id := strings.ToUpper(a)
+		if !known[id] {
+			return fail(fmt.Errorf("unknown experiment %q (valid ids: %s)", a, strings.Join(ids, " ")))
 		}
-		fmt.Printf("(debug server on http://%s/debug/vars)\n", addr.Addr())
+		want[id] = true
 	}
 
 	dir, err := os.MkdirTemp("", "tcobench")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer os.RemoveAll(dir)
-	s := experiments.Scale(*scale)
-
-	type exp struct {
-		id  string
-		run func() (*experiments.Table, error)
-	}
-	suite := []exp{
-		{"R-T1", func() (*experiments.Table, error) { return experiments.RT1StorageCost(s) }},
-		{"R-F1", func() (*experiments.Table, error) { return experiments.RF1CurrentQuery(s) }},
-		{"R-F2", func() (*experiments.Table, error) { return experiments.RF2TimeSlice(s) }},
-		{"R-F3", func() (*experiments.Table, error) { return experiments.RF3UpdateCost(s) }},
-		{"R-T2", func() (*experiments.Table, error) { return experiments.RT2Molecule(s) }},
-		{"R-F4", func() (*experiments.Table, error) { return experiments.RF4WhenSelection(s) }},
-		{"R-F5", func() (*experiments.Table, error) { return experiments.RF5HistoryQuery(s) }},
-		{"R-T3", func() (*experiments.Table, error) { return experiments.RT3Txn(s, dir) }},
-		{"R-F6", func() (*experiments.Table, error) { return experiments.RF6BufferPool(s, dir) }},
-		{"R-A1", func() (*experiments.Table, error) { return experiments.RA1SegmentCap(s) }},
-		{"R-F8", func() (*experiments.Table, error) { return experiments.RF8ValueIndex(s) }},
-		{"R-A2", func() (*experiments.Table, error) { return experiments.RA2Vacuum(s) }},
-		{"R-T6", func() (*experiments.Table, error) { return experiments.RT6Overhead(s, dir) }},
-		{"R-T7", func() (*experiments.Table, error) { return experiments.RT7WireOverhead(s, *remote) }},
-		{"R-T9", func() (*experiments.Table, error) { return experiments.RT9ParallelScan(s, cores) }},
-		{"R-T10", func() (*experiments.Table, error) { return experiments.RT10ReadReplicas(s, dir) }},
-		{"R-T11", func() (*experiments.Table, error) { return experiments.RT11Tiering(s, dir) }},
-	}
-	suiteStart := time.Now()
-	for _, e := range suite {
-		if !sel(e.id) {
+	cfg := experiments.Config{Scale: experiments.Scale(*scale), Dir: dir, Cores: cores}
+	for _, e := range experiments.Suite {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		start := time.Now()
-		t, err := e.run()
+		t, err := e.Run(cfg)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", e.id, err))
+			return fail(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		fmt.Println(t)
-		report.Experiments = append(report.Experiments, benchResult{
-			ID: t.ID, Title: t.Title, ElapsedNS: time.Since(start).Nanoseconds(),
-			Columns: t.Columns, Rows: t.Rows, Notes: t.Notes, Counters: t.Counters,
-		})
+		fmt.Fprintln(stdout, t)
 	}
-	report.TotalNS = time.Since(suiteStart).Nanoseconds()
-
-	if *out != "" && len(report.Experiments) > 0 {
-		path := filepath.Join(*out, fmt.Sprintf("BENCH_scale%d.json", *scale))
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", path, len(report.Experiments))
-	}
-	if *linger > 0 {
-		fmt.Printf("lingering %s for debug scraping...\n", *linger)
-		time.Sleep(*linger)
-	}
+	return 0
 }
 
 // parseCores parses the -ncores list, e.g. "1,4" -> [1, 4].
@@ -158,9 +94,4 @@ func parseCores(s string) ([]int, error) {
 		return nil, fmt.Errorf("-ncores is empty")
 	}
 	return cores, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tcobench:", err)
-	os.Exit(1)
 }

@@ -25,7 +25,6 @@ import (
 	"tcodm/internal/core"
 	"tcodm/internal/obs"
 	"tcodm/internal/query"
-	"tcodm/internal/schema"
 	"tcodm/internal/temporal"
 	"tcodm/internal/workload"
 	"tcodm/pkg/client"
@@ -272,9 +271,7 @@ func printStats(db *core.Engine) {
 		s.Pool.Hits, s.Pool.Misses, s.Pool.HitRatio(), s.Pool.Evictions)
 	fmt.Printf("atom layer: fast loads %d, full loads %d, segment reads %d, snapshot hops %d\n",
 		s.AtomLayer.FastLoads, s.AtomLayer.FullLoads, s.AtomLayer.SegmentReads, s.AtomLayer.SnapshotHops)
-	if reg := db.Metrics(); reg != nil {
-		fmt.Print(reg.String())
-	}
+	fmt.Print(db.Metrics().String())
 	if t := db.SlowLog().Threshold(); t > 0 {
 		fmt.Printf("slow queries: %d captured (threshold %s)\n", db.SlowLog().Total(), t)
 	}
@@ -312,49 +309,12 @@ func loadWorkload(db *core.Engine, args []string) {
 		fmt.Println("usage: .load personnel|cad")
 		return
 	}
-	var sch *schema.Schema
-	var ops []workload.Op
-	var err error
-	switch args[1] {
-	case "personnel":
-		sch, err = workload.PersonnelSchema()
-		ops = workload.Personnel(workload.DefaultPersonnel())
-	case "cad":
-		sch, err = workload.CADSchema()
-		ops = workload.CAD(workload.DefaultCAD())
-	default:
-		fmt.Println("unknown workload:", args[1])
-		return
-	}
+	atoms, ops, err := workload.Seed(db, args[1])
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	for _, name := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(name)
-		if err := db.DefineAtomType(*at); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-	}
-	for _, name := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(name)
-		if err := db.DefineMoleculeType(*mt); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-	}
-	app := workload.NewEngineApplier(db, 128)
-	ids, err := workload.Apply(ops, app)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	if err := app.Flush(); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("loaded %d atoms (%d operations)\n", len(ids), len(ops))
+	fmt.Printf("loaded %d atoms (%d operations)\n", atoms, ops)
 }
 
 // runQuery executes one local query, cancellable with ctrl-C: a long

@@ -42,7 +42,6 @@ import (
 	"tcodm/internal/core"
 	"tcodm/internal/obs"
 	"tcodm/internal/repl"
-	"tcodm/internal/schema"
 	"tcodm/internal/server"
 	"tcodm/internal/temporal"
 	"tcodm/internal/wire"
@@ -134,7 +133,7 @@ func main() {
 				rs.Replayed, rs.Records, rs.Committed, rs.TornBytes)
 		}
 		if *load != "" {
-			n, err := seed(db, *load)
+			n, _, err := workload.Seed(db, *load)
 			if err != nil {
 				fatal(err)
 			}
@@ -266,47 +265,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println("drained cleanly")
-}
-
-// seed loads a synthetic workload, schema included.
-func seed(db *core.Engine, name string) (int, error) {
-	var sch *schema.Schema
-	var ops []workload.Op
-	var err error
-	switch name {
-	case "personnel":
-		sch, err = workload.PersonnelSchema()
-		ops = workload.Personnel(workload.DefaultPersonnel())
-	case "cad":
-		sch, err = workload.CADSchema()
-		ops = workload.CAD(workload.DefaultCAD())
-	default:
-		return 0, fmt.Errorf("unknown workload %q (want personnel or cad)", name)
-	}
-	if err != nil {
-		return 0, err
-	}
-	for _, n := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(n)
-		if err := db.DefineAtomType(*at); err != nil {
-			return 0, err
-		}
-	}
-	for _, n := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(n)
-		if err := db.DefineMoleculeType(*mt); err != nil {
-			return 0, err
-		}
-	}
-	app := workload.NewEngineApplier(db, 256)
-	ids, err := workload.Apply(ops, app)
-	if err != nil {
-		return 0, err
-	}
-	if err := app.Flush(); err != nil {
-		return 0, err
-	}
-	return len(ids), nil
 }
 
 // runAdmin is the one-shot admin client: handshake, one Admin frame,

@@ -24,14 +24,7 @@ func main() {
 	// Install the personnel schema and load a deterministic workload.
 	sch, err := workload.PersonnelSchema()
 	must(err)
-	for _, name := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(name)
-		must(db.DefineAtomType(*at))
-	}
-	for _, name := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(name)
-		must(db.DefineMoleculeType(*mt))
-	}
+	must(workload.Install(db, sch))
 	params := workload.PersonnelParams{
 		Depts: 4, Emps: 40, UpdatesPerEmp: 6, MovesPerEmp: 2, TimeStep: 10, Seed: 42,
 	}

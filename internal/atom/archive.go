@@ -146,10 +146,8 @@ func decodeArcSnapChunk(src []byte) (prevOff uint64, snaps []*Snapshot, err erro
 // --- Archive read paths ------------------------------------------------------
 
 // arcLoadInto merges every archived version of the atom back into its
-// in-memory form (embedded/separated strategies). Chunk reads charge one
-// archive block plus one chain step each — an archived chunk costs what a
-// history segment does, minus the random heap I/O.
-func (m *Manager) arcLoadInto(a *Atom, acc *obs.Resources) error {
+// in-memory form (embedded/separated strategies).
+func (m *Manager) arcLoadInto(a *Atom) error {
 	off := a.Arc.Off
 	if off == 0 {
 		return nil
@@ -158,7 +156,7 @@ func (m *Manager) arcLoadInto(a *Atom, acc *obs.Resources) error {
 		return errNoArchive
 	}
 	for off != 0 {
-		payload, err := m.arc.ReadBlock(off, acc)
+		payload, err := m.arc.ReadBlock(off, nil)
 		if err != nil {
 			return err
 		}
@@ -166,7 +164,6 @@ func (m *Manager) arcLoadInto(a *Atom, acc *obs.Resources) error {
 		if err != nil {
 			return err
 		}
-		acc.Add(obs.Resources{ChainSteps: 1})
 		m.met.segmentReads.Inc()
 		for _, e := range entries {
 			if e.BackRef {
@@ -194,7 +191,7 @@ func arcNeeded(p ArcPtr, ett temporal.Instant) bool {
 
 // arcSnapChain reads the archived snapshot chain (tuple strategy),
 // oldest-first, ready to prepend to the hot chain.
-func (m *Manager) arcSnapChain(p ArcPtr, acc *obs.Resources) ([]*Snapshot, error) {
+func (m *Manager) arcSnapChain(p ArcPtr) ([]*Snapshot, error) {
 	if p.Off == 0 {
 		return nil, nil
 	}
@@ -203,7 +200,7 @@ func (m *Manager) arcSnapChain(p ArcPtr, acc *obs.Resources) ([]*Snapshot, error
 	}
 	var newestFirst []*Snapshot
 	for off := p.Off; off != 0; {
-		payload, err := m.arc.ReadBlock(off, acc)
+		payload, err := m.arc.ReadBlock(off, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -211,10 +208,7 @@ func (m *Manager) arcSnapChain(p ArcPtr, acc *obs.Resources) ([]*Snapshot, error
 		if err != nil {
 			return nil, err
 		}
-		for range snaps {
-			m.met.snapshotHops.Inc()
-			acc.Add(obs.Resources{ChainSteps: 1})
-		}
+		m.met.snapshotHops.Add(uint64(len(snaps)))
 		newestFirst = append(newestFirst, snaps...)
 		off = prev
 	}
@@ -266,7 +260,7 @@ func (m *Manager) Compact(beforeTT temporal.Instant) (int, error) {
 func (m *Manager) compactAtom(id value.ID, beforeTT temporal.Instant) (int, error) {
 	// Pre-scan on a throwaway load: atoms with nothing to merge are skipped
 	// without a rewrite (no dirty pages, no WAL bytes).
-	probe, _, _, err := m.loadHot(id, nil)
+	probe, _, _, err := m.loadHot(id)
 	if err != nil {
 		return 0, err
 	}
@@ -468,7 +462,7 @@ func (m *Manager) archiveSeparated(id value.ID, beforeTT temporal.Instant) (int,
 	if err != nil {
 		return 0, err
 	}
-	a, hdr, err := m.loadSeparatedFull(rid, nil)
+	a, hdr, err := m.loadSeparatedFull(rid)
 	if err != nil {
 		return 0, err
 	}
@@ -501,7 +495,7 @@ func (m *Manager) archiveTuple(id value.ID, beforeTT temporal.Instant) (int, err
 	if err != nil {
 		return 0, err
 	}
-	chain, err := m.tupleChain(rid, nil) // oldest-first, hot records only
+	chain, err := m.tupleChain(rid) // oldest-first, hot records only
 	if err != nil {
 		return 0, err
 	}

@@ -3,7 +3,6 @@ package atom
 import (
 	"fmt"
 
-	"tcodm/internal/obs"
 	"tcodm/internal/schema"
 	"tcodm/internal/storage"
 	"tcodm/internal/temporal"
@@ -30,27 +29,23 @@ func (m *Manager) reconcile(a *Atom) *Atom {
 }
 
 // Load materializes the complete atom with its full history. For the tuple
-// strategy this reconstructs histories from the snapshot chain.
+// strategy this reconstructs histories from the snapshot chain. The result
+// is full-fidelity: archived history is always merged back in (index
+// rebuilds and molecule change points depend on seeing everything). Loads
+// are not charged to any query's resources; accounted reads go through Read.
 func (m *Manager) Load(id value.ID) (*Atom, error) {
-	return m.LoadAcc(id, nil)
-}
-
-// LoadAcc is Load with exact resource accounting (see Read). The result is
-// full-fidelity: archived history is always merged back in (index rebuilds
-// and molecule change points depend on seeing everything).
-func (m *Manager) LoadAcc(id value.ID, acc *obs.Resources) (*Atom, error) {
 	if m.opts.Strategy == StrategyTuple {
 		rid, err := m.homeRID(id)
 		if err != nil {
 			return nil, err
 		}
-		return m.tupleLoad(rid, acc)
+		return m.tupleLoad(rid)
 	}
-	a, _, _, err := m.loadHot(id, acc)
+	a, _, _, err := m.loadHot(id)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.arcLoadInto(a, acc); err != nil {
+	if err := m.arcLoadInto(a); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -59,7 +54,7 @@ func (m *Manager) LoadAcc(id value.ID, acc *obs.Resources) (*Atom, error) {
 // loadHot materializes the complete hot-store atom (embedded/separated),
 // reconciled against the schema but WITHOUT archived history: exactly the
 // hot state the maintenance paths (vacuum, compaction pre-scans) need.
-func (m *Manager) loadHot(id value.ID, acc *obs.Resources) (*Atom, storage.RID, SepHeader, error) {
+func (m *Manager) loadHot(id value.ID) (*Atom, storage.RID, SepHeader, error) {
 	rid, err := m.homeRID(id)
 	if err != nil {
 		return nil, storage.NilRID, SepHeader{}, err
@@ -67,7 +62,7 @@ func (m *Manager) loadHot(id value.ID, acc *obs.Resources) (*Atom, storage.RID, 
 	switch m.opts.Strategy {
 	case StrategyEmbedded:
 		m.met.fullLoads.Inc()
-		data, err := m.heap.FetchAcc(rid, acc)
+		data, err := m.heap.Fetch(rid)
 		if err != nil {
 			return nil, storage.NilRID, SepHeader{}, err
 		}
@@ -78,7 +73,7 @@ func (m *Manager) loadHot(id value.ID, acc *obs.Resources) (*Atom, storage.RID, 
 		return m.reconcile(a), rid, SepHeader{}, nil
 	case StrategySeparated:
 		m.met.fullLoads.Inc()
-		a, hdr, err := m.loadSeparatedFull(rid, acc)
+		a, hdr, err := m.loadSeparatedFull(rid)
 		if err != nil {
 			return nil, storage.NilRID, SepHeader{}, err
 		}
@@ -90,8 +85,8 @@ func (m *Manager) loadHot(id value.ID, acc *obs.Resources) (*Atom, storage.RID, 
 
 // tupleLoad reconstructs a full atom (with step-function histories) from
 // the snapshot chain, archived prefix included.
-func (m *Manager) tupleLoad(rid storage.RID, acc *obs.Resources) (*Atom, error) {
-	snaps, err := m.tupleChain(rid, acc)
+func (m *Manager) tupleLoad(rid storage.RID) (*Atom, error) {
+	snaps, err := m.tupleChain(rid)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +94,7 @@ func (m *Manager) tupleLoad(rid storage.RID, acc *obs.Resources) (*Atom, error) 
 		return nil, fmt.Errorf("atom: empty snapshot chain")
 	}
 	if p := snaps[0].Arc; !p.IsZero() {
-		arch, err := m.arcSnapChain(p, acc)
+		arch, err := m.arcSnapChain(p)
 		if err != nil {
 			return nil, err
 		}
@@ -154,12 +149,11 @@ func (m *Manager) tupleLoad(rid storage.RID, acc *obs.Resources) (*Atom, error) 
 }
 
 // tupleChain returns the snapshot chain oldest-first.
-func (m *Manager) tupleChain(rid storage.RID, acc *obs.Resources) ([]*Snapshot, error) {
+func (m *Manager) tupleChain(rid storage.RID) ([]*Snapshot, error) {
 	var chain []*Snapshot
 	for rid.IsValid() {
 		m.met.snapshotHops.Inc()
-		acc.Add(obs.Resources{ChainSteps: 1})
-		data, err := m.heap.FetchAcc(rid, acc)
+		data, err := m.heap.Fetch(rid)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package atom
 import (
 	"fmt"
 
-	"tcodm/internal/obs"
 	"tcodm/internal/schema"
 	"tcodm/internal/storage"
 	"tcodm/internal/temporal"
@@ -304,7 +303,7 @@ func (m *Manager) separatedMutate(id value.ID, span temporal.Interval, apply fun
 // apply, then rebuild the current record and the whole history chain.
 func (m *Manager) separatedMutateFull(id value.ID, rid storage.RID, apply func(*Atom) ([]Version, error), tt temporal.Instant) error {
 	m.met.fullLoads.Inc()
-	a, hdr, err := m.loadSeparatedFull(rid, nil)
+	a, hdr, err := m.loadSeparatedFull(rid)
 	if err != nil {
 		return err
 	}
@@ -416,9 +415,9 @@ func (m *Manager) appendHistory(hdr SepHeader, entries []HistoryEntry) (SepHeade
 }
 
 // loadSeparatedFull materializes the complete atom: current record plus the
-// whole history chain. Segment hops count as version-chain steps in acc.
-func (m *Manager) loadSeparatedFull(rid storage.RID, acc *obs.Resources) (*Atom, SepHeader, error) {
-	data, err := m.heap.FetchAcc(rid, acc)
+// whole history chain.
+func (m *Manager) loadSeparatedFull(rid storage.RID) (*Atom, SepHeader, error) {
+	data, err := m.heap.Fetch(rid)
 	if err != nil {
 		return nil, SepHeader{}, err
 	}
@@ -430,9 +429,8 @@ func (m *Manager) loadSeparatedFull(rid storage.RID, acc *obs.Resources) (*Atom,
 	seg := hdr.Head
 	for seg.IsValid() {
 		m.met.segmentReads.Inc()
-		acc.Add(obs.Resources{ChainSteps: 1})
 		depth++
-		data, err := m.heap.FetchAcc(seg, acc)
+		data, err := m.heap.Fetch(seg)
 		if err != nil {
 			return nil, SepHeader{}, err
 		}

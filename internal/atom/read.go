@@ -109,16 +109,11 @@ func (m *Manager) StateAtAcc(id value.ID, vt, tt temporal.Instant, acc *obs.Reso
 }
 
 // History returns the valid-time history of an attribute as recorded at
-// transaction time tt: visible versions ordered by valid start.
-func (m *Manager) History(id value.ID, attr string, tt temporal.Instant) ([]Version, error) {
-	return m.HistoryAcc(id, attr, tt, nil)
-}
-
-// HistoryAcc is History with exact resource accounting (see Read). History
-// at tt at or above the archive watermark is answered entirely from the hot
+// transaction time tt: visible versions ordered by valid start. History at
+// tt at or above the archive watermark is answered entirely from the hot
 // store; only questions reaching below it pay for archive reads.
-func (m *Manager) HistoryAcc(id value.ID, attr string, tt temporal.Instant, acc *obs.Resources) ([]Version, error) {
-	rd, err := m.Read(id, &ReadSet{Histories: []string{attr}}, temporal.Beginning, tt, acc)
+func (m *Manager) History(id value.ID, attr string, tt temporal.Instant) ([]Version, error) {
+	rd, err := m.Read(id, &ReadSet{Histories: []string{attr}}, temporal.Beginning, tt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,12 +122,7 @@ func (m *Manager) HistoryAcc(id value.ID, attr string, tt temporal.Instant, acc 
 
 // Lifespan returns the atom's existence element.
 func (m *Manager) Lifespan(id value.ID) (temporal.Element, error) {
-	return m.LifespanAcc(id, nil)
-}
-
-// LifespanAcc is Lifespan with exact resource accounting (see Read).
-func (m *Manager) LifespanAcc(id value.ID, acc *obs.Resources) (temporal.Element, error) {
-	rd, err := m.Read(id, readLifespan, temporal.Beginning, Now, acc)
+	rd, err := m.Read(id, readLifespan, temporal.Beginning, Now, nil)
 	return rd.Lifespan, err
 }
 

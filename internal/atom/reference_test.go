@@ -100,11 +100,11 @@ func refSnapshotChain(m *Manager, id value.ID) ([]*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	chain, err := m.tupleChain(rid, nil)
+	chain, err := m.tupleChain(rid)
 	if err != nil || len(chain) == 0 {
 		return chain, err
 	}
-	arch, err := m.arcSnapChain(chain[0].Arc, nil)
+	arch, err := m.arcSnapChain(chain[0].Arc)
 	if err != nil {
 		return nil, err
 	}

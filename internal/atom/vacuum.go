@@ -41,7 +41,7 @@ func (m *Manager) vacuumAtom(id value.ID, beforeTT temporal.Instant) (int, error
 	// Probe on a throwaway load first: an atom with nothing dead is skipped
 	// without a rewrite — no dirty pages, no WAL bytes. The probe pays a
 	// read the rewrite would have paid anyway.
-	probe, _, _, err := m.loadHot(id, nil)
+	probe, _, _, err := m.loadHot(id)
 	if err != nil {
 		return 0, err
 	}
@@ -60,7 +60,7 @@ func (m *Manager) vacuumAtom(id value.ID, beforeTT temporal.Instant) (int, error
 		// them back so the dead filter below counts and drops them, and
 		// clear the pointer — the archive blocks become unreferenced.
 		if !a.Arc.IsZero() && beforeTT >= a.Arc.WM {
-			if err := m.arcLoadInto(a, nil); err != nil {
+			if err := m.arcLoadInto(a); err != nil {
 				return nil, err
 			}
 			a.Arc = ArcPtr{}
@@ -129,7 +129,7 @@ func (m *Manager) tupleVacuum(id value.ID, beforeTT temporal.Instant) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	chain, err := m.tupleChain(rid, nil) // oldest first, hot records only
+	chain, err := m.tupleChain(rid) // oldest first, hot records only
 	if err != nil {
 		return 0, err
 	}
@@ -141,7 +141,7 @@ func (m *Manager) tupleVacuum(id value.ID, beforeTT temporal.Instant) (int, erro
 	carryArc := ArcPtr{}
 	if len(chain) > 0 && !chain[0].Arc.IsZero() {
 		if beforeTT >= chain[0].Arc.WM {
-			arch, err := m.arcSnapChain(chain[0].Arc, nil)
+			arch, err := m.arcSnapChain(chain[0].Arc)
 			if err != nil {
 				return 0, err
 			}

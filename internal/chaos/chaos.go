@@ -168,21 +168,10 @@ func (e *env) overloadEngine() (*core.Engine, error) {
 			e.overloadErr = err
 			return
 		}
-		for _, n := range sch.AtomTypeNames() {
-			at, _ := sch.AtomType(n)
-			if err := eng.DefineAtomType(*at); err != nil {
-				eng.Close()
-				e.overloadErr = err
-				return
-			}
-		}
-		for _, n := range sch.MoleculeTypeNames() {
-			mt, _ := sch.MoleculeType(n)
-			if err := eng.DefineMoleculeType(*mt); err != nil {
-				eng.Close()
-				e.overloadErr = err
-				return
-			}
+		if err := workload.Install(eng, sch); err != nil {
+			eng.Close()
+			e.overloadErr = err
+			return
 		}
 		app := workload.NewEngineApplier(eng, 256)
 		ops := workload.Personnel(workload.PersonnelParams{
@@ -381,19 +370,9 @@ func buildEngine(seed int64) (*core.Engine, error) {
 		eng.Close()
 		return nil, err
 	}
-	for _, n := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(n)
-		if err := eng.DefineAtomType(*at); err != nil {
-			eng.Close()
-			return nil, err
-		}
-	}
-	for _, n := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(n)
-		if err := eng.DefineMoleculeType(*mt); err != nil {
-			eng.Close()
-			return nil, err
-		}
+	if err := workload.Install(eng, sch); err != nil {
+		eng.Close()
+		return nil, err
 	}
 	app := workload.NewEngineApplier(eng, 256)
 	ops := workload.Personnel(workload.PersonnelParams{

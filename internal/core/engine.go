@@ -52,10 +52,6 @@ type Options struct {
 	// OpenArchive, when non-nil, replaces storage.OpenArchive for the cold
 	// archive file at Path+".arc" (fault-injection seam; see internal/fault).
 	OpenArchive func(path string) (*storage.Archive, error)
-	// DisableMetrics turns the observability layer off: no registry is
-	// created and every instrumented component gets nil metric handles
-	// (true no-ops on the hot paths).
-	DisableMetrics bool
 	// SlowQueryThreshold enables the slow-query log for queries at or
 	// above the given duration (0 = disabled; adjustable at runtime via
 	// SlowLog().SetThreshold).
@@ -115,7 +111,7 @@ type Engine struct {
 	// Recovered reports whether opening required crash recovery.
 	Recovered bool
 
-	// metrics is the engine-wide registry (nil when DisableMetrics).
+	// metrics is the engine-wide registry.
 	metrics *obs.Registry
 	// slow is the slow-query log (always non-nil; threshold 0 disables).
 	slow *obs.SlowLog
@@ -124,7 +120,7 @@ type Engine struct {
 	// recovery holds the WAL replay statistics from the last unclean open.
 	recovery wal.RecoveryStats
 
-	queryNS   *obs.Histogram // query latency (ns); nil when metrics off
+	queryNS   *obs.Histogram // query latency (ns)
 	queryRuns *obs.Counter
 }
 
@@ -168,14 +164,12 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e := &Engine{opts: opts, clock: temporal.NewClock(0)}
 	e.slow = obs.NewSlowLog(64, opts.SlowQueryThreshold)
-	if !opts.DisableMetrics {
-		e.metrics = obs.New()
-		// The ring holds span trees now, not just points: a traced query
-		// emits ~10 events, so size for a few hundred recent queries.
-		e.tracer = obs.NewTracer(4096)
-		e.queryNS = e.metrics.Histogram("query.ns")
-		e.queryRuns = e.metrics.Counter("query.runs")
-	}
+	e.metrics = obs.New()
+	// The ring holds span trees, not just points: a traced query emits
+	// ~10 events, so size for a few hundred recent queries.
+	e.tracer = obs.NewTracer(4096)
+	e.queryNS = e.metrics.Histogram("query.ns")
+	e.queryRuns = e.metrics.Counter("query.runs")
 
 	if opts.ReadOnly && opts.Follower {
 		return nil, fmt.Errorf("core: ReadOnly and Follower are mutually exclusive open modes")
@@ -291,9 +285,7 @@ func Open(opts Options) (*Engine, error) {
 		e.pool.SetFlushHook(e.log.EnsureDurable)
 	}
 	e.heap = storage.NewHeap(e.pool, nil)
-	// Bind (or, with DisableMetrics, sever) component instrumentation.
-	// e.metrics is nil when metrics are off, which SetMetrics maps to nil
-	// no-op handles throughout.
+	// Bind component instrumentation.
 	e.pool.SetMetrics(e.metrics)
 	e.heap.SetMetrics(e.metrics)
 	e.arc.SetMetrics(e.metrics)
@@ -324,16 +316,14 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e.queries.SetMetrics(e.metrics)
 	e.queries.SetTracer(e.tracer)
-	if e.metrics != nil {
-		// Record how the database came up; after a clean open all recovery
-		// gauges read zero.
-		e.metrics.Gauge("recovery.records").Set(int64(e.recovery.Records))
-		e.metrics.Gauge("recovery.committed").Set(int64(e.recovery.Committed))
-		e.metrics.Gauge("recovery.replayed").Set(int64(e.recovery.Replayed))
-		e.metrics.Gauge("recovery.torn_bytes").Set(e.recovery.TornBytes)
-		if e.Recovered {
-			e.metrics.Gauge("recovery.unclean_opens").Set(1)
-		}
+	// Record how the database came up; after a clean open all recovery
+	// gauges read zero.
+	e.metrics.Gauge("recovery.records").Set(int64(e.recovery.Records))
+	e.metrics.Gauge("recovery.committed").Set(int64(e.recovery.Committed))
+	e.metrics.Gauge("recovery.replayed").Set(int64(e.recovery.Replayed))
+	e.metrics.Gauge("recovery.torn_bytes").Set(e.recovery.TornBytes)
+	if e.Recovered {
+		e.metrics.Gauge("recovery.unclean_opens").Set(1)
 	}
 
 	// Mark the database dirty on disk so a crash triggers recovery. A
@@ -1153,29 +1143,21 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Metrics exposes the engine-wide metric registry (nil when metrics are
-// disabled).
+// Metrics exposes the engine-wide metric registry.
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 // SlowLog exposes the slow-query log (never nil; threshold 0 = disabled).
 func (e *Engine) SlowLog() *obs.SlowLog { return e.slow }
 
-// Tracer exposes the engine event ring (nil when metrics are disabled).
+// Tracer exposes the engine event ring.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // RecoveryStats returns the WAL replay statistics from this open. All
 // zeros when the previous shutdown was clean (check Recovered).
 func (e *Engine) RecoveryStats() wal.RecoveryStats { return e.recovery }
 
-// CounterSnapshot returns every registered counter by name — the
-// machine-readable form used by tcobench's BENCH_*.json and the debug
-// endpoint. Nil when metrics are disabled.
-func (e *Engine) CounterSnapshot() map[string]uint64 {
-	if e.metrics == nil {
-		return nil
-	}
-	return e.metrics.Counters()
-}
+// CounterSnapshot returns every registered counter by name.
+func (e *Engine) CounterSnapshot() map[string]uint64 { return e.metrics.Counters() }
 
 // PublishDebugVars exposes this engine's metric snapshot through the
 // expvar endpoint (`/debug/vars`, key "tcodm"). Only one engine per
@@ -1183,9 +1165,6 @@ func (e *Engine) CounterSnapshot() map[string]uint64 {
 // semantics by calling with a closed engine is not needed — the snapshot
 // function only touches the registry, which outlives Close.
 func (e *Engine) PublishDebugVars() {
-	if e.metrics == nil {
-		return
-	}
 	obs.SetMetricsSource(e.metrics)
 	obs.SetTraceSource(e.tracer)
 	obs.SetDebugVars(func() any {

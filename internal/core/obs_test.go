@@ -48,9 +48,6 @@ func TestEngineMetricsWiring(t *testing.T) {
 	workload(t, e)
 
 	counters := e.CounterSnapshot()
-	if counters == nil {
-		t.Fatal("CounterSnapshot returned nil with metrics enabled")
-	}
 	for _, name := range []string{"pool.hits", "heap.fetches", "atom.fast_loads", "txn.commits", "query.runs"} {
 		if counters[name] == 0 {
 			t.Errorf("counter %s = 0, want > 0 (all: %v)", name, counters)
@@ -77,27 +74,6 @@ func TestEngineWALMetrics(t *testing.T) {
 	if counters["wal.appends"] == 0 || counters["wal.fsyncs"] == 0 {
 		t.Errorf("wal.appends=%d wal.fsyncs=%d, want both > 0",
 			counters["wal.appends"], counters["wal.fsyncs"])
-	}
-}
-
-// TestDisableMetrics verifies the kill switch: no registry, nil snapshot,
-// and the engine still works.
-func TestDisableMetrics(t *testing.T) {
-	e, err := Open(Options{Strategy: atom.StrategySeparated, DisableMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	defineTestSchema(t, e)
-	workload(t, e)
-	if e.Metrics() != nil {
-		t.Error("Metrics() should be nil when disabled")
-	}
-	if e.CounterSnapshot() != nil {
-		t.Error("CounterSnapshot() should be nil when disabled")
-	}
-	if e.Tracer() != nil {
-		t.Error("Tracer() should be nil when disabled")
 	}
 }
 

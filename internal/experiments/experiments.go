@@ -1,7 +1,9 @@
 // Package experiments implements the reconstructed evaluation suite: one
 // function per table/figure that builds its workload, runs the measurement,
-// and returns a printable table. cmd/tcobench drives the full suite; the
-// root bench_test.go exposes the same code paths as testing.B benchmarks.
+// and returns a printable table. Suite registers them; cmd/tcobench prints
+// the ones it is asked for. Systems numbers (commit throughput, recovery,
+// wire and tracing overhead) are not taken here but by the repo benchmark
+// in bench/ (BENCHMARK.json).
 //
 // Because the original paper's evaluation text is unavailable (see
 // DESIGN.md), these experiments reconstruct the study a temporal
@@ -34,23 +36,6 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
-	// Counters carries engine counter snapshots captured during the run
-	// (machine-readable telemetry for BENCH_*.json); keys are prefixed
-	// with the capture point, e.g. "separated/pool.misses".
-	Counters map[string]uint64
-}
-
-// AddCounters merges a counter snapshot into the table under prefix.
-func (t *Table) AddCounters(prefix string, counters map[string]uint64) {
-	if len(counters) == 0 {
-		return
-	}
-	if t.Counters == nil {
-		t.Counters = make(map[string]uint64, len(counters))
-	}
-	for k, v := range counters {
-		t.Counters[prefix+"/"+k] = v
-	}
 }
 
 // String renders the table.
@@ -182,19 +167,7 @@ func installSchema(db *core.Engine, build func() (*schema.Schema, error)) error 
 	if err != nil {
 		return err
 	}
-	for _, name := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(name)
-		if err := db.DefineAtomType(*at); err != nil {
-			return err
-		}
-	}
-	for _, name := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(name)
-		if err := db.DefineMoleculeType(*mt); err != nil {
-			return err
-		}
-	}
-	return nil
+	return workload.Install(db, sch)
 }
 
 // scanCurrentSalaries time-slices every employee at vt and folds salaries.

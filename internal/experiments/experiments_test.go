@@ -53,46 +53,33 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestSuiteRuns executes every experiment end-to-end (slow; skipped with
-// -short). It checks structure, not timings.
+// TestSuiteRuns executes every registered experiment end-to-end (slow;
+// skipped with -short). It checks structure, not timings.
 func TestSuiteRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is slow; run without -short")
 	}
-	dir := t.TempDir()
-	type exp struct {
-		name string
-		run  func() (*Table, error)
-		rows int
-	}
-	suite := []exp{
-		{"R-T1", func() (*Table, error) { return RT1StorageCost(1) }, 5},
-		{"R-F1", func() (*Table, error) { return RF1CurrentQuery(1) }, 4},
-		{"R-F2", func() (*Table, error) { return RF2TimeSlice(1) }, 5},
-		{"R-F3", func() (*Table, error) { return RF3UpdateCost(1) }, 4},
-		{"R-T2", func() (*Table, error) { return RT2Molecule(1) }, 6},
-		{"R-F4", func() (*Table, error) { return RF4WhenSelection(1) }, 4},
-		{"R-F5", func() (*Table, error) { return RF5HistoryQuery(1) }, 3},
-		{"R-T3", func() (*Table, error) { return RT3Txn(1, dir) }, 5},
-		{"R-F6", func() (*Table, error) { return RF6BufferPool(1, dir) }, 4},
-		{"R-A1", func() (*Table, error) { return RA1SegmentCap(1) }, 4},
-		{"R-F8", func() (*Table, error) { return RF8ValueIndex(1) }, 4},
-		{"R-A2", func() (*Table, error) { return RA2Vacuum(1) }, 3},
-		{"R-T9", func() (*Table, error) { return RT9ParallelScan(1, []int{1, 2}) }, 2},
-		{"R-T11", func() (*Table, error) { return RT11Tiering(1, dir) }, 3},
-	}
-	for _, e := range suite {
-		t.Run(e.name, func(t *testing.T) {
-			tbl, err := e.run()
+	cfg := Config{Scale: 1, Dir: t.TempDir(), Cores: []int{1, 2}}
+	seen := map[string]bool{}
+	for _, e := range Suite {
+		if seen[e.ID] {
+			t.Errorf("%s registered twice", e.ID)
+		}
+		seen[e.ID] = true
+		t.Run(e.ID, func(t *testing.T) {
+			tbl, err := e.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tbl.Rows) != e.rows {
-				t.Errorf("%s rows = %d, want %d", e.name, len(tbl.Rows), e.rows)
+			if tbl.ID != e.ID {
+				t.Errorf("registered as %s, table says %s", e.ID, tbl.ID)
+			}
+			if len(tbl.Rows) < e.MinRows {
+				t.Errorf("%s rows = %d, want at least %d", e.ID, len(tbl.Rows), e.MinRows)
 			}
 			for _, row := range tbl.Rows {
 				if len(row) != len(tbl.Columns) {
-					t.Errorf("%s row width %d != %d columns", e.name, len(row), len(tbl.Columns))
+					t.Errorf("%s row width %d != %d columns", e.ID, len(row), len(tbl.Columns))
 				}
 			}
 		})

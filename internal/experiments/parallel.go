@@ -70,7 +70,6 @@ func RT9ParallelScan(scale Scale, cores []int) (*Table, error) {
 		fmt.Sprintf("%d employees × %d salary versions; aggregates read each candidate's full history", emps, updates),
 		fmt.Sprintf("host GOMAXPROCS=%d; speedup relative to the first row (workers=%d); results verified identical across all worker counts", runtime.GOMAXPROCS(0), cores[0]),
 	)
-	t.AddCounters("final", db.CounterSnapshot())
 	return t, nil
 }
 

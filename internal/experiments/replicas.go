@@ -174,7 +174,6 @@ func RT10ReadReplicas(scale Scale, dir string) (*Table, error) {
 		"every answer byte-checked against the leader's golden result; a divergent replica read fails the experiment",
 		"all servers share one process and host: columns measure routing and replication overhead, not hardware scaling",
 	)
-	t.AddCounters("leader", leader.CounterSnapshot())
 	return t, nil
 }
 

@@ -15,6 +15,39 @@ import (
 // Scale globally sizes the suite (1 = quick, 2+ = larger sweeps).
 type Scale int
 
+// Config is what a run of the suite fixes for every experiment.
+type Config struct {
+	Scale Scale
+	Dir   string // scratch directory of the file-backed experiments
+	Cores []int  // worker counts R-T9 sweeps
+}
+
+// Experiment is one registered table or figure.
+type Experiment struct {
+	ID      string
+	MinRows int // rows the table has at least, at any scale
+	Run     func(Config) (*Table, error)
+}
+
+// Suite is every experiment, in the order tcobench prints them. It is the
+// only list: tcobench and TestSuiteRuns both range over it.
+var Suite = []Experiment{
+	{"R-T1", 5, func(c Config) (*Table, error) { return RT1StorageCost(c.Scale) }},
+	{"R-F1", 4, func(c Config) (*Table, error) { return RF1CurrentQuery(c.Scale) }},
+	{"R-F2", 5, func(c Config) (*Table, error) { return RF2TimeSlice(c.Scale) }},
+	{"R-F3", 4, func(c Config) (*Table, error) { return RF3UpdateCost(c.Scale) }},
+	{"R-T2", 6, func(c Config) (*Table, error) { return RT2Molecule(c.Scale) }},
+	{"R-F4", 4, func(c Config) (*Table, error) { return RF4WhenSelection(c.Scale) }},
+	{"R-F5", 3, func(c Config) (*Table, error) { return RF5HistoryQuery(c.Scale) }},
+	{"R-F6", 4, func(c Config) (*Table, error) { return RF6BufferPool(c.Scale, c.Dir) }},
+	{"R-A1", 4, func(c Config) (*Table, error) { return RA1SegmentCap(c.Scale) }},
+	{"R-F8", 4, func(c Config) (*Table, error) { return RF8ValueIndex(c.Scale) }},
+	{"R-A2", 3, func(c Config) (*Table, error) { return RA2Vacuum(c.Scale) }},
+	{"R-T9", 1, func(c Config) (*Table, error) { return RT9ParallelScan(c.Scale, c.Cores) }},
+	{"R-T10", 3, func(c Config) (*Table, error) { return RT10ReadReplicas(c.Scale, c.Dir) }},
+	{"R-T11", 3, func(c Config) (*Table, error) { return RT11Tiering(c.Scale, c.Dir) }},
+}
+
 // RT1StorageCost measures storage consumption by strategy as update volume
 // grows, against the snapshot-copy baseline.
 func RT1StorageCost(scale Scale) (*Table, error) {
@@ -42,8 +75,6 @@ func RT1StorageCost(scale Scale) (*Table, error) {
 				return nil, err
 			}
 			sizes[s] = int64(db.Stats().DevicePags) * 8192
-			// Keep the last (largest-volume) build's telemetry per strategy.
-			t.AddCounters(s.String(), db.CounterSnapshot())
 			db.Close()
 		}
 		// Snapshot-copy baseline.
@@ -392,109 +423,6 @@ func RF5HistoryQuery(scale Scale) (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("single atom with %d salary versions; full history load then window filter", updates+1))
-	return t, nil
-}
-
-// RT3Txn measures transaction throughput under durability settings and the
-// recovery replay rate.
-func RT3Txn(scale Scale, dir string) (*Table, error) {
-	t := &Table{
-		ID:      "R-T3",
-		Title:   "Transaction throughput by durability setting; recovery replay",
-		Claim:   "fsync-per-commit dominates cost; group commit (batching) recovers most of it; recovery replays committed work at bulk speed",
-		Columns: []string{"configuration", "txns", "elapsed", "txns/sec"},
-	}
-	n := 500 * int(scale)
-	run := func(name string, opts core.Options, batch int) error {
-		if opts.Path != "" {
-			opts.PoolPages = 2048
-		}
-		db, err := core.Open(opts)
-		if err != nil {
-			return err
-		}
-		defer db.Close()
-		if err := installSchema(db, workload.PersonnelSchema); err != nil {
-			return err
-		}
-		start := time.Now()
-		app := workload.NewEngineApplier(db, batch)
-		for i := 0; i < n; i++ {
-			_, err := app.Insert("Emp", map[string]value.V{
-				"name": value.String_(fmt.Sprintf("e%d", i)), "salary": value.Int(int64(i)),
-			}, 0)
-			if err != nil {
-				return err
-			}
-		}
-		if err := app.Flush(); err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		t.Rows = append(t.Rows, []string{name, fmt.Sprint(n), dur(elapsed),
-			fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds())})
-		t.AddCounters(name, db.CounterSnapshot())
-		return nil
-	}
-	if err := run("in-memory (no log)", core.Options{}, 1); err != nil {
-		return nil, err
-	}
-	if err := run("logged, no fsync", core.Options{Path: dir + "/nofsync.tdb"}, 1); err != nil {
-		return nil, err
-	}
-	if err := run("logged, fsync/commit", core.Options{Path: dir + "/fsync.tdb", SyncOnCommit: true}, 1); err != nil {
-		return nil, err
-	}
-	if err := run("logged, fsync, batch=64", core.Options{Path: dir + "/batch.tdb", SyncOnCommit: true}, 64); err != nil {
-		return nil, err
-	}
-
-	// Recovery: write n committed txns post-checkpoint, then reopen.
-	path := dir + "/recovery.tdb"
-	db, err := core.Open(core.Options{Path: path, SyncOnCommit: false, PoolPages: 2048})
-	if err != nil {
-		return nil, err
-	}
-	if err := installSchema(db, workload.PersonnelSchema); err != nil {
-		db.Close()
-		return nil, err
-	}
-	app := workload.NewEngineApplier(db, 1)
-	for i := 0; i < n; i++ {
-		if _, err := app.Insert("Emp", map[string]value.V{
-			"name": value.String_(fmt.Sprintf("r%d", i)), "salary": value.Int(int64(i)),
-		}, 0); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
-	if err := app.Flush(); err != nil {
-		db.Close()
-		return nil, err
-	}
-	logBytes := db.Stats().LogBytes
-	// Crash without Close: the log alone carries the committed work.
-	if err := db.Crash(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	db2, err := core.Open(core.Options{Path: path})
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	recovered := db2.Stats().Atoms
-	t.AddCounters("recovery", db2.CounterSnapshot())
-	rs := db2.RecoveryStats()
-	t.Notes = append(t.Notes, fmt.Sprintf(
-		"recovery replayed %d of %d log records (%d committed, %d torn bytes)",
-		rs.Replayed, rs.Records, rs.Committed, rs.TornBytes))
-	db2.Close()
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("recovery (%.1f MiB log, %d atoms)", float64(logBytes)/(1<<20), recovered),
-		fmt.Sprint(n), dur(elapsed), fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds()),
-	})
-	t.Notes = append(t.Notes, "one insert per transaction unless batched")
 	return t, nil
 }
 

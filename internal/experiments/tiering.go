@@ -94,9 +94,6 @@ func RT11Tiering(scale Scale, dir string) (*Table, error) {
 			dur(nowPlain), dur(nowTiered),
 			dur(deepPlain), dur(deepTiered),
 		})
-		if updates == 256 {
-			t.AddCounters("tiered", tiered.db.CounterSnapshot())
-		}
 		plain.db.Close()
 		tiered.db.Close()
 	}

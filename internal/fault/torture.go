@@ -354,19 +354,7 @@ func installSchema(e *core.Engine) error {
 	if err != nil {
 		return err
 	}
-	for _, name := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(name)
-		if err := e.DefineAtomType(*at); err != nil {
-			return err
-		}
-	}
-	for _, name := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(name)
-		if err := e.DefineMoleculeType(*mt); err != nil {
-			return err
-		}
-	}
-	return nil
+	return workload.Install(e, sch)
 }
 
 // applyWorkload runs ops in batches of batchSize, one transaction each,

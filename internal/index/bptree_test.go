@@ -11,7 +11,7 @@ import (
 	"tcodm/internal/storage"
 )
 
-func newTree(t *testing.T, poolPages int) (*BPTree, *storage.BufferPool) {
+func newTree(t testing.TB, poolPages int) (*BPTree, *storage.BufferPool) {
 	t.Helper()
 	dev := storage.NewMemDevice()
 	bp := storage.NewBufferPool(dev, poolPages)
@@ -320,4 +320,56 @@ func TestBPTreeSequentialAndReverseInsert(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkBPTree is R-T4 (DESIGN.md §4, EXPERIMENTS.md): insert, point
+// lookup and a 100-entry range scan on a memory device.
+func BenchmarkBPTree(b *testing.B) {
+	var kb [8]byte
+	benchKey := func(i int) []byte {
+		kb[0], kb[1], kb[2], kb[3] = byte(i>>24), byte(i>>16), byte(i>>8), byte(i)
+		return kb[:]
+	}
+	const n = 100_000
+	loaded := func(b *testing.B) *BPTree {
+		tr, _ := newTree(b, 1024)
+		for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+			if err := tr.Insert(benchKey(i), uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return tr
+	}
+	b.Run("insert", func(b *testing.B) {
+		tr, _ := newTree(b, 4096)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := tr.Insert(benchKey(i), uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lookup", func(b *testing.B) {
+		tr := loaded(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := tr.Get(benchKey(i % n)); err != nil || !ok {
+				b.Fatal(err, ok)
+			}
+		}
+	})
+	b.Run("range100", func(b *testing.B) {
+		tr := loaded(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			count := 0
+			err := tr.Scan(nil, func(k []byte, v uint64) (bool, error) {
+				count++
+				return count < 100, nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

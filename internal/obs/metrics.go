@@ -264,7 +264,7 @@ func quantile(counts []uint64, total uint64, q float64) uint64 {
 
 // Registry is a named collection of metrics. All accessors are get-or-create
 // and nil-safe: a nil *Registry hands out nil handles, whose methods no-op —
-// the engine's "metrics disabled" mode.
+// what a component built without an engine (a standalone manager) runs on.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

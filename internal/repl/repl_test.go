@@ -65,7 +65,7 @@ func leaderDialer(ctx context.Context, src *Source) func(context.Context, string
 			if fr, err := wire.ReadFrame(br); err != nil || fr.Type != wire.FrameHello {
 				return
 			}
-			if err := wire.WriteFrame(server, wire.FrameWelcome, wire.EncodeWelcome("test", 1)); err != nil {
+			if err := wire.WriteFrame(server, wire.FrameWelcome, wire.EncodeWelcomeInfo(wire.WelcomeInfo{Banner: "test", Session: 1})); err != nil {
 				return
 			}
 			fr, err := wire.ReadFrame(br)

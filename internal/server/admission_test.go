@@ -211,7 +211,7 @@ func TestOverloadShedsWithRetryAfterThenRecovers(t *testing.T) {
 	}
 
 	c := rawSession(t, addr)
-	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQuery(`SELECT (name) FROM Emp WHERE salary > 4000`)); err != nil {
+	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQueryTrace(`SELECT (name) FROM Emp WHERE salary > 4000`, 0)); err != nil {
 		t.Fatal(err)
 	}
 	_, serr := readResult(t, c)
@@ -226,7 +226,7 @@ func TestOverloadShedsWithRetryAfterThenRecovers(t *testing.T) {
 	// Free the gate; the same session retries and succeeds.
 	<-srv.gate
 	wg.Wait()
-	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQuery(`SELECT (name) FROM Emp WHERE salary > 4000`)); err != nil {
+	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQueryTrace(`SELECT (name) FROM Emp WHERE salary > 4000`, 0)); err != nil {
 		t.Fatal(err)
 	}
 	rows, serr := readResult(t, c)
@@ -271,7 +271,7 @@ func TestRowBudgetRejectsOversizedResult(t *testing.T) {
 	addr, srv := startServerFull(t, eng, func(c *Config) { c.MaxResultRows = 3 })
 
 	c := rawSession(t, addr)
-	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQuery(`SELECT (name) FROM Emp`)); err != nil {
+	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQueryTrace(`SELECT (name) FROM Emp`, 0)); err != nil {
 		t.Fatal(err)
 	}
 	rows, serr := readResult(t, c)
@@ -287,7 +287,7 @@ func TestRowBudgetRejectsOversizedResult(t *testing.T) {
 	}
 
 	// A query under budget still works on the same session.
-	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQuery(`SELECT (name) FROM Emp WHERE salary > 2000 LIMIT 2`)); err != nil {
+	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQueryTrace(`SELECT (name) FROM Emp WHERE salary > 2000 LIMIT 2`, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if rows, serr := readResult(t, c); serr != nil || rows == 0 {
@@ -303,7 +303,7 @@ func TestByteBudgetStopsMidStream(t *testing.T) {
 	})
 
 	c := rawSession(t, addr)
-	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQuery(`SELECT (name) FROM Emp`)); err != nil {
+	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQueryTrace(`SELECT (name) FROM Emp`, 0)); err != nil {
 		t.Fatal(err)
 	}
 	_, serr := readResult(t, c)

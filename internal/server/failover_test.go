@@ -170,7 +170,7 @@ func TestAdminFrameDisabledByDefault(t *testing.T) {
 	}
 	// A refused admin command is not a protocol violation: the session
 	// still answers queries.
-	if err := wire.WriteFrame(raw, wire.FrameQuery, wire.EncodeQuery(`SELECT (name) FROM Emp WHERE salary > 4000`)); err != nil {
+	if err := wire.WriteFrame(raw, wire.FrameQuery, wire.EncodeQueryTrace(`SELECT (name) FROM Emp WHERE salary > 4000`, 0)); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -250,17 +250,8 @@ func promotedEngine(t *testing.T) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(n)
-		if err := eng.DefineAtomType(*at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(n)
-		if err := eng.DefineMoleculeType(*mt); err != nil {
-			t.Fatal(err)
-		}
+	if err := workload.Install(eng, sch); err != nil {
+		t.Fatal(err)
 	}
 	app := workload.NewEngineApplier(eng, 256)
 	ops := workload.Personnel(workload.PersonnelParams{

@@ -56,17 +56,8 @@ func personnelEngine(t *testing.T) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(n)
-		if err := eng.DefineAtomType(*at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(n)
-		if err := eng.DefineMoleculeType(*mt); err != nil {
-			t.Fatal(err)
-		}
+	if err := workload.Install(eng, sch); err != nil {
+		t.Fatal(err)
 	}
 	app := workload.NewEngineApplier(eng, 256)
 	ops := workload.Personnel(workload.PersonnelParams{
@@ -457,7 +448,7 @@ func TestProtocolErrorClosesConn(t *testing.T) {
 	}
 	defer raw.Close()
 	// First frame must be Hello; send a Query instead.
-	if err := wire.WriteFrame(raw, wire.FrameQuery, wire.EncodeQuery("SELECT (name) FROM Emp")); err != nil {
+	if err := wire.WriteFrame(raw, wire.FrameQuery, wire.EncodeQueryTrace("SELECT (name) FROM Emp", 0)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := wire.ReadFrame(raw)

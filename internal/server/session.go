@@ -332,7 +332,7 @@ func (ss *session) runQuery(ctx context.Context, text string, trace uint64) bool
 
 	// Root span for the whole server-side life of the query; the queue
 	// child covers admission so queue wait and shed decisions are visible
-	// in the trace. A nil tracer (metrics disabled) no-ops throughout.
+	// in the trace.
 	tracer := eng.Tracer()
 	if trace == 0 {
 		trace = tracer.NextTraceID()

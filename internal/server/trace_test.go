@@ -140,7 +140,7 @@ func TestServerAssignsTraceWhenClientOmitsIt(t *testing.T) {
 		t.Fatalf("handshake: %v (frame 0x%02x)", err, f.Type)
 	}
 
-	if err := wire.WriteFrame(nc, wire.FrameQuery, wire.EncodeQuery(`SELECT (name) FROM Emp LIMIT 1`)); err != nil {
+	if err := wire.WriteFrame(nc, wire.FrameQuery, wire.EncodeQueryTrace(`SELECT (name) FROM Emp LIMIT 1`, 0)); err != nil {
 		t.Fatal(err)
 	}
 	var done wire.ResultDone

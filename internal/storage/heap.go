@@ -355,23 +355,15 @@ func (h *Heap) insertPhysical(rec []byte) (RID, error) {
 
 // Fetch returns the record payload stored at rid (following forwarding and
 // reassembling overflow chains). The returned slice is always a copy.
+// Readers that account for the pages they touch use View.
 func (h *Heap) Fetch(rid RID) ([]byte, error) {
-	return h.FetchAcc(rid, nil)
-}
-
-// FetchAcc is Fetch with exact page accounting: every page the record
-// fetch touches (home, forwarding hops, overflow-chain pages) is charged
-// to acc. The count is logical — pages the buffer pool had cached still
-// count — so it is a deterministic function of the record layout, which
-// is what makes serial and parallel query accounting comparable.
-func (h *Heap) FetchAcc(rid RID, acc *obs.Resources) ([]byte, error) {
 	h.met.fetches.Inc()
-	return h.fetchCopy(rid, acc)
+	return h.fetchCopy(rid)
 }
 
 // fetchCopy is resolve plus a private copy of the payload.
-func (h *Heap) fetchCopy(rid RID, acc *obs.Resources) ([]byte, error) {
-	data, pinned, err := h.resolve(rid, acc)
+func (h *Heap) fetchCopy(rid RID) ([]byte, error) {
+	data, pinned, err := h.resolve(rid, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -387,8 +379,11 @@ func (h *Heap) fetchCopy(rid RID, acc *obs.Resources) ([]byte, error) {
 // returns (an overflow record is assembled first, as Fetch does). fn must
 // not keep data, or anything aliasing it, past its return, and must not
 // write to it. Frame bytes cannot change under the pin because readers hold
-// the engine lock shared and writers hold it exclusively. Counting and page
-// charges are exactly FetchAcc's.
+// the engine lock shared and writers hold it exclusively. Every page the
+// fetch touches (home, forwarding hops, overflow-chain pages) is charged to
+// acc. The count is logical — pages the buffer pool had cached still count —
+// so it is a deterministic function of the record layout, which is what
+// makes serial and parallel query accounting comparable.
 func (h *Heap) View(rid RID, acc *obs.Resources, fn func(data []byte) error) error {
 	h.met.fetches.Inc()
 	data, pinned, err := h.resolve(rid, acc)
@@ -1185,7 +1180,7 @@ func (h *Heap) Scan(fn func(rid RID, data []byte) (bool, error)) error {
 		}
 		h.pool.Unpin(p)
 		for _, rid := range stubs {
-			data, err := h.fetchCopy(rid, nil)
+			data, err := h.fetchCopy(rid)
 			if err != nil {
 				return err
 			}

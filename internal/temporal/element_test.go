@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -281,5 +282,40 @@ func TestIsCanonicalRejects(t *testing.T) {
 		if e.IsCanonical() {
 			t.Errorf("IsCanonical(%v) = true, want false", e)
 		}
+	}
+}
+
+// BenchmarkTemporalElement is R-F7 (DESIGN.md §4, EXPERIMENTS.md): union,
+// intersection and difference of two n-interval elements.
+func BenchmarkTemporalElement(b *testing.B) {
+	mkElement := func(n int, seed int64) Element {
+		rng := rand.New(rand.NewSource(seed))
+		ivs := make([]Interval, n)
+		at := Instant(0)
+		for i := range ivs {
+			at += Instant(1 + rng.Intn(10))
+			ivs[i] = NewInterval(at, at+Instant(1+rng.Intn(5)))
+			at = ivs[i].To
+		}
+		return NewElement(ivs...)
+	}
+	for _, n := range []int{16, 256} {
+		a := mkElement(n, 1)
+		c := mkElement(n, 2)
+		b.Run(fmt.Sprintf("union/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = a.Union(c)
+			}
+		})
+		b.Run(fmt.Sprintf("intersect/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = a.Intersect(c)
+			}
+		})
+		b.Run(fmt.Sprintf("subtract/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = a.Subtract(c)
+			}
+		})
 	}
 }

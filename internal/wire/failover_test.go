@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -11,15 +12,11 @@ func TestWelcomeInfoRoundTrip(t *testing.T) {
 	if err != nil || got != in {
 		t.Fatalf("round trip = %+v, %v", got, err)
 	}
-	// Old encoder, new decoder: epoch and writable default to zero values.
-	got, err = DecodeWelcomeInfo(EncodeWelcome("old", 9))
+	// A payload that stops after the session id: epoch and writable
+	// default to zero values.
+	got, err = DecodeWelcomeInfo(binary.AppendUvarint(AppendString(nil, "old"), 9))
 	if err != nil || got.Banner != "old" || got.Session != 9 || got.Epoch != 0 || got.Writable {
-		t.Fatalf("legacy welcome = %+v, %v", got, err)
-	}
-	// New encoder, old decoder: front fields still parse.
-	banner, sid, err := DecodeWelcome(EncodeWelcomeInfo(in))
-	if err != nil || banner != "srv/1" || sid != 42 {
-		t.Fatalf("old decoder on new payload = %q, %d, %v", banner, sid, err)
+		t.Fatalf("two-field welcome = %+v, %v", got, err)
 	}
 }
 
@@ -29,14 +26,10 @@ func TestSubscribeReqRoundTrip(t *testing.T) {
 	if err != nil || got != in {
 		t.Fatalf("round trip = %+v, %v", got, err)
 	}
-	// Legacy one-field Subscribe decodes with zero epoch and flags.
-	got, err = DecodeSubscribeReq(EncodeSubscribe(55))
+	// A one-field Subscribe decodes with zero epoch and flags.
+	got, err = DecodeSubscribeReq(binary.AppendUvarint(nil, 55))
 	if err != nil || got.FromLSN != 55 || got.Epoch != 0 || got.Flags != 0 {
-		t.Fatalf("legacy subscribe = %+v, %v", got, err)
-	}
-	// Legacy decoder reads the LSN off a new payload.
-	if lsn, err := DecodeSubscribe(EncodeSubscribeReq(in)); err != nil || lsn != 101 {
-		t.Fatalf("old decoder on new payload = %d, %v", lsn, err)
+		t.Fatalf("one-field subscribe = %+v, %v", got, err)
 	}
 	if _, err := DecodeSubscribeReq(nil); err == nil {
 		t.Error("DecodeSubscribeReq accepted empty payload")
@@ -62,10 +55,15 @@ func TestWatermarkInfoRoundTrip(t *testing.T) {
 	if err != nil || got.Digest != nil {
 		t.Fatalf("short digest leaked: %+v, %v", got, err)
 	}
-	// Legacy two-field watermark decodes with zero epoch, nil digest.
-	got, err = DecodeWatermarkInfo(EncodeWatermark(7, 8))
+	// A two-field watermark decodes with zero epoch, nil digest; cut inside
+	// the second field it is an error.
+	two := binary.AppendUvarint(binary.AppendUvarint(nil, 7), 8)
+	got, err = DecodeWatermarkInfo(two)
 	if err != nil || got.LSN != 7 || got.Clock != 8 || got.Epoch != 0 || got.Digest != nil {
-		t.Fatalf("legacy watermark = %+v, %v", got, err)
+		t.Fatalf("two-field watermark = %+v, %v", got, err)
+	}
+	if _, err := DecodeWatermarkInfo(two[:1]); err == nil {
+		t.Error("DecodeWatermarkInfo accepted truncated payload")
 	}
 }
 

@@ -11,8 +11,8 @@
 // The checksum turns silent byte corruption on the link into a detected
 // transport error: a flipped bit anywhere in the framed region fails the
 // CRC and the connection is torn down instead of a mangled query or
-// result being acted on. Version-1 frames (no trailer) are still read for
-// compatibility; writers emit version 2.
+// result being acted on. Version 2 is the only version written or read: a
+// frame carrying any other version byte is rejected as unsupported.
 //
 // Values travel in the engine's compact record encoding
 // (value.AppendRecord); strings and counts are uvarint-length-prefixed.
@@ -29,11 +29,8 @@ import (
 	"io"
 )
 
-// Version is the protocol version this package encodes.
+// Version is the one protocol version this package writes and reads.
 const Version = 2
-
-// VersionLegacy is the checksum-free version 1, still accepted on read.
-const VersionLegacy = 1
 
 // MaxPayload bounds a single frame's payload: large results are streamed
 // as many bounded row batches, so no legitimate frame approaches this.
@@ -171,26 +168,22 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// checkBody validates the framed region (version|type|payload[|crc]) and
+// checkBody validates the framed region (version|type|payload|crc) and
 // splits out the payload. buf is the n bytes following the length prefix.
 func checkBody(buf []byte) (Frame, error) {
 	f := Frame{Version: buf[0], Type: buf[1]}
-	switch f.Version {
-	case Version:
-		if len(buf) < headerLen+crcLen {
-			return f, fmt.Errorf("wire: frame too short for checksum trailer (%d bytes)", len(buf))
-		}
-		body := buf[:len(buf)-crcLen]
-		want := binary.BigEndian.Uint32(buf[len(buf)-crcLen:])
-		if crc32.Checksum(body, castagnoli) != want {
-			return f, ErrChecksum
-		}
-		f.Payload = body[headerLen:]
-	case VersionLegacy:
-		f.Payload = buf[headerLen:]
-	default:
+	if f.Version != Version {
 		return f, fmt.Errorf("wire: unsupported protocol version %d", f.Version)
 	}
+	if len(buf) < headerLen+crcLen {
+		return f, fmt.Errorf("wire: frame too short for checksum trailer (%d bytes)", len(buf))
+	}
+	body := buf[:len(buf)-crcLen]
+	want := binary.BigEndian.Uint32(buf[len(buf)-crcLen:])
+	if crc32.Checksum(body, castagnoli) != want {
+		return f, ErrChecksum
+	}
+	f.Payload = body[headerLen:]
 	return f, nil
 }
 

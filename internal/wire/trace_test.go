@@ -17,7 +17,7 @@ func TestQueryTraceRoundTrip(t *testing.T) {
 		t.Fatalf("query: %q trace=%d, %v", text, trace, err)
 	}
 
-	if got, want := EncodeQueryTrace("q", 0), EncodeQuery("q"); string(got) != string(want) {
+	if got, want := EncodeQueryTrace("q", 0), AppendString(nil, "q"); string(got) != string(want) {
 		t.Fatalf("trace=0 must encode identically to the untraced payload: %x vs %x", got, want)
 	}
 
@@ -28,30 +28,17 @@ func TestQueryTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQueryTraceVersionCompat: old decoders read the known fields from the
-// front of the payload and ignore trailing bytes, so a traced payload must
-// still decode with the legacy functions — and a legacy payload must
-// decode as trace 0 with the new ones.
-func TestQueryTraceVersionCompat(t *testing.T) {
-	// New encoder -> old decoder.
-	text, err := DecodeQuery(EncodeQueryTrace("SELECT 1", 12345))
-	if err != nil || text != "SELECT 1" {
-		t.Fatalf("old DecodeQuery on traced payload: %q, %v", text, err)
-	}
-	// Old encoder -> new decoder.
-	text, trace, err := DecodeQueryTrace(EncodeQuery("SELECT 2"))
+// TestUntracedPayloadsDecodeAsTraceZero: a payload with no trailing trace
+// id — what a zero id encodes to — decodes as trace 0.
+func TestUntracedPayloadsDecodeAsTraceZero(t *testing.T) {
+	text, trace, err := DecodeQueryTrace(EncodeQueryTrace("SELECT 2", 0))
 	if err != nil || text != "SELECT 2" || trace != 0 {
-		t.Fatalf("new DecodeQueryTrace on legacy payload: %q trace=%d, %v", text, trace, err)
+		t.Fatalf("DecodeQueryTrace on untraced payload: %q trace=%d, %v", text, trace, err)
 	}
-
 	params := []value.V{value.Bool(true)}
-	etext, eparams, err := DecodeExec(EncodeExecTrace("q", params, 777))
-	if err != nil || etext != "q" || len(eparams) != 1 {
-		t.Fatalf("old DecodeExec on traced payload: %q params=%d, %v", etext, len(eparams), err)
-	}
-	etext, eparams, etrace, err := DecodeExecTrace(EncodeExec("q2", params))
+	etext, eparams, etrace, err := DecodeExecTrace(EncodeExecTrace("q2", params, 0))
 	if err != nil || etext != "q2" || etrace != 0 || len(eparams) != 1 {
-		t.Fatalf("new DecodeExecTrace on legacy payload: %q trace=%d, %v", etext, etrace, err)
+		t.Fatalf("DecodeExecTrace on untraced payload: %q trace=%d, %v", etext, etrace, err)
 	}
 }
 
@@ -97,7 +84,7 @@ func TestResultDoneTraceBlock(t *testing.T) {
 // TestTrailingTraceCorruption: a malformed trailing uvarint is a protocol
 // error, not a silent zero.
 func TestTrailingTraceCorruption(t *testing.T) {
-	p := EncodeQuery("q")
+	p := EncodeQueryTrace("q", 0)
 	p = append(p, 0x80) // unterminated uvarint
 	if _, _, err := DecodeQueryTrace(p); err == nil {
 		t.Fatal("expected error for corrupt trailing trace id")

@@ -90,9 +90,9 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 	if err != nil || banner != "tcoq/1" {
 		t.Fatalf("hello: %q, %v", banner, err)
 	}
-	b, sid, err := DecodeWelcome(EncodeWelcome("tcoserve/1", 42))
-	if err != nil || b != "tcoserve/1" || sid != 42 {
-		t.Fatalf("welcome: %q, %d, %v", b, sid, err)
+	w, err := DecodeWelcomeInfo(EncodeWelcomeInfo(WelcomeInfo{Banner: "tcoserve/1", Session: 42}))
+	if err != nil || w.Banner != "tcoserve/1" || w.Session != 42 {
+		t.Fatalf("welcome: %+v, %v", w, err)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestExecRoundTrip(t *testing.T) {
 		value.String_("O'Brien \"quoted\"\n"),
 		value.Instant(12345),
 	}
-	text, got, err := DecodeExec(EncodeExec("SELECT e FROM emp e WHERE e.id = $1", params))
+	text, got, _, err := DecodeExecTrace(EncodeExecTrace("SELECT e FROM emp e WHERE e.id = $1", params, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestExecRoundTrip(t *testing.T) {
 func TestExecRejectsHostileParamCount(t *testing.T) {
 	p := AppendString(nil, "q")
 	p = binary.AppendUvarint(p, 1<<40) // claims a trillion params
-	if _, _, err := DecodeExec(p); err == nil {
+	if _, _, _, err := DecodeExecTrace(p); err == nil {
 		t.Fatal("expected error for hostile count")
 	}
 }
@@ -187,7 +187,7 @@ func TestOptionAckErrorRoundTrip(t *testing.T) {
 // harness leans on: corruption on the link becomes a typed transport
 // error.
 func TestFrameChecksumDetectsCorruption(t *testing.T) {
-	frame := AppendFrame(nil, FrameQuery, EncodeQuery("SELECT (name) FROM Emp"))
+	frame := AppendFrame(nil, FrameQuery, EncodeQueryTrace("SELECT (name) FROM Emp", 0))
 	for i := range frame {
 		mut := bytes.Clone(frame)
 		mut[i] ^= 0xFF
@@ -206,28 +206,24 @@ func TestFrameChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLegacyV1FrameStillReadable hand-builds a checksum-free version-1
-// frame; readers must accept it for compatibility.
-func TestLegacyV1FrameStillReadable(t *testing.T) {
-	payload := EncodeQuery("SELECT (name) FROM Emp")
+// TestVersion1FrameRejected hand-builds a checksum-free version-1 frame,
+// which no peer has emitted since version 2: both readers must refuse it
+// by version, not misread its last four payload bytes as a checksum.
+func TestVersion1FrameRejected(t *testing.T) {
+	payload := EncodeQueryTrace("SELECT (name) FROM Emp", 0)
 	var raw []byte
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(2+len(payload)))
 	raw = append(raw, hdr[:]...)
-	raw = append(raw, VersionLegacy, FrameQuery)
+	raw = append(raw, 1, FrameQuery)
 	raw = append(raw, payload...)
 
-	f, err := ReadFrame(bytes.NewReader(raw))
-	if err != nil || f.Version != VersionLegacy || f.Type != FrameQuery {
-		t.Fatalf("legacy frame rejected: %+v, %v", f, err)
+	const want = "unsupported protocol version 1"
+	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadFrame on a version-1 frame: %v, want %q", err, want)
 	}
-	text, err := DecodeQuery(f.Payload)
-	if err != nil || text != "SELECT (name) FROM Emp" {
-		t.Fatalf("legacy payload: %q, %v", text, err)
-	}
-	f2, n, err := DecodeFrame(raw)
-	if err != nil || n != len(raw) || !bytes.Equal(f2.Payload, f.Payload) {
-		t.Fatalf("DecodeFrame on legacy frame: %+v, %d, %v", f2, n, err)
+	if _, _, err := DecodeFrame(raw); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeFrame on a version-1 frame: %v, want %q", err, want)
 	}
 }
 
@@ -237,14 +233,13 @@ func TestErrorRetryAfterRoundTrip(t *testing.T) {
 	if err != nil || code != CodeBusy || msg != "overloaded" || detail != "queue full" || retry != 250 {
 		t.Fatalf("retry error frame: %d %q %q retry=%d, %v", code, msg, detail, retry, err)
 	}
-	// A version-1 decoder reads the same payload and simply ignores the
+	// The hint-blind decoder reads the same payload and simply ignores the
 	// trailing hint.
 	code, msg, detail, err = DecodeError(p)
 	if err != nil || code != CodeBusy || msg != "overloaded" || detail != "queue full" {
-		t.Fatalf("v1 view of retry error frame: %d %q %q, %v", code, msg, detail, err)
+		t.Fatalf("hint-blind view of retry error frame: %d %q %q, %v", code, msg, detail, err)
 	}
-	// Absent hint decodes as zero, and a hint-free payload is byte-identical
-	// to the version-1 encoding.
+	// Absent hint decodes as zero, and a zero hint is omitted from the bytes.
 	if !bytes.Equal(EncodeErrorRetry(CodeBusy, "m", "d", 0), EncodeError(CodeBusy, "m", "d")) {
 		t.Fatal("zero hint changed the payload encoding")
 	}
@@ -256,16 +251,16 @@ func TestErrorRetryAfterRoundTrip(t *testing.T) {
 
 func TestTruncatedPayloadsError(t *testing.T) {
 	full := map[string][]byte{
-		"welcome": EncodeWelcome("srv", 9),
-		"exec":    EncodeExec("q", []value.V{value.Int(1)}),
+		"welcome": binary.AppendUvarint(AppendString(nil, "srv"), 9), // cut before the optional fields
+		"exec":    EncodeExecTrace("q", []value.V{value.Int(1)}, 0),
 		"header":  EncodeResultHeader([]string{"a", "b"}),
 		"rows":    EncodeResultRows([][]value.V{{value.Int(1)}}),
 		"done":    EncodeResultDone(ResultDone{Plan: "p", Rows: 1}),
 		"error":   EncodeError(CodeQuery, "m", "d"),
 	}
 	decode := map[string]func([]byte) error{
-		"welcome": func(p []byte) error { _, _, err := DecodeWelcome(p); return err },
-		"exec":    func(p []byte) error { _, _, err := DecodeExec(p); return err },
+		"welcome": func(p []byte) error { _, err := DecodeWelcomeInfo(p); return err },
+		"exec":    func(p []byte) error { _, _, _, err := DecodeExecTrace(p); return err },
 		"header":  func(p []byte) error { _, err := DecodeResultHeader(p); return err },
 		"rows":    func(p []byte) error { _, err := DecodeResultRows(p); return err },
 		"done":    func(p []byte) error { _, err := DecodeResultDone(p); return err },

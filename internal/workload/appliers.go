@@ -1,11 +1,62 @@
 package workload
 
 import (
+	"fmt"
+
 	"tcodm/internal/baseline"
 	"tcodm/internal/core"
+	"tcodm/internal/schema"
 	"tcodm/internal/temporal"
 	"tcodm/internal/value"
 )
+
+// Install defines every atom type and then every molecule type of sch in
+// db, in name order, one DDL transaction per type.
+func Install(db *core.Engine, sch *schema.Schema) error {
+	for _, name := range sch.AtomTypeNames() {
+		at, _ := sch.AtomType(name)
+		if err := db.DefineAtomType(*at); err != nil {
+			return err
+		}
+	}
+	for _, name := range sch.MoleculeTypeNames() {
+		mt, _ := sch.MoleculeType(name)
+		if err := db.DefineMoleculeType(*mt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Seed installs the named default workload ("personnel" or "cad") in db:
+// its schema, then its operations in transactions of 256. It returns the
+// number of atoms created and of operations applied.
+func Seed(db *core.Engine, name string) (atoms, ops int, err error) {
+	var sch *schema.Schema
+	var list []Op
+	switch name {
+	case "personnel":
+		sch, err = PersonnelSchema()
+		list = Personnel(DefaultPersonnel())
+	case "cad":
+		sch, err = CADSchema()
+		list = CAD(DefaultCAD())
+	default:
+		return 0, 0, fmt.Errorf("unknown workload %q (want personnel or cad)", name)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := Install(db, sch); err != nil {
+		return 0, 0, err
+	}
+	app := NewEngineApplier(db, 256)
+	ids, err := Apply(list, app)
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(ids), len(list), app.Flush()
+}
 
 // EngineApplier applies workload operations to the temporal engine,
 // batching BatchSize operations per transaction (1 = a transaction per

@@ -22,17 +22,8 @@ func openPersonnelDB(t *testing.T, strat atom.Strategy) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(name)
-		if err := db.DefineAtomType(*at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(name)
-		if err := db.DefineMoleculeType(*mt); err != nil {
-			t.Fatal(err)
-		}
+	if err := Install(db, sch); err != nil {
+		t.Fatal(err)
 	}
 	return db
 }
@@ -153,17 +144,8 @@ func TestCADWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(name)
-		if err := db.DefineAtomType(*at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(name)
-		if err := db.DefineMoleculeType(*mt); err != nil {
-			t.Fatal(err)
-		}
+	if err := Install(db, sch); err != nil {
+		t.Fatal(err)
 	}
 	app := NewEngineApplier(db, 32)
 	ids, err := Apply(ops, app)

@@ -45,7 +45,7 @@ func fakeServer(t *testing.T, respond func(c net.Conn, n int)) (addr string, que
 				if err != nil || f.Type != wire.FrameHello {
 					return
 				}
-				if err := wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcome("fake", 1)); err != nil {
+				if err := wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcomeInfo(wire.WelcomeInfo{Banner: "fake", Session: 1})); err != nil {
 					return
 				}
 				for {
@@ -322,17 +322,8 @@ func personnelEngine(t *testing.T) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range sch.AtomTypeNames() {
-		at, _ := sch.AtomType(n)
-		if err := eng.DefineAtomType(*at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range sch.MoleculeTypeNames() {
-		mt, _ := sch.MoleculeType(n)
-		if err := eng.DefineMoleculeType(*mt); err != nil {
-			t.Fatal(err)
-		}
+	if err := workload.Install(eng, sch); err != nil {
+		t.Fatal(err)
 	}
 	app := workload.NewEngineApplier(eng, 256)
 	ops := workload.Personnel(workload.PersonnelParams{
@@ -461,7 +452,7 @@ func TestRetryLogCarriesTraceID(t *testing.T) {
 				if err != nil || f.Type != wire.FrameHello {
 					return
 				}
-				wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcome("fake", 1))
+				wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcomeInfo(wire.WelcomeInfo{Banner: "fake", Session: 1}))
 				for {
 					f, err := wire.ReadFrame(c)
 					if err != nil {

@@ -70,7 +70,7 @@ func replicaEndpoint(t *testing.T, respond func(c net.Conn)) (addr string, queri
 				if err != nil || f.Type != wire.FrameHello {
 					return
 				}
-				if err := wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcome("fake", 1)); err != nil {
+				if err := wire.WriteFrame(c, wire.FrameWelcome, wire.EncodeWelcomeInfo(wire.WelcomeInfo{Banner: "fake", Session: 1})); err != nil {
 					return
 				}
 				for {

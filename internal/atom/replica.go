@@ -8,14 +8,15 @@ import (
 
 // Replica-side incremental index maintenance.
 //
-// A replication follower replays the leader's WAL through the heap's redo
-// path, which reproduces the heap byte-for-byte — but indexes are unlogged
-// derived state, so the follower must maintain its own. Rebuilding from a
-// full scan per batch would be O(heap) per commit; instead the follower
-// calls NoteInsert/NoteUpdate/NoteDelete for each replayed record. The WAL
-// logs logical payloads at home RIDs (stubs and overflow encodings are a
-// physical concern below the log), so classification is identical to the
-// RebuildIndexes scan.
+// A replication follower replays the leader's WAL through the heap's
+// page-exact redo, which reproduces the leader's heap and overflow pages
+// byte for byte — but not its index pages: indexes are unlogged derived
+// state, so the follower keeps its own, in memory (rebuilt at open).
+// Rebuilding from a full scan per batch would be O(heap) per commit;
+// instead the follower calls NoteInsert/NoteUpdate/NoteDelete for each
+// replayed record. Each heap record carries the logical payload at its
+// home RID (its placement rides alongside), so classification is identical
+// to the RebuildIndexes scan.
 //
 // Only the primary and type indexes are maintained. The time and value
 // indexes must stay disabled on a follower: a stale entry there would

@@ -70,7 +70,9 @@ type Options struct {
 	// directory (writable, leased) but refuses user transactions — its
 	// only write path is ApplyReplicated. Time and value indexes are
 	// force-disabled (they cannot be maintained incrementally from the
-	// log without risking stale under-approximate candidate sets).
+	// log without risking stale under-approximate candidate sets), and the
+	// primary and type indexes live in memory, rebuilt at open, so every
+	// page of the store file is the leader's page of the same number.
 	Follower bool
 }
 
@@ -81,6 +83,7 @@ type Engine struct {
 	opts    Options
 	dev     storage.Device
 	pool    *storage.BufferPool
+	idxPool *storage.BufferPool // holds the atom indexes: pool, or in memory on a follower
 	heap    *storage.Heap
 	log     *wal.WAL
 	arc     *storage.Archive
@@ -107,6 +110,11 @@ type Engine struct {
 	// followers, persisted in the meta page and recoverable from the log.
 	epoch      uint64
 	epochStart uint64
+
+	// pageExact marks a store whose heap pages may take the leader's
+	// page-exact redo: it was formatted, or streamed by Snapshot, by a
+	// version whose redo never places a record. Persisted in the meta page.
+	pageExact bool
 
 	// Recovered reports whether opening required crash recovery.
 	Recovered bool
@@ -155,6 +163,11 @@ type metaPayload struct {
 	// promoted leader).
 	Epoch      uint64 `json:"epoch,omitempty"`
 	EpochStart uint64 `json:"epoch_start,omitempty"`
+	// PageExact is set at bootstrap and by Snapshot, and kept from then on.
+	// Absent in stores formatted or snapshotted before page-exact redo: a
+	// follower of that era placed replayed records itself, so its pages
+	// differ from its leader's and it may not follow again.
+	PageExact bool `json:"page_exact,omitempty"`
 }
 
 // Open opens (creating if absent) a database.
@@ -284,6 +297,12 @@ func Open(opts Options) (*Engine, error) {
 	if e.log != nil {
 		e.pool.SetFlushHook(e.log.EnsureDurable)
 	}
+	e.idxPool = e.pool
+	if opts.Follower {
+		// The leader's log names heap pages by number; indexes allocated from
+		// the store file would take numbers the leader later fills.
+		e.idxPool = storage.NewBufferPool(storage.NewMemDevice(), opts.PoolPages)
+	}
 	e.heap = storage.NewHeap(e.pool, nil)
 	// Bind component instrumentation.
 	e.pool.SetMetrics(e.metrics)
@@ -381,6 +400,7 @@ func (e *Engine) bootstrap() error {
 	if err := storage.InitMeta(e.pool); err != nil {
 		return err
 	}
+	e.pageExact = true
 	e.schema = schema.New()
 	e.schema.Freeze()
 	catBytes, err := e.schema.Marshal()
@@ -391,7 +411,7 @@ func (e *Engine) bootstrap() error {
 	if err != nil {
 		return err
 	}
-	e.atoms, err = atom.NewManager(e.heap, e.pool, e.schema, atom.Options{
+	e.atoms, err = atom.NewManager(e.heap, e.idxPool, e.schema, atom.Options{
 		Strategy: e.opts.Strategy, SegmentCap: e.opts.SegmentCap,
 		TimeIndex: e.opts.TimeIndex, ValueIndex: e.opts.ValueIndex,
 	})
@@ -429,10 +449,18 @@ func (e *Engine) recoverOrLoad() error {
 		meta.TimeIndex = false
 		meta.ValueIndex = false
 	}
+	e.pageExact = meta.PageExact
+	if e.opts.Follower && !e.pageExact {
+		return ErrFollowerLayout
+	}
 	e.clock.Advance(meta.Clock)
 	e.epoch = meta.Epoch
 	e.epochStart = meta.EpochStart
-	e.pool.SetFreePages(meta.FreePages)
+	if !e.opts.Follower {
+		// A follower allocates nothing until promoted, while the leader's log
+		// may fill any page its persisted free list names.
+		e.pool.SetFreePages(meta.FreePages)
+	}
 	// Rewind the archive's append frontier to the committed size: physical
 	// bytes past it were staged by migrations that never committed, and the
 	// next Append overwrites them. Replay below re-extends the frontier for
@@ -463,16 +491,13 @@ func (e *Engine) recoverOrLoad() error {
 		// the replayed transactions reused; drop it (leaking the pages is
 		// safe, reusing them is not).
 		e.pool.SetFreePages(nil)
-		rstats, err := e.log.ReplayWith(e.heap, e.arc.WriteFrameAt)
+		recs, rstats, err := e.log.Recover()
 		if err != nil {
 			return err
 		}
 		e.recovery = rstats
-		// A promotion's epoch group may have reached the log but not the
-		// meta page before the crash; the log wins.
-		if rstats.Epoch > e.epoch {
-			e.epoch = rstats.Epoch
-			e.epochStart = rstats.EpochStart
+		if e.recovery.Replayed, err = e.apply(recs, false); err != nil {
+			return err
 		}
 	}
 
@@ -488,7 +513,7 @@ func (e *Engine) recoverOrLoad() error {
 
 	mgrOpts := atom.Options{Strategy: strat, SegmentCap: meta.SegmentCap,
 		TimeIndex: meta.TimeIndex, ValueIndex: meta.ValueIndex}
-	if clean {
+	if clean && !e.opts.Follower && meta.Primary != storage.InvalidPage {
 		e.atoms, err = atom.OpenManager(e.heap, e.pool, e.schema, mgrOpts, atom.Roots{
 			Primary: meta.Primary, Type: meta.TypeIdx, Time: meta.TimeIdx,
 			Value: meta.ValueIdx, NextID: meta.NextID,
@@ -499,16 +524,17 @@ func (e *Engine) recoverOrLoad() error {
 		e.atoms.SetArchive(e.archiveSink())
 		return nil
 	}
-	// Unclean shutdown: indexes are untrustworthy; rebuild them. The archive
-	// must be attached first — the rebuild loads atoms at full fidelity, and
-	// a time index missing archived versions would under-approximate
+	// Unclean shutdown, a follower, or a store a follower last closed
+	// (its indexes lived in memory): rebuild the indexes. The archive must
+	// be attached first — the rebuild loads atoms at full fidelity, and a
+	// time index missing archived versions would under-approximate
 	// candidate sets for deep ASOF queries.
-	e.atoms, err = atom.NewManager(e.heap, e.pool, e.schema, mgrOpts)
+	e.atoms, err = atom.NewManager(e.heap, e.idxPool, e.schema, mgrOpts)
 	if err != nil {
 		return err
 	}
 	e.atoms.SetArchive(e.archiveSink())
-	if _, err = e.atoms.RebuildIndexes(e.pool); err != nil {
+	if _, err = e.atoms.RebuildIndexes(e.idxPool); err != nil {
 		return err
 	}
 	// The persisted clock predates the crash: replayed commits carry
@@ -566,6 +592,10 @@ func (e *Engine) quarantineTornPages(horizon storage.PageID) error {
 // persistMeta stores the engine state in the meta page.
 func (e *Engine) persistMeta(clean bool) error {
 	roots := e.atoms.Roots()
+	if e.idxPool != e.pool {
+		// A follower's indexes are in memory: no root in the file is valid.
+		roots.Primary, roots.Type = storage.InvalidPage, storage.InvalidPage
+	}
 	meta := metaPayload{
 		Strategy:    e.opts.Strategy.String(),
 		SegmentCap:  e.opts.SegmentCap,
@@ -583,6 +613,7 @@ func (e *Engine) persistMeta(clean bool) error {
 		ArchiveSize: e.arc.Size(),
 		Epoch:       e.epoch,
 		EpochStart:  e.epochStart,
+		PageExact:   e.pageExact,
 	}
 	if e.log != nil {
 		meta.NextLSN = e.log.NextLSN()

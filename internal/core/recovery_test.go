@@ -1,14 +1,20 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"tcodm/internal/atom"
+	"tcodm/internal/storage"
 	"tcodm/internal/temporal"
 	"tcodm/internal/value"
+	"tcodm/internal/wal"
 )
 
 // verifySalaries checks every employee's salary history against the
@@ -199,5 +205,49 @@ func TestReopenAfterTornTailPage(t *testing.T) {
 	st, err := e2.StateAt(d, 0, atom.Now)
 	if err != nil || st.Vals["budget"].AsInt() != 5 {
 		t.Errorf("data lost to torn tail: %v, %v", st, err)
+	}
+}
+
+// legacyFrame encodes one log record as the version before page-exact redo
+// wrote it: [len][crc32][lsn, txn, op, packed rid, data length, data].
+func legacyFrame(dst []byte, lsn, txn uint64, op byte, rid storage.RID, data []byte) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, lsn)
+	p = binary.LittleEndian.AppendUint64(p, txn)
+	p = append(p, op)
+	p = binary.LittleEndian.AppendUint64(p, rid.Pack())
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(data)))
+	p = append(p, data...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(p))
+	return append(dst, p...)
+}
+
+// TestLegacyLogRefused is the upgrade rule: a store the previous version
+// left dirty, its log holding heap records in the old format (op codes 1-3,
+// no placement), is refused with the typed error naming the remedy — and
+// the refusal touches neither the log nor the data.
+func TestLegacyLogRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	e := openLeader(t, path)
+	if err := e.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	old := legacyFrame(nil, 1000, 1, 2, storage.RID{Page: 1, Slot: 0}, []byte("old catalog"))
+	old = legacyFrame(old, 1001, 1, 4, storage.NilRID, nil)
+	if err := os.WriteFile(path+".wal", old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Path: path}); !errors.Is(err, wal.ErrLegacyLog) {
+		t.Fatalf("open of a dirty store with an old-format log = %v, want ErrLegacyLog", err)
+	}
+	if got, _ := os.ReadFile(path + ".wal"); !bytes.Equal(got, old) {
+		t.Error("refused open changed the log")
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+		t.Error("refused open changed the data file")
 	}
 }

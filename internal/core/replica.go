@@ -7,10 +7,10 @@
 //   - Follower opens are writable (the follower owns its directory and
 //     holds its lease) but refuse user transactions; their only write path
 //     is ApplyReplicated, which appends shipped commit groups to the local
-//     WAL and replays them through the idempotent redo path.
+//     WAL and replays them through the same page-exact redo as recovery.
 //   - Snapshot streams a point-in-time copy of the store for follower
-//     bootstrap; DigestStore hashes the logical store content, the
-//     convergence check of the replication chaos harness.
+//     bootstrap; DigestStore hashes the store content, the convergence
+//     check of the replication chaos harness.
 package core
 
 import (
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"tcodm/internal/schema"
@@ -32,6 +31,14 @@ import (
 // engine. Followers accept writes only from the replication stream; route
 // user writes to the leader.
 var ErrReadOnly = errors.New("core: database opened read-only")
+
+// ErrFollowerLayout refuses a follower open of a store that was not
+// formatted or snapshotted under page-exact redo. A follower of the previous
+// version placed replayed records itself and kept its indexes in the store
+// file, so its pages differ from its leader's; applying the leader's
+// page-exact records to them would overwrite other records.
+var ErrFollowerLayout = errors.New("core: this follower store predates page-exact redo and its pages differ from the leader's; " +
+	"delete it and bootstrap the follower again from a leader snapshot")
 
 // --- read-only device plumbing ---------------------------------------------
 
@@ -129,7 +136,86 @@ func (d *overlayDevice) NumPages() storage.PageID {
 func (d *overlayDevice) Sync() error  { return nil }
 func (d *overlayDevice) Close() error { return d.base.Close() }
 
-// --- follower apply ---------------------------------------------------------
+// --- redo ---------------------------------------------------------------------
+
+// apply redoes committed log records against the store. It is the one op
+// switch behind crash recovery, read-only overlay recovery and
+// ApplyReplicated. live marks a follower applying a shipped batch to a
+// running engine: it also keeps the in-memory indexes and the schema in
+// step, where recovery rebuilds and reloads them afterwards. Returns the
+// number of records applied.
+func (e *Engine) apply(recs []wal.Record, live bool) (int, error) {
+	n := 0
+	for _, r := range recs {
+		var err error
+		switch r.Op {
+		case wal.OpCommit:
+			continue
+		case wal.OpHeapInsert, wal.OpHeapUpdate, wal.OpHeapDelete:
+			err = e.redoHeap(r, live)
+		case wal.OpArchiveWrite:
+			// Cold-archive block from a tiering run: reproduce the frame at
+			// its offset, so both archives grow through one path and stay
+			// byte-identical.
+			if len(r.Data) < 8 {
+				err = fmt.Errorf("archive record too short (%d bytes)", len(r.Data))
+			} else {
+				err = e.arc.WriteFrameAt(binary.LittleEndian.Uint64(r.Data), r.Data[8:])
+			}
+		case wal.OpEpoch:
+			// A promotion: adopt the higher epoch, which began at the
+			// frontier just before the record itself. It may have reached the
+			// log but not the meta page before a crash; the log wins.
+			if len(r.Data) < 8 {
+				err = fmt.Errorf("epoch record too short (%d bytes)", len(r.Data))
+			} else if v := binary.LittleEndian.Uint64(r.Data); v > e.epoch {
+				e.epoch, e.epochStart = v, r.LSN-1
+			}
+		default:
+			err = fmt.Errorf("unknown op %d", r.Op)
+		}
+		if err != nil {
+			return n, fmt.Errorf("core: apply LSN %d: %w", r.LSN, err)
+		}
+		n++
+	}
+	return n, nil
+}
+
+// redoHeap applies one heap record; live also updates the follower's
+// indexes, or reloads the schema when the record rewrote the catalog.
+func (e *Engine) redoHeap(r wal.Record, live bool) error {
+	c, err := r.Change()
+	if err != nil {
+		return err
+	}
+	var old []byte
+	if live && c.Kind == storage.ChangeDelete {
+		// Deletes are logged without data; the pre-image names the index
+		// entries the delete invalidates.
+		if old, err = e.heap.Fetch(r.RID); err != nil {
+			return err
+		}
+	}
+	if err := e.heap.Redo(c, r.LSN); err != nil || !live {
+		return err
+	}
+	switch {
+	case c.Kind == storage.ChangeInsert:
+		return e.atoms.NoteInsert(r.RID, c.Data)
+	case c.Kind == storage.ChangeDelete:
+		return e.atoms.NoteDelete(r.RID, old)
+	case r.RID == e.catalogRID:
+		next, err := schema.Unmarshal(c.Data)
+		if err != nil {
+			return fmt.Errorf("replicated catalog: %w", err)
+		}
+		e.schema = next
+		e.atoms.SetSchema(next)
+		return nil
+	}
+	return e.atoms.NoteUpdate(r.RID, c.Data)
+}
 
 // ApplyReplicated durably appends shipped WAL commit groups to the
 // follower's local log and replays them into the store, maintaining the
@@ -167,67 +253,8 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, r := range fresh {
-		switch r.Op {
-		case wal.OpHeapInsert:
-			if err := e.heap.RedoInsert(r.RID, r.Data, r.LSN); err != nil {
-				return 0, fmt.Errorf("core: apply LSN %d: %w", r.LSN, err)
-			}
-			if err := e.atoms.NoteInsert(r.RID, r.Data); err != nil {
-				return 0, fmt.Errorf("core: index note at LSN %d: %w", r.LSN, err)
-			}
-		case wal.OpHeapUpdate:
-			if err := e.heap.RedoUpdate(r.RID, r.Data, r.LSN); err != nil {
-				return 0, fmt.Errorf("core: apply LSN %d: %w", r.LSN, err)
-			}
-			if r.RID == e.catalogRID {
-				next, err := schema.Unmarshal(r.Data)
-				if err != nil {
-					return 0, fmt.Errorf("core: replicated catalog at LSN %d: %w", r.LSN, err)
-				}
-				e.schema = next
-				e.atoms.SetSchema(next)
-			} else if err := e.atoms.NoteUpdate(r.RID, r.Data); err != nil {
-				return 0, fmt.Errorf("core: index note at LSN %d: %w", r.LSN, err)
-			}
-		case wal.OpHeapDelete:
-			// The pre-image names the index entries the delete invalidates;
-			// deletes are logged without data, so fetch it before applying.
-			old, ferr := e.heap.Fetch(r.RID)
-			if err := e.heap.RedoDelete(r.RID, r.LSN); err != nil {
-				return 0, fmt.Errorf("core: apply LSN %d: %w", r.LSN, err)
-			}
-			if ferr == nil {
-				if err := e.atoms.NoteDelete(r.RID, old); err != nil {
-					return 0, fmt.Errorf("core: index note at LSN %d: %w", r.LSN, err)
-				}
-			}
-		case wal.OpArchiveWrite:
-			// Cold-archive block from a leader-side tiering run: reproduce
-			// the frame at its offset. Only the leader archives (followers
-			// refuse user transactions), so both archives grow through this
-			// one path and stay byte-identical by construction.
-			if len(r.Data) < 8 {
-				return 0, fmt.Errorf("core: archive record at LSN %d too short (%d bytes)", r.LSN, len(r.Data))
-			}
-			if err := e.arc.WriteFrameAt(binary.LittleEndian.Uint64(r.Data), r.Data[8:]); err != nil {
-				return 0, fmt.Errorf("core: apply archive LSN %d: %w", r.LSN, err)
-			}
-		case wal.OpEpoch:
-			// A promotion upstream: adopt the higher epoch. The epoch's
-			// start LSN is the frontier just before the record itself.
-			if len(r.Data) < 8 {
-				return 0, fmt.Errorf("core: epoch record at LSN %d too short (%d bytes)", r.LSN, len(r.Data))
-			}
-			if v := binary.LittleEndian.Uint64(r.Data); v > e.epoch {
-				e.epoch = v
-				e.epochStart = r.LSN - 1
-			}
-		case wal.OpCommit:
-			// Group boundary; nothing to apply.
-		default:
-			return 0, fmt.Errorf("core: unknown replicated op %d at LSN %d", r.Op, r.LSN)
-		}
+	if _, err := e.apply(fresh, true); err != nil {
+		return 0, err
 	}
 	// Replayed versions carry the leader's transaction times; the local
 	// clock must not lag them or default reads would miss applied state.
@@ -320,6 +347,12 @@ func (e *Engine) Promote(observedEpoch uint64) (uint64, error) {
 		}
 	}
 	e.diskClean = false
+	// The indexes move from memory into the store, where a leader keeps
+	// them; the time and value indexes stay off (DESIGN.md §15).
+	if _, err := e.atoms.RebuildIndexes(e.pool); err != nil {
+		return 0, err
+	}
+	e.idxPool = e.pool
 	if _, err := e.log.AppendEpochGroup(newEpoch); err != nil {
 		return 0, err
 	}
@@ -351,7 +384,9 @@ func (e *Engine) Snapshot(offer func(startLSN, size uint64) error, w io.Writer) 
 	}
 	// After a checkpoint the device plus archive are the complete store:
 	// every page is flushed, the archive is synced, the meta (carrying the
-	// archive's committed size) is clean, and the log is empty.
+	// archive's committed size) is clean, and the log is empty. The meta
+	// marks the copy as one a follower may apply page-exact redo to.
+	e.pageExact = true
 	if err := e.checkpointLocked(); err != nil {
 		return nil, err
 	}
@@ -383,36 +418,25 @@ func (e *Engine) Snapshot(offer func(startLSN, size uint64) error, w io.Writer) 
 	return h.Sum(nil), nil
 }
 
-// DigestStore hashes the logical store content: every live record in home-
-// RID order with its resolved payload. Leader and follower digests are
-// equal exactly when they answer every query identically — physical page
-// images may differ (index pages are unlogged, locally-allocated state,
-// and the two sides make independent record-relocation decisions), which
-// is why convergence is defined over this digest and not file bytes. The
-// scan's visit order itself leaks placement (relocated records surface in
-// a second pass), so records are sorted by home RID before hashing.
+// DigestStore hashes the store content: every live record, in Heap.Scan
+// order, with its home RID and resolved payload, then the cold archive. A
+// follower's heap pages are the leader's pages — redo is page-exact — so
+// the two scans visit the same records in the same order and the digests
+// agree exactly when the stores do. (Index pages stay out: they are
+// unlogged, and a follower keeps its indexes in memory.)
 func (e *Engine) DigestStore() ([]byte, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	type rec struct {
-		rid  storage.RID
-		data []byte
-	}
-	var recs []rec
+	h := sha256.New()
+	var scratch [12]byte
 	err := e.heap.Scan(func(rid storage.RID, data []byte) (bool, error) {
-		recs = append(recs, rec{rid: rid, data: data})
+		packRIDLen(scratch[:], rid, len(data))
+		h.Write(scratch[:])
+		h.Write(data)
 		return true, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].rid.Pack() < recs[j].rid.Pack() })
-	h := sha256.New()
-	var scratch [12]byte
-	for _, r := range recs {
-		packRIDLen(scratch[:], r.rid, len(r.data))
-		h.Write(scratch[:])
-		h.Write(r.data)
 	}
 	// The cold archive is part of the logical store: hot records hold
 	// pointers into it, and a leader/follower pair must agree on what those

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"tcodm/internal/atom"
 	"tcodm/internal/schema"
+	"tcodm/internal/storage"
 	"tcodm/internal/value"
 	"tcodm/internal/wal"
 )
@@ -394,3 +396,123 @@ func TestSnapshotTruncationGapsOtherCursors(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// stripPageExact rewrites the meta page of the closed store at path as the
+// version before page-exact redo wrote it: without the page_exact mark.
+func stripPageExact(t *testing.T, path string) {
+	t.Helper()
+	dev, err := storage.OpenFileDevice(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	pool := storage.NewBufferPool(dev, 4)
+	payload, clean, err := storage.ReadMeta(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(payload, &meta); err != nil {
+		t.Fatal(err)
+	}
+	if meta["page_exact"] != true {
+		t.Fatalf("%s: meta carries no page_exact mark: %s", path, payload)
+	}
+	delete(meta, "page_exact")
+	if payload, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteMeta(pool, payload, clean); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPreviousFollowerRefused is the follower half of the upgrade rule. A
+// follower store the previous version wrote has pages of its own placing,
+// so the leader's page-exact records must never reach it: a follower open
+// is refused with the typed error naming the remedy, before anything is
+// replayed. The leader it followed opens as before, and a follower
+// bootstrapped again from its snapshot is accepted and converges.
+func TestPreviousFollowerRefused(t *testing.T) {
+	dir := t.TempDir()
+	lpath, fpath := filepath.Join(dir, "leader"), filepath.Join(dir, "follower")
+	leader := openLeader(t, lpath)
+	_, emp := seedLeader(t, leader)
+	f, err := Open(Options{Path: fpath, Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ApplyReplicated(shipAll(t, leader)); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{f, leader} {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stripPageExact(t, fpath)
+	stripPageExact(t, lpath)
+
+	data, err := os.ReadFile(fpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Path: fpath, Follower: true}); !errors.Is(err, ErrFollowerLayout) {
+		t.Fatalf("follower open of a previous-version follower store = %v, want ErrFollowerLayout", err)
+	}
+	if got, _ := os.ReadFile(fpath); !bytes.Equal(got, data) {
+		t.Error("refused open changed the data file")
+	}
+
+	// The remedy: a fresh snapshot of the (upgraded) leader.
+	leader, err = Open(Options{Path: lpath})
+	if err != nil {
+		t.Fatalf("leader written by the previous version: %v", err)
+	}
+	defer leader.Close()
+	for _, suffix := range []string{"", ".wal", ".arc"} {
+		if err := os.Remove(fpath + suffix); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	var start uint64
+	if _, err := leader.Snapshot(func(s, _ uint64) error { start = s; return nil }, &out); err != nil {
+		t.Fatal(err)
+	}
+	raw := out.Bytes()
+	n := binary.BigEndian.Uint64(raw[:8])
+	if err := os.WriteFile(fpath, raw[8:8+n], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(fpath+".arc", raw[8+n:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := leader.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Set(emp, "salary", value.Int(6000), 200); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = Open(Options{Path: fpath, Follower: true}); err != nil {
+		t.Fatalf("follower bootstrapped from a snapshot: %v", err)
+	}
+	defer f.Close()
+	recs, err := leader.Log().Cursor(start).Read(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ApplyReplicated(recs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(digestOf(t, f), digestOf(t, leader)) {
+		t.Error("re-bootstrapped follower diverged from the leader")
+	}
+}

@@ -57,9 +57,8 @@ func pooledFixtureOn(t *testing.T, dev storage.Device, strat atom.Strategy, pool
 }
 
 // samePagesTinyPool flushes a built fixture to its device and opens a
-// second engine over the very same pages behind a pool of 8 frames. (Two
-// independently loaded stores would not do: record placement follows Go map
-// order, so their forwarding hops, and with them the page charges, differ.)
+// second engine over the very same pages behind a pool of 8 frames, so the
+// two differ in nothing but the pool.
 func samePagesTinyPool(t *testing.T, dev storage.Device, built *Engine, builtPool *storage.BufferPool, opts atom.Options) (*Engine, *storage.BufferPool) {
 	t.Helper()
 	if err := builtPool.FlushAll(); err != nil {

@@ -1,6 +1,6 @@
 // Package repl implements WAL-shipping replication: a leader streams
 // committed log records to followers, which replay them through the
-// engine's idempotent redo path and serve read-only queries pinned at a
+// engine's page-exact redo path and serve read-only queries pinned at a
 // monotonic replication watermark.
 //
 // The protocol rides the wire-v2 frame layer. A follower connects like any
@@ -111,8 +111,9 @@ func (s *Source) writeFrame(conn net.Conn, typ byte, payload []byte) error {
 //     superseded).
 //   - A subscriber at a LOWER epoch whose history extends past this
 //     epoch's start LSN is the resurrected old leader: its unshipped
-//     suffix diverged from the promoted timeline and idempotent redo
-//     would silently skip the overlap. It gets a Fence frame telling it
+//     suffix diverged from the promoted timeline, and redo — which skips
+//     every page whose LSN is not older than the record — would silently
+//     skip the overlap. It gets a Fence frame telling it
 //     where the epochs split so it can rejoin via snapshot.
 //   - A subscriber at a lower epoch whose history stops at or before the
 //     epoch start is an innocent, merely-behind follower: it is served

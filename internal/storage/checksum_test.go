@@ -14,7 +14,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.InitHeap()
-	if _, err := p.InsertRecord([]byte("checksummed")); err != nil {
+	if err := p.SetSlot(0, []byte("checksummed")); err != nil {
 		t.Fatal(err)
 	}
 	p.MarkDirty(false)
@@ -48,7 +48,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	bp := NewBufferPool(dev, 4)
 	p, _ := bp.Allocate()
 	p.InitHeap()
-	if _, err := p.InsertRecord([]byte("precious data")); err != nil {
+	if err := p.SetSlot(0, []byte("precious data")); err != nil {
 		t.Fatal(err)
 	}
 	p.MarkDirty(false)

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"tcodm/internal/obs"
 )
@@ -43,29 +45,24 @@ const (
 	flagMoved    byte = 0x04 // payload prefixed with 8-byte home RID
 )
 
-// UndoRecorder captures before-images of heap mutations so an aborting
-// transaction can roll its effects back in memory (the log is redo-only).
-// A nil recorder disables capture.
-type UndoRecorder interface {
-	RecordInsert(rid RID)
-	RecordUpdate(rid RID, prior []byte)
-	RecordDelete(rid RID, prior []byte)
-}
-
-// RedoLogger receives the physical redo stream of heap mutations. Each Log
-// call returns the LSN assigned to the mutation; the heap stamps it on the
-// affected page so recovery can skip already-applied changes. A nil logger
-// disables logging (used for unlogged databases and for undo operations).
+// RedoLogger receives every heap change before it is applied and returns
+// the LSN it assigned; the heap stamps that LSN on every heap page the
+// change writes, which is what lets redo tell whether a page already holds
+// it. A nil logger disables logging (ephemeral databases).
 type RedoLogger interface {
-	LogHeapInsert(rid RID, data []byte) uint64
-	LogHeapUpdate(rid RID, data []byte) uint64
-	LogHeapDelete(rid RID) uint64
+	LogHeap(c *Change) uint64
 }
 
 // Heap is the record manager: variable-length records addressed by stable
 // RIDs, with forwarding for grown records and overflow chains for records
 // larger than a page. A database has exactly one heap; the page type byte
 // identifies its pages.
+//
+// Every mutation is one Change that names each slot it writes and each
+// overflow page it fills. The forward path chooses those places, logs the
+// change and applies it; redo applies the same change through the same
+// code, so replay reproduces the pages byte for byte and never chooses a
+// place itself.
 type Heap struct {
 	pool *BufferPool
 	log  RedoLogger
@@ -74,20 +71,17 @@ type Heap struct {
 	// transaction: pages they dirty become unevictable (no-steal) until
 	// the transaction layer calls EndTxn on the pool.
 	txnActive bool
-	undo      UndoRecorder
-
-	// freeSpace maps heap pages to their current free byte counts; it is
-	// rebuilt on open and maintained on every mutation.
-	freeSpace map[PageID]int
-
-	// touched accumulates every page the current logged mutation physically
-	// modifies, so its LSN can be stamped on all of them. A record move
-	// dirties the home page (stub) and the target page (copy); stamping
-	// only the home would let the pool flush the target before the log
-	// record covering it is durable, breaking the WAL rule.
+	// before holds, while a transaction is active, the image of each heap
+	// page from before the transaction first changed it (nil for a page
+	// the transaction allocated); touched lists those pages in order.
+	// Rollback restores them. spare recycles image buffers across
+	// transactions, so a short transaction allocates none.
+	before  map[PageID][]byte
 	touched []PageID
+	spare   [][]byte
 
-	met heapMetrics
+	free freeSpace
+	met  heapMetrics
 }
 
 // heapMetrics holds the heap's instrumentation handles (nil = no-op).
@@ -116,25 +110,36 @@ func (h *Heap) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// NewHeap creates a heap over the pool. Call Recover or Rebuild before use
-// on an existing database.
+// NewHeap creates a heap over the pool. Call Rebuild before use on an
+// existing database.
 func NewHeap(pool *BufferPool, log RedoLogger) *Heap {
-	return &Heap{pool: pool, log: log, freeSpace: map[PageID]int{}}
+	return &Heap{pool: pool, log: log, before: map[PageID][]byte{}}
 }
 
 // SetLogger replaces the redo logger (nil disables logging).
 func (h *Heap) SetLogger(log RedoLogger) { h.log = log }
 
+// maxSpareImages bounds the before-image buffers kept for reuse.
+const maxSpareImages = 64
+
 // SetTxnActive toggles transaction mode: while active, dirtied pages are
-// pinned against eviction until the transaction ends.
-func (h *Heap) SetTxnActive(active bool) { h.txnActive = active }
+// pinned against eviction until the transaction ends, and the before-image
+// of every page changed is kept for Rollback. Either way the images of the
+// transaction that ended are dropped.
+func (h *Heap) SetTxnActive(active bool) {
+	h.txnActive = active
+	for _, id := range h.touched {
+		if img := h.before[id]; img != nil && len(h.spare) < maxSpareImages {
+			h.spare = append(h.spare, img)
+		}
+	}
+	clear(h.before)
+	h.touched = h.touched[:0]
+}
 
-// SetUndoRecorder installs (or removes, with nil) the before-image sink.
-func (h *Heap) SetUndoRecorder(u UndoRecorder) { h.undo = u }
-
-// Rebuild scans the device and reconstructs the free-space map.
+// Rebuild scans the device and reconstructs the free-space index.
 func (h *Heap) Rebuild(dev Device) error {
-	h.freeSpace = map[PageID]int{}
+	h.free = freeSpace{}
 	n := dev.NumPages()
 	for id := PageID(1); id < n; id++ {
 		p, err := h.pool.Fetch(id)
@@ -142,128 +147,455 @@ func (h *Heap) Rebuild(dev Device) error {
 			return err
 		}
 		if p.Type() == PageHeap {
-			h.freeSpace[id] = p.FreeSpace()
+			h.free.set(id, p.FreeSpace())
 		}
 		h.pool.Unpin(p)
 	}
 	return nil
 }
 
-// threshold below which a page is no longer offered for fresh inserts.
-const minUsableFree = 64
+// --- Changes -----------------------------------------------------------------
+
+// ChangeKind says what a Change did to its home record.
+type ChangeKind uint8
+
+// The three heap mutations.
+const (
+	ChangeInsert ChangeKind = iota + 1
+	ChangeUpdate
+	ChangeDelete
+)
+
+// Change is one heap mutation, page-exact: the home record it acts on,
+// where the payload landed, the slot it left and the overflow pages it
+// filled. The slot images follow from these fields, so applying a Change
+// never decides anything.
+type Change struct {
+	Kind ChangeKind
+	Home RID // the record's stable RID
+	// Body is the slot that holds the payload afterwards: Home, or a float
+	// copy elsewhere (Home then holds a stub pointing at it). NilRID for a
+	// delete.
+	Body RID
+	// Drop is the slot the payload leaves — Home or a float copy — when it
+	// moves or is deleted; NilRID when it stays where it was. A float copy
+	// named here is emptied, and a move rewrites Home's stub.
+	Drop RID
+	// Chain lists the overflow pages holding Data, in chain order; empty
+	// when the payload is stored inline.
+	Chain []PageID
+	Data  []byte // the payload (nil for a delete)
+}
+
+// Encode is c's log form, less its kind and home (the log record carries
+// those): the placement — Body, Drop and Chain — then the payload.
+// DecodeChange reads it back.
+func (c *Change) Encode() []byte {
+	b := make([]byte, 0, 16+len(c.Data))
+	b = binary.AppendUvarint(b, c.Body.Pack())
+	b = binary.AppendUvarint(b, c.Drop.Pack())
+	b = binary.AppendUvarint(b, uint64(len(c.Chain)))
+	for _, id := range c.Chain {
+		b = binary.AppendUvarint(b, uint64(id))
+	}
+	return append(b, c.Data...)
+}
+
+// DecodeChange rebuilds the Change a log record describes from its kind,
+// home RID and Encode bytes. The payload aliases b.
+func DecodeChange(kind ChangeKind, home RID, b []byte) (*Change, error) {
+	if kind < ChangeInsert || kind > ChangeDelete {
+		return nil, fmt.Errorf("storage: unknown change kind %d", kind)
+	}
+	c := &Change{Kind: kind, Home: home}
+	var vals [3]uint64
+	for i := range vals {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, fmt.Errorf("storage: change at %v: truncated placement", home)
+		}
+		vals[i], b = v, b[n:]
+	}
+	c.Body, c.Drop = UnpackRID(vals[0]), UnpackRID(vals[1])
+	if vals[2] > uint64(len(b)) {
+		return nil, fmt.Errorf("storage: change at %v: chain of %d pages exceeds the record", home, vals[2])
+	}
+	for i := uint64(0); i < vals[2]; i++ {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, fmt.Errorf("storage: change at %v: truncated chain", home)
+		}
+		c.Chain, b = append(c.Chain, PageID(v)), b[n:]
+	}
+	c.Data = b
+	switch {
+	case kind == ChangeDelete:
+		c.Data = nil
+	case !c.Body.IsValid():
+		return nil, fmt.Errorf("storage: change at %v names no body slot", home)
+	case len(c.Chain) > 0 && len(c.Chain) != (len(b)+overflowPayload-1)/overflowPayload:
+		return nil, fmt.Errorf("storage: change at %v: %d overflow pages for a %d-byte payload", home, len(c.Chain), len(b))
+	}
+	return c, nil
+}
+
+// slotWrite is one slot image a Change installs (rec nil empties the slot).
+type slotWrite struct {
+	at  RID
+	rec []byte
+}
+
+// slotWrites lists the slot images c installs, grouped by page in a fixed
+// order so the forward path and redo apply them identically.
+func (c *Change) slotWrites() []slotWrite {
+	ws := make([]slotWrite, 0, 3)
+	if c.Drop.IsValid() && c.Drop != c.Home {
+		ws = append(ws, slotWrite{at: c.Drop})
+	}
+	switch {
+	case c.Kind == ChangeDelete:
+		ws = append(ws, slotWrite{at: c.Home})
+	case c.Body == c.Home:
+		ws = append(ws, slotWrite{at: c.Home, rec: c.bodyRecord()})
+	default:
+		ws = append(ws, slotWrite{at: c.Body, rec: c.bodyRecord()})
+		if c.Drop.IsValid() {
+			// The payload moved: only then does home's stub change, so an
+			// update of a float copy in place writes that one page.
+			stub := binary.LittleEndian.AppendUint64([]byte{flagForward}, c.Body.Pack())
+			ws = append(ws, slotWrite{at: c.Home, rec: stub})
+		}
+	}
+	slices.SortStableFunc(ws, func(a, b slotWrite) int { return cmp.Compare(a.at.Page, b.at.Page) })
+	return ws
+}
+
+// bodyRecord is the physical record at c.Body: the flag byte, the home RID
+// when the record has moved, then the payload or its overflow head.
+func (c *Change) bodyRecord() []byte {
+	moved := c.Body != c.Home
+	flag := flagPlain
+	if len(c.Chain) > 0 {
+		flag = flagOverflow
+	}
+	if moved {
+		flag |= flagMoved
+	}
+	n := len(c.Data)
+	if len(c.Chain) > 0 {
+		n = 8
+	}
+	rec := append(make([]byte, 0, 9+n), flag)
+	if moved {
+		rec = binary.LittleEndian.AppendUint64(rec, c.Home.Pack())
+	}
+	if len(c.Chain) == 0 {
+		return append(rec, c.Data...)
+	}
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(c.Data)))
+	return binary.LittleEndian.AppendUint32(rec, uint32(c.Chain[0]))
+}
+
+// recordHeader is the flag byte plus, for a moved record, its home RID.
+func recordHeader(moved bool) int {
+	if moved {
+		return 9
+	}
+	return 1
+}
+
+// spills reports whether an n-byte payload needs an overflow chain.
+func spills(moved bool, n int) bool { return recordHeader(moved)+n > MaxHeapRecord }
+
+// recordLen is the physical length of a record holding an n-byte payload.
+func recordLen(moved bool, n int) int {
+	if spills(moved, n) {
+		return recordHeader(moved) + 8
+	}
+	return recordHeader(moved) + n
+}
+
+// --- Forward path --------------------------------------------------------------
 
 // Insert stores data, returning its home RID.
 func (h *Heap) Insert(data []byte) (RID, error) {
-	h.touched = h.touched[:0]
-	rid, err := h.insertPhysical(h.encodePlainOrOverflow(data, NilRID))
+	rid, err := h.place(recordLen(false, len(data)))
 	if err != nil {
 		return NilRID, err
 	}
-	if h.log != nil {
-		lsn := h.log.LogHeapInsert(rid, data)
-		h.stampTouched(rid.Page, lsn)
-	}
-	if h.undo != nil {
-		h.undo.RecordInsert(rid)
+	if err := h.write(&Change{Kind: ChangeInsert, Home: rid, Body: rid, Data: data}); err != nil {
+		return NilRID, err
 	}
 	return rid, nil
 }
 
-// encodePlainOrOverflow builds the physical record for payload data. If the
-// record must spill to overflow pages, the chain is written immediately
-// (forced to the device) and the head record references it. home != NilRID
-// marks the record as moved from home.
-func (h *Heap) encodePlainOrOverflow(data []byte, home RID) []byte {
-	headerLen := 1
-	if home.IsValid() {
-		headerLen += 8
-	}
-	if headerLen+len(data) <= MaxHeapRecord {
-		rec := make([]byte, 0, headerLen+len(data))
-		flag := flagPlain
-		if home.IsValid() {
-			flag |= flagMoved
-		}
-		rec = append(rec, flag)
-		if home.IsValid() {
-			rec = binary.LittleEndian.AppendUint64(rec, home.Pack())
-		}
-		return append(rec, data...)
-	}
-	first, err := h.writeOverflowChain(data)
+// Update replaces the payload of the record whose home is rid. The payload
+// stays where it lives when it fits there; otherwise it moves to the lowest
+// page with room, behind a stub at home.
+func (h *Heap) Update(rid RID, data []byte) error {
+	at, chain, err := h.locate(rid)
 	if err != nil {
-		// Surface the error through the insert path by returning a record
-		// that cannot be stored; callers treat chain failures as fatal.
-		panic(fmt.Sprintf("storage: overflow chain write failed: %v", err))
+		return err
 	}
-	flag := flagOverflow
-	if home.IsValid() {
-		flag |= flagMoved
+	c := &Change{Kind: ChangeUpdate, Home: rid, Body: at, Data: data}
+	p, err := h.pool.Fetch(at.Page)
+	if err != nil {
+		return err
 	}
-	rec := []byte{flag}
-	if home.IsValid() {
-		rec = binary.LittleEndian.AppendUint64(rec, home.Pack())
+	fits := p.Fits(at.Slot, recordLen(at != rid, len(data)))
+	h.pool.Unpin(p)
+	if !fits {
+		c.Drop = at
+		if c.Body, err = h.place(recordLen(true, len(data))); err != nil {
+			return err
+		}
 	}
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(data)))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(first))
-	return rec
+	if err := h.write(c); err != nil {
+		return err
+	}
+	return h.freeChain(chain)
 }
+
+// Delete removes the record whose home is rid, including any moved copy
+// and overflow chain.
+func (h *Heap) Delete(rid RID) error {
+	at, chain, err := h.locate(rid)
+	if err != nil {
+		return err
+	}
+	c := &Change{Kind: ChangeDelete, Home: rid, Drop: at}
+	if err := h.write(c); err != nil {
+		return err
+	}
+	return h.freeChain(chain)
+}
+
+// locate returns the slot holding home's payload — home itself, or the
+// float copy its stub points at — and the first page of the payload's
+// overflow chain (InvalidPage when it is inline).
+func (h *Heap) locate(home RID) (RID, PageID, error) {
+	at := home
+	for {
+		p, err := h.pool.Fetch(at.Page)
+		if err != nil {
+			return NilRID, InvalidPage, err
+		}
+		raw, err := p.ReadRecord(at.Slot)
+		if err == nil && len(raw) == 0 {
+			err = fmt.Errorf("storage: empty physical record at %v", at)
+		}
+		if err != nil {
+			h.pool.Unpin(p)
+			return NilRID, InvalidPage, err
+		}
+		flag := raw[0]
+		if flag&flagForward != 0 {
+			at = UnpackRID(binary.LittleEndian.Uint64(raw[1:]))
+			h.pool.Unpin(p)
+			continue
+		}
+		chain := InvalidPage
+		if flag&flagOverflow != 0 {
+			body := raw[1:]
+			if flag&flagMoved != 0 {
+				body = body[8:]
+			}
+			chain = PageID(binary.LittleEndian.Uint32(body[4:]))
+		}
+		h.pool.Unpin(p)
+		return at, chain, nil
+	}
+}
+
+// place picks the slot for a new n-byte record: the first free slot of the
+// lowest page with room, or slot 0 of a freshly allocated page.
+func (h *Heap) place(n int) (RID, error) {
+	if id, ok := h.free.firstFit(n + slotEntryLen); ok {
+		p, err := h.pool.Fetch(id)
+		if err != nil {
+			return NilRID, err
+		}
+		slot := p.FreeSlot()
+		h.pool.Unpin(p)
+		return RID{Page: id, Slot: slot}, nil
+	}
+	p, err := h.pool.Allocate()
+	if err != nil {
+		return NilRID, err
+	}
+	id := p.ID()
+	h.pool.Unpin(p)
+	if h.txnActive {
+		h.before[id] = nil
+		h.touched = append(h.touched, id)
+	}
+	return RID{Page: id}, nil
+}
+
+// write allocates c's overflow chain when its payload needs one, logs c
+// and applies it.
+func (h *Heap) write(c *Change) error {
+	if c.Kind != ChangeDelete && spills(c.Body != c.Home, len(c.Data)) {
+		n := (len(c.Data) + overflowPayload - 1) / overflowPayload
+		for i := 0; i < n; i++ {
+			p, err := h.pool.Allocate()
+			if err != nil {
+				return err
+			}
+			c.Chain = append(c.Chain, p.ID())
+			h.pool.Unpin(p)
+		}
+	}
+	var lsn uint64
+	if h.log != nil {
+		lsn = h.log.LogHeap(c)
+	}
+	return h.apply(c, lsn, false)
+}
+
+// freeChain returns an overflow chain's pages to the free list.
+func (h *Heap) freeChain(first PageID) error {
+	for id := first; id != InvalidPage; {
+		p, err := h.pool.Fetch(id)
+		if err != nil {
+			return err
+		}
+		next := PageID(binary.LittleEndian.Uint32(p.data[12:]))
+		h.pool.Unpin(p)
+		if err := h.pool.Deallocate(id); err != nil {
+			return err
+		}
+		id = next
+	}
+	return nil
+}
+
+// Rollback restores every heap page the active transaction changed to its
+// image from before the transaction, LSN included, so an aborted
+// transaction leaves no byte behind that the log does not describe. Pages
+// the transaction allocated become empty heap pages.
+func (h *Heap) Rollback() error {
+	for _, id := range h.touched {
+		p, err := h.pool.Fetch(id)
+		if err != nil {
+			return err
+		}
+		if img := h.before[id]; img != nil {
+			copy(p.data[:], img)
+		} else {
+			p.InitHeap()
+		}
+		p.MarkDirty(false)
+		h.free.set(id, p.FreeSpace())
+		h.pool.Unpin(p)
+	}
+	return nil
+}
+
+// --- Apply: the one path that writes heap pages ---------------------------------
+
+// Redo applies a logged change during crash recovery or replication. Each
+// page takes its part only if its LSN is older than the record's; redo
+// never chooses a page or slot, and its only allocation is growing the
+// device up to the pages the change names.
+func (h *Heap) Redo(c *Change, lsn uint64) error { return h.apply(c, lsn, true) }
+
+// apply writes c into the pages it names, stamping each heap page with
+// lsn. Redo skips the pages that already hold the change; the forward path
+// first saves, inside a transaction, the before-image of every heap page
+// it changes.
+func (h *Heap) apply(c *Change, lsn uint64, redo bool) error {
+	for i, id := range c.Chain {
+		p, err := h.fetch(id, redo)
+		if err != nil {
+			return err
+		}
+		if !redo || p.LSN() < lsn {
+			next := InvalidPage
+			if i+1 < len(c.Chain) {
+				next = c.Chain[i+1]
+			}
+			chunk := c.Data[i*overflowPayload : min((i+1)*overflowPayload, len(c.Data))]
+			clear(p.data[:])
+			p.SetType(PageOverflow)
+			binary.LittleEndian.PutUint32(p.data[12:], uint32(next))
+			binary.LittleEndian.PutUint16(p.data[16:], uint16(len(chunk)))
+			copy(p.data[overflowHeaderLen:], chunk)
+			// Left at LSN 0 and evictable: a chain page is fresh, so
+			// writing it early can clobber nothing committed, and redo
+			// rewrites it unless the page has since become a newer heap page.
+			p.MarkDirty(false)
+		}
+		h.pool.Unpin(p)
+	}
+	ws := c.slotWrites()
+	for len(ws) > 0 {
+		n := 1
+		for n < len(ws) && ws[n].at.Page == ws[0].at.Page {
+			n++
+		}
+		if err := h.applyPage(ws[:n], lsn, redo); err != nil {
+			return fmt.Errorf("storage: change at %v: %w", c.Home, err)
+		}
+		ws = ws[n:]
+	}
+	return nil
+}
+
+// applyPage installs the slot images of one page.
+func (h *Heap) applyPage(ws []slotWrite, lsn uint64, redo bool) error {
+	p, err := h.fetch(ws[0].at.Page, redo)
+	if err != nil {
+		return err
+	}
+	defer h.pool.Unpin(p)
+	if redo && p.LSN() >= lsn {
+		return nil
+	}
+	if _, ok := h.before[p.id]; h.txnActive && !ok {
+		var img []byte
+		if n := len(h.spare); n > 0 {
+			img, h.spare = h.spare[n-1], h.spare[:n-1]
+		} else {
+			img = make([]byte, PageSize)
+		}
+		copy(img, p.data[:])
+		h.before[p.id] = img
+		h.touched = append(h.touched, p.id)
+	}
+	if p.Type() != PageHeap {
+		p.InitHeap()
+	}
+	for _, w := range ws {
+		if w.rec == nil {
+			err = p.ClearSlot(w.at.Slot)
+		} else {
+			err = p.SetSlot(w.at.Slot, w.rec)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	p.SetLSN(lsn)
+	p.MarkDirty(h.txnActive)
+	h.free.set(p.id, p.FreeSpace())
+	return nil
+}
+
+// fetch pins page id; redo first grows the device to hold it.
+func (h *Heap) fetch(id PageID, redo bool) (*Page, error) {
+	if redo {
+		if err := h.pool.Grow(id); err != nil {
+			return nil, err
+		}
+	}
+	return h.pool.Fetch(id)
+}
+
+// --- Reads ---------------------------------------------------------------------
 
 const overflowHeaderLen = 18 // pageLSN(8) + type(1) + pad(3) + next(4) + used(2)
 const overflowPayload = PageSize - overflowHeaderLen
-
-// writeOverflowChain stores data across dedicated overflow pages, forcing
-// them to the device immediately. Chains are immutable: updates write a new
-// chain and free the old one, so a flushed head record never references an
-// unflushed chain.
-func (h *Heap) writeOverflowChain(data []byte) (PageID, error) {
-	var first, prev PageID = InvalidPage, InvalidPage
-	var prevPage *Page
-	for off := 0; off < len(data); {
-		p, err := h.pool.Allocate()
-		if err != nil {
-			return InvalidPage, err
-		}
-		p.SetType(PageOverflow)
-		n := len(data) - off
-		if n > overflowPayload {
-			n = overflowPayload
-		}
-		binary.LittleEndian.PutUint32(p.data[12:], uint32(InvalidPage))
-		binary.LittleEndian.PutUint16(p.data[16:], uint16(n))
-		copy(p.data[overflowHeaderLen:], data[off:off+n])
-		off += n
-		if first == InvalidPage {
-			first = p.ID()
-		}
-		if prevPage != nil {
-			binary.LittleEndian.PutUint32(prevPage.data[12:], uint32(p.ID()))
-			prevPage.MarkDirty(false)
-			if err := h.forceFlush(prevPage); err != nil {
-				return InvalidPage, err
-			}
-			h.pool.Unpin(prevPage)
-		}
-		prev = p.ID()
-		prevPage = p
-		_ = prev
-	}
-	if prevPage != nil {
-		prevPage.MarkDirty(false)
-		if err := h.forceFlush(prevPage); err != nil {
-			return InvalidPage, err
-		}
-		h.pool.Unpin(prevPage)
-	}
-	return first, nil
-}
-
-// forceFlush writes a single page straight through to the device.
-func (h *Heap) forceFlush(p *Page) error {
-	h.pool.mu.Lock()
-	defer h.pool.mu.Unlock()
-	return h.pool.flushFrameLocked(p)
-}
 
 // readOverflowChain reassembles an overflow record, charging the pages it
 // touches to acc (nil = uncharged).
@@ -294,63 +626,6 @@ func (h *Heap) readOverflowChain(first PageID, total uint32, acc *obs.Resources)
 	h.met.overflowLen.Record(pages)
 	acc.Add(obs.Resources{Pages: pages})
 	return out, nil
-}
-
-// freeOverflowChain returns the chain's pages to the free list.
-func (h *Heap) freeOverflowChain(first PageID) error {
-	id := first
-	for id != InvalidPage {
-		p, err := h.pool.Fetch(id)
-		if err != nil {
-			return err
-		}
-		next := PageID(binary.LittleEndian.Uint32(p.data[12:]))
-		h.pool.Unpin(p)
-		if err := h.pool.Deallocate(id); err != nil {
-			return err
-		}
-		id = next
-	}
-	return nil
-}
-
-// insertPhysical places an already-encoded record on some page with room.
-func (h *Heap) insertPhysical(rec []byte) (RID, error) {
-	for id, free := range h.freeSpace {
-		if free >= len(rec)+minUsableFree || free >= len(rec)+slotEntryLen {
-			p, err := h.pool.Fetch(id)
-			if err != nil {
-				return NilRID, err
-			}
-			slot, err := p.InsertRecord(rec)
-			if err == nil {
-				p.MarkDirty(h.txnActive)
-				h.freeSpace[id] = p.FreeSpace()
-				h.touch(id)
-				h.pool.Unpin(p)
-				return RID{Page: id, Slot: slot}, nil
-			}
-			// Stale free-space entry; refresh and keep looking.
-			h.freeSpace[id] = p.FreeSpace()
-			h.pool.Unpin(p)
-		}
-	}
-	p, err := h.pool.Allocate()
-	if err != nil {
-		return NilRID, err
-	}
-	p.InitHeap()
-	slot, err := p.InsertRecord(rec)
-	if err != nil {
-		h.pool.Unpin(p)
-		return NilRID, err
-	}
-	p.MarkDirty(h.txnActive)
-	h.freeSpace[p.ID()] = p.FreeSpace()
-	h.touch(p.ID())
-	rid := RID{Page: p.ID(), Slot: slot}
-	h.pool.Unpin(p)
-	return rid, nil
 }
 
 // Fetch returns the record payload stored at rid (following forwarding and
@@ -438,658 +713,6 @@ func (h *Heap) resolve(rid RID, acc *obs.Resources) ([]byte, *Page, error) {
 		}
 		return body, p, nil
 	}
-}
-
-// Update replaces the payload of the record whose home is rid.
-func (h *Heap) Update(rid RID, data []byte) error {
-	var prior []byte
-	if h.undo != nil {
-		var err error
-		prior, err = h.Fetch(rid)
-		if err != nil {
-			return err
-		}
-	}
-	h.touched = h.touched[:0]
-	if err := h.updatePhysical(rid, data); err != nil {
-		return err
-	}
-	if h.undo != nil {
-		h.undo.RecordUpdate(rid, prior)
-	}
-	if h.log != nil {
-		lsn := h.log.LogHeapUpdate(rid, data)
-		h.stampTouched(rid.Page, lsn)
-	}
-	return nil
-}
-
-func (h *Heap) updatePhysical(home RID, data []byte) error {
-	p, err := h.pool.Fetch(home.Page)
-	if err != nil {
-		return err
-	}
-	raw, err := p.ReadRecord(home.Slot)
-	if err != nil {
-		h.pool.Unpin(p)
-		return err
-	}
-	flag := raw[0]
-	if flag&flagForward != 0 {
-		// The live record is elsewhere; operate there.
-		target := UnpackRID(binary.LittleEndian.Uint64(raw[1:]))
-		h.pool.Unpin(p)
-		return h.updateMoved(home, target, data)
-	}
-	// Free a superseded overflow chain before overwriting the head.
-	if flag&flagOverflow != 0 {
-		body := raw[1:]
-		if flag&flagMoved != 0 {
-			body = body[8:]
-		}
-		first := PageID(binary.LittleEndian.Uint32(body[4:]))
-		h.pool.Unpin(p)
-		if err := h.freeOverflowChain(first); err != nil {
-			return err
-		}
-		p, err = h.pool.Fetch(home.Page)
-		if err != nil {
-			return err
-		}
-	}
-	rec := h.encodePlainOrOverflow(data, NilRID)
-	err = p.UpdateRecord(home.Slot, rec)
-	if err == nil {
-		p.MarkDirty(h.txnActive)
-		h.freeSpace[home.Page] = p.FreeSpace()
-		h.touch(home.Page)
-		h.pool.Unpin(p)
-		return nil
-	}
-	if err != errPageFull {
-		h.pool.Unpin(p)
-		return err
-	}
-	h.pool.Unpin(p)
-	// Move: place the record elsewhere, leave a forwarding stub at home.
-	movedRec := h.encodePlainOrOverflow(data, home)
-	newRID, err := h.insertPhysical(movedRec)
-	if err != nil {
-		return err
-	}
-	stub := make([]byte, 9)
-	stub[0] = flagForward
-	binary.LittleEndian.PutUint64(stub[1:], newRID.Pack())
-	p, err = h.pool.Fetch(home.Page)
-	if err != nil {
-		return err
-	}
-	if err := p.UpdateRecord(home.Slot, stub); err != nil {
-		h.pool.Unpin(p)
-		return fmt.Errorf("storage: installing forward stub at %v: %w", home, err)
-	}
-	p.MarkDirty(h.txnActive)
-	h.freeSpace[home.Page] = p.FreeSpace()
-	h.touch(home.Page)
-	h.pool.Unpin(p)
-	return nil
-}
-
-// updateMoved updates a record living at target whose home stub is at home.
-func (h *Heap) updateMoved(home, target RID, data []byte) error {
-	p, err := h.pool.Fetch(target.Page)
-	if err != nil {
-		return err
-	}
-	raw, err := p.ReadRecord(target.Slot)
-	if err != nil {
-		h.pool.Unpin(p)
-		return err
-	}
-	if raw[0]&flagOverflow != 0 {
-		body := raw[1:]
-		if raw[0]&flagMoved != 0 {
-			body = body[8:]
-		}
-		first := PageID(binary.LittleEndian.Uint32(body[4:]))
-		h.pool.Unpin(p)
-		if err := h.freeOverflowChain(first); err != nil {
-			return err
-		}
-		p, err = h.pool.Fetch(target.Page)
-		if err != nil {
-			return err
-		}
-	}
-	rec := h.encodePlainOrOverflow(data, home)
-	err = p.UpdateRecord(target.Slot, rec)
-	if err == nil {
-		p.MarkDirty(h.txnActive)
-		h.freeSpace[target.Page] = p.FreeSpace()
-		h.touch(target.Page)
-		h.pool.Unpin(p)
-		return nil
-	}
-	if err != errPageFull {
-		h.pool.Unpin(p)
-		return err
-	}
-	// Move again: delete the old moved copy, insert a fresh one, and
-	// repoint the home stub.
-	if derr := p.DeleteRecord(target.Slot); derr != nil {
-		h.pool.Unpin(p)
-		return derr
-	}
-	p.MarkDirty(h.txnActive)
-	h.freeSpace[target.Page] = p.FreeSpace()
-	h.touch(target.Page)
-	h.pool.Unpin(p)
-	newRID, err := h.insertPhysical(rec)
-	if err != nil {
-		return err
-	}
-	stub := make([]byte, 9)
-	stub[0] = flagForward
-	binary.LittleEndian.PutUint64(stub[1:], newRID.Pack())
-	hp, err := h.pool.Fetch(home.Page)
-	if err != nil {
-		return err
-	}
-	if err := hp.UpdateRecord(home.Slot, stub); err != nil {
-		h.pool.Unpin(hp)
-		return err
-	}
-	hp.MarkDirty(h.txnActive)
-	h.freeSpace[home.Page] = hp.FreeSpace()
-	h.touch(home.Page)
-	h.pool.Unpin(hp)
-	return nil
-}
-
-// Delete removes the record whose home is rid, including any moved copy
-// and overflow chain.
-func (h *Heap) Delete(rid RID) error {
-	var prior []byte
-	if h.undo != nil {
-		var err error
-		prior, err = h.Fetch(rid)
-		if err != nil {
-			return err
-		}
-	}
-	h.touched = h.touched[:0]
-	if err := h.deletePhysical(rid); err != nil {
-		return err
-	}
-	if h.undo != nil {
-		h.undo.RecordDelete(rid, prior)
-	}
-	if h.log != nil {
-		lsn := h.log.LogHeapDelete(rid)
-		h.stampTouched(rid.Page, lsn)
-	}
-	return nil
-}
-
-func (h *Heap) deletePhysical(rid RID) error {
-	p, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	raw, err := p.ReadRecord(rid.Slot)
-	if err != nil {
-		h.pool.Unpin(p)
-		return err
-	}
-	flag := raw[0]
-	var target RID
-	var chain PageID = InvalidPage
-	if flag&flagForward != 0 {
-		target = UnpackRID(binary.LittleEndian.Uint64(raw[1:]))
-	} else if flag&flagOverflow != 0 {
-		body := raw[1:]
-		if flag&flagMoved != 0 {
-			body = body[8:]
-		}
-		chain = PageID(binary.LittleEndian.Uint32(body[4:]))
-	}
-	if err := p.DeleteRecord(rid.Slot); err != nil {
-		h.pool.Unpin(p)
-		return err
-	}
-	p.MarkDirty(h.txnActive)
-	h.freeSpace[rid.Page] = p.FreeSpace()
-	h.touch(rid.Page)
-	h.pool.Unpin(p)
-	if target.IsValid() {
-		return h.deletePhysical(target)
-	}
-	if chain != InvalidPage {
-		return h.freeOverflowChain(chain)
-	}
-	return nil
-}
-
-// stampLSN stamps a page with a mutation LSN (WAL rule bookkeeping).
-func (h *Heap) stampLSN(id PageID, lsn uint64) {
-	p, err := h.pool.Fetch(id)
-	if err != nil {
-		return
-	}
-	p.SetLSN(lsn)
-	p.MarkDirty(h.txnActive)
-	h.pool.Unpin(p)
-}
-
-// stampTouched stamps lsn on the home page and on every other page the
-// just-logged mutation physically modified (recorded in h.touched). A page
-// may only be flushed once the log covering its changes is durable; the
-// pool enforces that via the page LSN, so each modified page must carry
-// the mutation's LSN — not just the home page.
-func (h *Heap) stampTouched(home PageID, lsn uint64) {
-	h.stampLSN(home, lsn)
-	for i, id := range h.touched {
-		if id == home {
-			continue
-		}
-		dup := false
-		for _, prev := range h.touched[:i] {
-			if prev == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			h.stampLSN(id, lsn)
-		}
-	}
-}
-
-// touch records a page as physically modified by the current mutation.
-func (h *Heap) touch(id PageID) { h.touched = append(h.touched, id) }
-
-// --- Recovery entry points (unlogged, self-repairing) ---------------------
-//
-// A logical heap mutation can touch several pages: the home page plus a
-// move target, or overflow pages. A crash may flush any subset of them, so
-// no single page LSN can witness whether the op's effects are on disk —
-// the home page can carry a forwarding stub whose target copy never
-// landed. Replay therefore does not skip records based on LSN guards.
-// Each redo entry point inspects the logical state reachable from the home
-// RID and re-establishes the logged post-state, repairing dangling stubs
-// and divergent float placements as it goes. Replay runs strictly in log
-// order, so overwriting a page that already holds a later state is safe:
-// the later log records restore it, and after a full replay every record
-// holds exactly its last logged state.
-//
-// Two rules keep repair from turning stale bytes into corruption:
-//
-//   - Overflow chains referenced by possibly-stale heads are never freed:
-//     a stale head can alias pages that were reused after the checkpoint.
-//     Orphaned chains are leaked — lost space, never lost data.
-//   - A float copy is deleted or relocated only when its embedded home RID
-//     proves ownership; anything else at the expected location is left
-//     alone.
-
-// ownerOf resolves which home RID the physical record raw (stored at
-// position at) belongs to: a moved copy names its home explicitly; any
-// other record is owned by the slot it occupies. ok is false when the
-// record is too short to decode.
-func ownerOf(raw []byte, at RID) (owner RID, ok bool) {
-	if len(raw) == 0 {
-		return NilRID, false
-	}
-	if raw[0]&flagMoved != 0 {
-		if len(raw) < 9 {
-			return NilRID, false
-		}
-		return UnpackRID(binary.LittleEndian.Uint64(raw[1:])), true
-	}
-	return at, true
-}
-
-// RedoInsert re-establishes a logged insert: afterwards rid's home slot
-// holds a record owned by rid — this op's payload, or a later state that
-// was already on disk and that later log records will reconcile.
-func (h *Heap) RedoInsert(rid RID, data []byte, lsn uint64) error {
-	p, err := h.fetchOrFormat(rid.Page)
-	if err != nil {
-		return err
-	}
-	if raw, rerr := p.ReadRecord(rid.Slot); rerr == nil {
-		owner, ok := ownerOf(raw, rid)
-		if ok && owner == rid {
-			// The slot already belongs to this record: the insert (or a
-			// later op on the same record) reached the device pre-crash.
-			if p.LSN() < lsn {
-				p.SetLSN(lsn)
-			}
-			p.MarkDirty(false)
-			h.pool.Unpin(p)
-			return nil
-		}
-		// Replay floated another record's copy into the slot this insert
-		// needs. Relocate that copy (repointing its home stub), then
-		// reclaim the slot.
-		alien := append([]byte(nil), raw...)
-		h.pool.Unpin(p)
-		if ok {
-			if err := h.relocateMovedCopy(owner, rid, alien); err != nil {
-				return err
-			}
-		}
-		p, err = h.pool.Fetch(rid.Page)
-		if err != nil {
-			return err
-		}
-		if err := p.DeleteRecord(rid.Slot); err != nil {
-			h.pool.Unpin(p)
-			return err
-		}
-	}
-	rec := h.encodePlainOrOverflow(data, NilRID)
-	if err := p.InsertRecordAt(rid.Slot, rec); err != nil {
-		// The crashed layout left no room at the exact slot; float the
-		// payload and keep only a 9-byte stub at home.
-		h.pool.Unpin(p)
-		return h.redoFloat(rid, data, lsn, true)
-	}
-	if p.LSN() < lsn {
-		p.SetLSN(lsn)
-	}
-	p.MarkDirty(false)
-	h.freeSpace[rid.Page] = p.FreeSpace()
-	h.pool.Unpin(p)
-	return nil
-}
-
-// RedoUpdate re-establishes a logged update: afterwards rid resolves to
-// exactly data.
-func (h *Heap) RedoUpdate(rid RID, data []byte, lsn uint64) error {
-	p, err := h.fetchOrFormat(rid.Page)
-	if err != nil {
-		return err
-	}
-	raw, rerr := p.ReadRecord(rid.Slot)
-	if rerr != nil {
-		// Home slot absent: the insert's page version never reached the
-		// device (e.g. a quarantined torn page). Recreate the record.
-		h.pool.Unpin(p)
-		return h.RedoInsert(rid, data, lsn)
-	}
-	if owner, ok := ownerOf(raw, rid); ok && owner != rid {
-		// The slot holds another record's float copy, so the disk already
-		// reflects a state past this record's deletion and slot reuse.
-		// This op's effect is unobservable after full replay; leave the
-		// later state alone.
-		h.pool.Unpin(p)
-		return nil
-	}
-	if raw[0]&flagForward != 0 && len(raw) >= 9 {
-		target := UnpackRID(binary.LittleEndian.Uint64(raw[1:]))
-		h.pool.Unpin(p)
-		return h.redoUpdateMoved(rid, target, data, lsn)
-	}
-	// Plain record or overflow head at home. A superseded chain is leaked,
-	// not freed: its head may be stale and alias reused pages.
-	rec := h.encodePlainOrOverflow(data, NilRID)
-	uerr := p.UpdateRecord(rid.Slot, rec)
-	if uerr == errPageFull {
-		h.pool.Unpin(p)
-		return h.redoFloat(rid, data, lsn, false)
-	}
-	if uerr != nil {
-		h.pool.Unpin(p)
-		return uerr
-	}
-	if p.LSN() < lsn {
-		p.SetLSN(lsn)
-	}
-	p.MarkDirty(false)
-	h.freeSpace[rid.Page] = p.FreeSpace()
-	h.pool.Unpin(p)
-	return nil
-}
-
-// redoUpdateMoved rewrites the float copy of home in place when the stub
-// target verifiably holds it; otherwise the stub dangles (the copy never
-// reached the device, or its page was reused) and a fresh copy is floated.
-func (h *Heap) redoUpdateMoved(home, target RID, data []byte, lsn uint64) error {
-	if target.IsValid() && target.Page < h.pool.dev.NumPages() {
-		tp, err := h.pool.Fetch(target.Page)
-		if err != nil {
-			return err
-		}
-		if tp.Type() == PageHeap {
-			raw, rerr := tp.ReadRecord(target.Slot)
-			if rerr == nil && len(raw) >= 9 && raw[0]&flagMoved != 0 &&
-				UnpackRID(binary.LittleEndian.Uint64(raw[1:])) == home {
-				rec := h.encodePlainOrOverflow(data, home)
-				uerr := tp.UpdateRecord(target.Slot, rec)
-				if uerr == nil {
-					if tp.LSN() < lsn {
-						tp.SetLSN(lsn)
-					}
-					tp.MarkDirty(false)
-					h.freeSpace[target.Page] = tp.FreeSpace()
-					h.pool.Unpin(tp)
-					h.stampRedoLSN(home.Page, lsn)
-					return nil
-				}
-				if uerr != errPageFull {
-					h.pool.Unpin(tp)
-					return uerr
-				}
-				// The copy no longer fits where it sits: drop it here and
-				// re-float below.
-				if derr := tp.DeleteRecord(target.Slot); derr != nil {
-					h.pool.Unpin(tp)
-					return derr
-				}
-				tp.MarkDirty(false)
-				h.freeSpace[target.Page] = tp.FreeSpace()
-			}
-		}
-		h.pool.Unpin(tp)
-	}
-	return h.redoFloat(home, data, lsn, false)
-}
-
-// RedoDelete re-establishes a logged delete: afterwards rid's home slot
-// holds nothing owned by rid.
-func (h *Heap) RedoDelete(rid RID, lsn uint64) error {
-	p, err := h.fetchOrFormat(rid.Page)
-	if err != nil {
-		return err
-	}
-	raw, rerr := p.ReadRecord(rid.Slot)
-	if rerr != nil {
-		// Already gone.
-		if p.LSN() < lsn {
-			p.SetLSN(lsn)
-		}
-		p.MarkDirty(false)
-		h.pool.Unpin(p)
-		return nil
-	}
-	if owner, ok := ownerOf(raw, rid); ok && owner != rid {
-		// The slot was reused by another record's float copy after this
-		// delete took effect on disk; leave the later state alone.
-		h.pool.Unpin(p)
-		return nil
-	}
-	var target RID
-	if raw[0]&flagForward != 0 && len(raw) >= 9 {
-		target = UnpackRID(binary.LittleEndian.Uint64(raw[1:]))
-	}
-	if err := p.DeleteRecord(rid.Slot); err != nil {
-		h.pool.Unpin(p)
-		return err
-	}
-	if p.LSN() < lsn {
-		p.SetLSN(lsn)
-	}
-	p.MarkDirty(false)
-	h.freeSpace[rid.Page] = p.FreeSpace()
-	h.pool.Unpin(p)
-	if target.IsValid() && target.Page < h.pool.dev.NumPages() {
-		tp, err := h.pool.Fetch(target.Page)
-		if err != nil {
-			return err
-		}
-		if tp.Type() == PageHeap {
-			traw, terr := tp.ReadRecord(target.Slot)
-			if terr == nil && len(traw) >= 9 && traw[0]&flagMoved != 0 &&
-				UnpackRID(binary.LittleEndian.Uint64(traw[1:])) == rid {
-				if derr := tp.DeleteRecord(target.Slot); derr != nil {
-					h.pool.Unpin(tp)
-					return derr
-				}
-				if tp.LSN() < lsn {
-					tp.SetLSN(lsn)
-				}
-				tp.MarkDirty(false)
-				h.freeSpace[target.Page] = tp.FreeSpace()
-			}
-		}
-		h.pool.Unpin(tp)
-	}
-	// Any overflow chain the record owned is leaked, not freed.
-	return nil
-}
-
-// redoFloat places data as a float copy of home on any page with room and
-// writes (newSlot) or overwrites the home slot with a forwarding stub.
-func (h *Heap) redoFloat(home RID, data []byte, lsn uint64, newSlot bool) error {
-	moved, err := h.insertPhysical(h.encodePlainOrOverflow(data, home))
-	if err != nil {
-		return err
-	}
-	stub := make([]byte, 9)
-	stub[0] = flagForward
-	binary.LittleEndian.PutUint64(stub[1:], moved.Pack())
-	p, err := h.pool.Fetch(home.Page)
-	if err != nil {
-		return err
-	}
-	if newSlot {
-		err = p.InsertRecordAt(home.Slot, stub)
-	} else {
-		err = p.UpdateRecord(home.Slot, stub)
-	}
-	if err != nil {
-		h.pool.Unpin(p)
-		return fmt.Errorf("storage: redo stub at %v: %w", home, err)
-	}
-	if p.LSN() < lsn {
-		p.SetLSN(lsn)
-	}
-	p.MarkDirty(false)
-	h.freeSpace[home.Page] = p.FreeSpace()
-	h.pool.Unpin(p)
-	h.stampRedoLSN(moved.Page, lsn)
-	return nil
-}
-
-// relocateMovedCopy moves another record's float copy (payload rec,
-// currently occupying slot from) out of a slot that a logged insert needs,
-// repointing the owner's home stub at the new location. A copy whose home
-// no longer points at it is an orphan and is abandoned.
-func (h *Heap) relocateMovedCopy(owner, from RID, rec []byte) error {
-	if !owner.IsValid() || owner.Page >= h.pool.dev.NumPages() {
-		return nil
-	}
-	hp, err := h.pool.Fetch(owner.Page)
-	if err != nil {
-		return err
-	}
-	raw, rerr := hp.ReadRecord(owner.Slot)
-	points := rerr == nil && len(raw) >= 9 && raw[0]&flagForward != 0 &&
-		UnpackRID(binary.LittleEndian.Uint64(raw[1:])) == from
-	h.pool.Unpin(hp)
-	if !points {
-		return nil
-	}
-	moved, err := h.insertPhysical(rec)
-	if err != nil {
-		return err
-	}
-	stub := make([]byte, 9)
-	stub[0] = flagForward
-	binary.LittleEndian.PutUint64(stub[1:], moved.Pack())
-	hp, err = h.pool.Fetch(owner.Page)
-	if err != nil {
-		return err
-	}
-	if err := hp.UpdateRecord(owner.Slot, stub); err != nil {
-		h.pool.Unpin(hp)
-		return err
-	}
-	hp.MarkDirty(false)
-	h.freeSpace[owner.Page] = hp.FreeSpace()
-	h.pool.Unpin(hp)
-	return nil
-}
-
-func (h *Heap) stampRedoLSN(id PageID, lsn uint64) {
-	p, err := h.pool.Fetch(id)
-	if err != nil {
-		return
-	}
-	if p.LSN() < lsn {
-		p.SetLSN(lsn)
-	}
-	p.MarkDirty(false)
-	h.pool.Unpin(p)
-}
-
-// fetchOrFormat fetches a page, formatting it as a heap page if it is
-// fresh (needed when redo targets a page allocated after the checkpoint).
-func (h *Heap) fetchOrFormat(id PageID) (*Page, error) {
-	for h.pool.dev.NumPages() <= id {
-		p, err := h.pool.Allocate()
-		if err != nil {
-			return nil, err
-		}
-		p.InitHeap()
-		p.MarkDirty(false)
-		h.freeSpace[p.ID()] = p.FreeSpace()
-		h.pool.Unpin(p)
-	}
-	p, err := h.pool.Fetch(id)
-	if err != nil {
-		return nil, err
-	}
-	if p.Type() != PageHeap {
-		p.InitHeap()
-		p.MarkDirty(false)
-		h.freeSpace[id] = p.FreeSpace()
-	}
-	return p, nil
-}
-
-// --- Unlogged primitives for transaction undo ----------------------------
-
-// UndoInsert removes a record inserted by an aborting transaction.
-func (h *Heap) UndoInsert(rid RID) error { return h.deletePhysical(rid) }
-
-// UndoUpdate restores the previous payload of a record.
-func (h *Heap) UndoUpdate(rid RID, prior []byte) error { return h.updatePhysical(rid, prior) }
-
-// UndoDelete restores a record deleted by an aborting transaction.
-func (h *Heap) UndoDelete(rid RID, prior []byte) error {
-	rec := h.encodePlainOrOverflow(prior, NilRID)
-	p, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	defer h.pool.Unpin(p)
-	if err := p.InsertRecordAt(rid.Slot, rec); err != nil {
-		return err
-	}
-	p.MarkDirty(h.txnActive)
-	h.freeSpace[rid.Page] = p.FreeSpace()
-	return nil
 }
 
 // Scan calls fn for every live record (by home RID, skipping forwarding

@@ -292,58 +292,43 @@ func TestHeapRebuildFreeSpace(t *testing.T) {
 
 func TestHeapUndoPrimitives(t *testing.T) {
 	h, _, _ := newTestHeap(t, 16)
-	// UndoInsert removes.
+	kept, _ := h.Insert([]byte("v1"))
+	doomed, _ := h.Insert([]byte("doomed"))
+	h.SetTxnActive(true)
+	// Insert, update and delete inside one transaction, then roll back.
 	rid, _ := h.Insert([]byte("inserted"))
-	if err := h.UndoInsert(rid); err != nil {
+	if err := h.Update(kept, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Fetch(rid); err == nil {
-		t.Error("record survived UndoInsert")
-	}
-	// UndoUpdate restores.
-	rid2, _ := h.Insert([]byte("v1"))
-	if err := h.Update(rid2, []byte("v2")); err != nil {
+	if err := h.Delete(doomed); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.UndoUpdate(rid2, []byte("v1")); err != nil {
+	if err := h.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := h.Fetch(rid2); string(got) != "v1" {
-		t.Errorf("UndoUpdate left %q", got)
+	h.SetTxnActive(false)
+	if got, err := h.Fetch(rid); err == nil {
+		t.Errorf("rolled-back insert survived: %q", got)
 	}
-	// UndoDelete reinstates at the same RID.
-	rid3, _ := h.Insert([]byte("doomed"))
-	if err := h.Delete(rid3); err != nil {
-		t.Fatal(err)
+	if got, _ := h.Fetch(kept); string(got) != "v1" {
+		t.Errorf("rolled-back update left %q", got)
 	}
-	if err := h.UndoDelete(rid3, []byte("doomed")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := h.Fetch(rid3); string(got) != "doomed" {
-		t.Errorf("UndoDelete left %q", got)
+	if got, _ := h.Fetch(doomed); string(got) != "doomed" {
+		t.Errorf("rolled-back delete left %q", got)
 	}
 }
 
+// recordingLogger keeps every logged change with the LSN it assigned.
 type recordingLogger struct {
 	lsn     uint64
-	inserts []RID
-	updates []RID
-	deletes []RID
+	changes []*Change
 }
 
-func (l *recordingLogger) LogHeapInsert(rid RID, data []byte) uint64 {
+func (l *recordingLogger) LogHeap(c *Change) uint64 {
 	l.lsn++
-	l.inserts = append(l.inserts, rid)
-	return l.lsn
-}
-func (l *recordingLogger) LogHeapUpdate(rid RID, data []byte) uint64 {
-	l.lsn++
-	l.updates = append(l.updates, rid)
-	return l.lsn
-}
-func (l *recordingLogger) LogHeapDelete(rid RID) uint64 {
-	l.lsn++
-	l.deletes = append(l.deletes, rid)
+	cp := *c
+	cp.Data = append([]byte(nil), c.Data...)
+	l.changes = append(l.changes, &cp)
 	return l.lsn
 }
 
@@ -358,8 +343,12 @@ func TestHeapLogsMutations(t *testing.T) {
 	rid, _ := h.Insert([]byte("a"))
 	_ = h.Update(rid, []byte("b"))
 	_ = h.Delete(rid)
-	if len(log.inserts) != 1 || len(log.updates) != 1 || len(log.deletes) != 1 {
-		t.Fatalf("log = %+v", log)
+	var kinds []ChangeKind
+	for _, c := range log.changes {
+		kinds = append(kinds, c.Kind)
+	}
+	if len(kinds) != 3 || kinds[0] != ChangeInsert || kinds[1] != ChangeUpdate || kinds[2] != ChangeDelete {
+		t.Fatalf("logged kinds = %v", kinds)
 	}
 	// Page LSN stamped with the last mutation.
 	p, err := bp.Fetch(rid.Page)
@@ -372,52 +361,150 @@ func TestHeapLogsMutations(t *testing.T) {
 	bp.Unpin(p)
 }
 
-func TestHeapRedoIdempotent(t *testing.T) {
-	h, bp, _ := newTestHeap(t, 16)
-	rid := RID{Page: 1, Slot: 0}
-	if err := h.RedoInsert(rid, []byte("redone"), 5); err != nil {
+// TestHeapUpdateOfMovedRecordWritesOnePage: once a record has moved, an
+// update that fits its float copy rewrites that copy alone — home's stub
+// already points there, so the home page is neither written nor stamped.
+func TestHeapUpdateOfMovedRecordWritesOnePage(t *testing.T) {
+	dev := NewMemDevice()
+	bp := NewBufferPool(dev, 32)
+	if err := InitMeta(bp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Fetch(rid)
-	if err != nil || string(got) != "redone" {
-		t.Fatalf("after redo: %q, %v", got, err)
+	log := &recordingLogger{}
+	h := NewHeap(bp, log)
+	var rids []RID
+	for i := 0; i < 7; i++ {
+		rid, err := h.Insert(bytes.Repeat([]byte{byte('a' + i)}, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
 	}
-	// Replaying the same insert is a no-op: the slot already belongs to
-	// the record, and its payload is left for later records to reconcile.
-	if err := h.RedoInsert(rid, []byte("ignored"), 5); err != nil {
+	if err := h.Update(rids[0], bytes.Repeat([]byte("G"), 3000)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = h.Fetch(rid)
-	if string(got) != "redone" {
-		t.Errorf("redo insert clobbered existing record: %q", got)
+	move := log.changes[len(log.changes)-1]
+	if move.Drop != rids[0] || move.Body.Page == rids[0].Page {
+		t.Fatalf("first move logged as %+v", move)
 	}
-	// Update redo always converges to the logged payload — replay runs in
-	// strict log order, so the last record wins regardless of page LSNs.
-	if err := h.RedoUpdate(rid, []byte("newer"), 9); err != nil {
+	if err := h.Update(rids[0], bytes.Repeat([]byte("H"), 2900)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = h.Fetch(rid)
-	if string(got) != "newer" {
-		t.Errorf("redo update not applied: %q", got)
+	upd := log.changes[len(log.changes)-1]
+	if upd.Body != move.Body || upd.Drop.IsValid() {
+		t.Fatalf("in-place update of the float copy logged as %+v", upd)
 	}
-	if err := h.RedoUpdate(rid, []byte("newer"), 9); err != nil {
+	for _, tc := range []struct {
+		page PageID
+		want uint64
+	}{{rids[0].Page, log.lsn - 1}, {move.Body.Page, log.lsn}} {
+		p, err := bp.Fetch(tc.page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.LSN() != tc.want {
+			t.Errorf("page %d LSN = %d, want %d", tc.page, p.LSN(), tc.want)
+		}
+		bp.Unpin(p)
+	}
+	if got, err := h.Fetch(rids[0]); err != nil || !bytes.Equal(got, bytes.Repeat([]byte("H"), 2900)) {
+		t.Errorf("updated moved record: %d bytes, %v", len(got), err)
+	}
+}
+
+// devicePages copies every page of a flushed device.
+func devicePages(t *testing.T, dev *MemDevice) [][]byte {
+	t.Helper()
+	out := make([][]byte, dev.NumPages())
+	for id := range out {
+		out[id] = make([]byte, PageSize)
+		if err := dev.ReadPage(PageID(id), out[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestHeapRedoHalfFlushedMove crashes a record move with only one of its
+// two pages on the device — the home page with the stub, or the target
+// page with the moved copy — and redoes the logged change: the missing
+// page is rebuilt byte for byte, the flushed one is left alone, and a
+// second redo changes nothing.
+func TestHeapRedoHalfFlushedMove(t *testing.T) {
+	dev := NewMemDevice()
+	bp := NewBufferPool(dev, 32)
+	if err := InitMeta(bp); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = h.Fetch(rid)
-	if string(got) != "newer" {
-		t.Errorf("repeated redo update diverged: %q", got)
+	log := &recordingLogger{}
+	h := NewHeap(bp, log)
+	var rids []RID
+	for i := 0; i < 7; i++ {
+		rid, err := h.Insert(bytes.Repeat([]byte{byte('a' + i)}, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
 	}
-	// Delete redo, twice: the second call must see "already gone".
-	if err := h.RedoDelete(rid, 12); err != nil {
+	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Fetch(rid); err == nil {
-		t.Error("record survived redo delete")
+	checkpoint := devicePages(t, dev)
+	log.changes = nil
+	grown := bytes.Repeat([]byte("G"), 3000)
+	if err := h.Update(rids[0], grown); err != nil {
+		t.Fatal(err)
 	}
-	if err := h.RedoDelete(rid, 12); err != nil {
-		t.Fatalf("repeated redo delete: %v", err)
+	if len(log.changes) != 1 || log.changes[0].Body.Page == rids[0].Page {
+		t.Fatalf("update did not log one move: %+v", log.changes)
 	}
-	_ = bp
+	move, lsn := log.changes[0], log.lsn
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	final := devicePages(t, dev)
+	home, target := rids[0].Page, move.Body.Page
+
+	for _, tc := range []struct {
+		name    string
+		flushed PageID
+	}{{"home-flushed", home}, {"target-flushed", target}} {
+		t.Run(tc.name, func(t *testing.T) {
+			crashed := NewMemDevice()
+			for id := range checkpoint {
+				img := checkpoint[id]
+				if PageID(id) == tc.flushed {
+					img = final[id]
+				}
+				crashed.WritePage(PageID(id), img)
+			}
+			if tc.flushed == target && int(target) >= len(checkpoint) {
+				crashed.WritePage(target, final[target])
+			}
+			pool := NewBufferPool(crashed, 32)
+			rh := NewHeap(pool, nil)
+			if err := rh.Rebuild(crashed); err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 2; round++ {
+				if err := rh.Redo(move, lsn); err != nil {
+					t.Fatalf("redo round %d: %v", round, err)
+				}
+				if err := pool.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+				got := devicePages(t, crashed)
+				for _, id := range []PageID{home, target} {
+					if !bytes.Equal(got[id], final[id]) {
+						t.Errorf("round %d: page %d differs from the page the forward path wrote", round, id)
+					}
+				}
+			}
+			if got, err := rh.Fetch(rids[0]); err != nil || !bytes.Equal(got, grown) {
+				t.Errorf("moved record after redo: %d bytes, %v", len(got), err)
+			}
+		})
+	}
 }
 
 func TestHeapManyRecordsAcrossPages(t *testing.T) {

@@ -126,12 +126,22 @@ func (p *Page) setSlot(slot uint16, off, length uint16) {
 
 // FreeSpace returns the bytes available for a new record, accounting for
 // the slot entry a fresh insertion would need. Holes left by deleted and
-// shrunk records count as free: InsertRecord and UpdateRecord compact the
-// page on demand when the contiguous region alone is too small, so the
-// whole reclaimable total is genuinely available. (Without counting holes,
-// pages emptied by bulk deletes — history rewrites, vacuum — would
-// advertise no room and be stranded forever.)
+// shrunk records count as free: SetSlot compacts the page on demand when
+// the contiguous region alone is too small, so the whole reclaimable total
+// is genuinely available. (Without counting holes, pages emptied by bulk
+// deletes — history rewrites, vacuum — would advertise no room and be
+// stranded forever.)
 func (p *Page) FreeSpace() int {
+	// A new record may need a new slot entry unless an empty one exists.
+	free := PageSize - int(p.freeStart()) - p.liveBytes() - slotEntryLen
+	if free < 0 {
+		return 0
+	}
+	return free
+}
+
+// liveBytes sums the lengths of the records in the page.
+func (p *Page) liveBytes() int {
 	live := 0
 	n := p.slotCount()
 	for s := uint16(0); s < n; s++ {
@@ -139,84 +149,85 @@ func (p *Page) FreeSpace() int {
 			live += int(length)
 		}
 	}
-	free := PageSize - int(p.freeStart()) - live
-	// A new record may need a new slot entry unless an empty one exists.
-	free -= slotEntryLen
-	if free < 0 {
-		return 0
-	}
-	return free
+	return live
 }
 
 // MaxHeapRecord is the largest record payload a single heap page can hold.
 const MaxHeapRecord = PageSize - slotDirStart - slotEntryLen
 
-// InsertRecord places data into the page, returning the assigned slot.
-// The caller must have checked FreeSpace() >= len(data).
-func (p *Page) InsertRecord(data []byte) (uint16, error) {
-	if len(data) > MaxHeapRecord {
-		return 0, fmt.Errorf("storage: record of %d bytes exceeds page capacity %d", len(data), MaxHeapRecord)
-	}
-	// Reuse an empty slot if one exists.
-	slot := uint16(0)
+// FreeSlot returns the slot a new record takes: the first empty entry of
+// the slot directory, or a fresh entry just past its end.
+func (p *Page) FreeSlot() uint16 {
 	n := p.slotCount()
-	found := false
-	for ; slot < n; slot++ {
-		if off, _ := p.slot(slot); off == 0 {
-			found = true
-			break
+	for s := uint16(0); s < n; s++ {
+		if off, _ := p.slot(s); off == 0 {
+			return s
 		}
 	}
-	needDir := 0
-	if !found {
-		slot = n
-		needDir = slotEntryLen
-	}
-	if int(p.freeEnd())-int(p.freeStart())-needDir < len(data) {
-		p.compact()
-		if int(p.freeEnd())-int(p.freeStart())-needDir < len(data) {
-			return 0, fmt.Errorf("storage: page %d full (need %d, have %d)", p.id, len(data), int(p.freeEnd())-int(p.freeStart())-needDir)
-		}
-	}
-	newEnd := p.freeEnd() - uint16(len(data))
-	copy(p.data[newEnd:], data)
-	p.setFreeEnd(newEnd)
-	if !found {
-		p.setSlotCount(n + 1)
-		p.setFreeStart(uint16(p.slotOffset(n + 1)))
-	}
-	p.setSlot(slot, newEnd, uint16(len(data)))
-	return slot, nil
+	return n
 }
 
-// InsertRecordAt places data into a specific slot (used by WAL redo).
-// The slot directory is extended as needed; the slot must be empty.
-func (p *Page) InsertRecordAt(slot uint16, data []byte) error {
+// Fits reports whether SetSlot(slot, rec) succeeds for a record of n bytes.
+func (p *Page) Fits(slot uint16, n int) bool {
+	if n > MaxHeapRecord {
+		return false
+	}
+	dirEnd, cur := int(p.freeStart()), 0
+	if slot < p.slotCount() {
+		_, length := p.slot(slot)
+		cur = int(length)
+	} else {
+		dirEnd = p.slotOffset(slot + 1)
+	}
+	return n <= cur || PageSize-dirEnd-(p.liveBytes()-cur) >= n
+}
+
+// SetSlot makes rec the record in slot, extending the slot directory when
+// slot lies past its end. A record no longer than the one it replaces is
+// overwritten in place; otherwise it goes below the data area, which is
+// compacted first when its contiguous room is short. The result is a
+// function of the page bytes and the arguments alone, which is what lets
+// redo reproduce a page byte for byte. A record that does not fit leaves
+// the page untouched.
+func (p *Page) SetSlot(slot uint16, rec []byte) error {
+	if !p.Fits(slot, len(rec)) {
+		return fmt.Errorf("storage: page %d has no room for a %d-byte record in slot %d", p.id, len(rec), slot)
+	}
 	n := p.slotCount()
 	needDir := 0
-	if slot >= n {
-		needDir = (int(slot) + 1 - int(n)) * slotEntryLen
-	} else if off, _ := p.slot(slot); off != 0 {
-		return fmt.Errorf("storage: redo insert into occupied slot %d of page %d", slot, p.id)
-	}
-	if int(p.freeEnd())-int(p.freeStart())-needDir < len(data) {
-		p.compact()
-		if int(p.freeEnd())-int(p.freeStart())-needDir < len(data) {
-			return fmt.Errorf("storage: page %d full during redo", p.id)
+	if slot < n {
+		if off, length := p.slot(slot); off != 0 && len(rec) <= int(length) {
+			copy(p.data[off:], rec)
+			p.setSlot(slot, off, uint16(len(rec)))
+			return nil
 		}
+		p.setSlot(slot, 0, 0)
+	} else {
+		needDir = (int(slot) + 1 - int(n)) * slotEntryLen
+	}
+	if int(p.freeEnd())-int(p.freeStart())-needDir < len(rec) {
+		p.compact()
 	}
 	if slot >= n {
-		// Zero any intermediate new slots.
 		for s := n; s <= slot; s++ {
 			p.setSlot(s, 0, 0)
 		}
 		p.setSlotCount(slot + 1)
 		p.setFreeStart(uint16(p.slotOffset(slot + 1)))
 	}
-	newEnd := p.freeEnd() - uint16(len(data))
-	copy(p.data[newEnd:], data)
+	newEnd := p.freeEnd() - uint16(len(rec))
+	copy(p.data[newEnd:], rec)
 	p.setFreeEnd(newEnd)
-	p.setSlot(slot, newEnd, uint16(len(data)))
+	p.setSlot(slot, newEnd, uint16(len(rec)))
+	return nil
+}
+
+// ClearSlot empties slot, leaving its directory entry for reuse.
+func (p *Page) ClearSlot(slot uint16) error {
+	if !p.SlotUsed(slot) {
+		return fmt.Errorf("storage: slot %d of page %d is already empty", slot, p.id)
+	}
+	p.setSlot(slot, 0, 0)
 	return nil
 }
 
@@ -231,65 +242,6 @@ func (p *Page) ReadRecord(slot uint16) ([]byte, error) {
 		return nil, fmt.Errorf("storage: slot %d of page %d is empty", slot, p.id)
 	}
 	return p.data[off : off+length], nil
-}
-
-// UpdateRecord replaces the record in slot with data. If the new record
-// fits in place (or elsewhere on the page after compaction) it stays; the
-// caller handles page-change moves at the heap level.
-func (p *Page) UpdateRecord(slot uint16, data []byte) error {
-	if slot >= p.slotCount() {
-		return fmt.Errorf("storage: slot %d out of range on page %d", slot, p.id)
-	}
-	off, length := p.slot(slot)
-	if off == 0 {
-		return fmt.Errorf("storage: slot %d of page %d is empty", slot, p.id)
-	}
-	if len(data) <= int(length) {
-		copy(p.data[off:], data)
-		p.setSlot(slot, off, uint16(len(data)))
-		return nil
-	}
-	if len(data) > MaxHeapRecord {
-		return errPageFull
-	}
-	// Relocate within the page: save the old payload, logically free the
-	// slot, and compact to coalesce the free space.
-	old := make([]byte, length)
-	copy(old, p.data[off:off+length])
-	p.setSlot(slot, 0, 0)
-	if int(p.freeEnd())-int(p.freeStart()) < len(data) {
-		p.compact()
-	}
-	if int(p.freeEnd())-int(p.freeStart()) >= len(data) {
-		newEnd := p.freeEnd() - uint16(len(data))
-		copy(p.data[newEnd:], data)
-		p.setFreeEnd(newEnd)
-		p.setSlot(slot, newEnd, uint16(len(data)))
-		return nil
-	}
-	// No room even after compaction: restore the old record (it fits by
-	// construction — it occupied space on this page a moment ago) and let
-	// the heap layer move the record to another page.
-	newEnd := p.freeEnd() - uint16(len(old))
-	copy(p.data[newEnd:], old)
-	p.setFreeEnd(newEnd)
-	p.setSlot(slot, newEnd, uint16(len(old)))
-	return errPageFull
-}
-
-// errPageFull signals the heap layer that an update must move the record.
-var errPageFull = fmt.Errorf("storage: page full")
-
-// DeleteRecord removes the record in slot, leaving an empty slot entry.
-func (p *Page) DeleteRecord(slot uint16) error {
-	if slot >= p.slotCount() {
-		return fmt.Errorf("storage: slot %d out of range on page %d", slot, p.id)
-	}
-	if off, _ := p.slot(slot); off == 0 {
-		return fmt.Errorf("storage: slot %d of page %d already empty", slot, p.id)
-	}
-	p.setSlot(slot, 0, 0)
-	return nil
 }
 
 // SlotCount returns the size of the slot directory (including empty slots).

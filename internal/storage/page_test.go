@@ -13,6 +13,13 @@ func newHeapPage() *Page {
 	return p
 }
 
+// insert places rec in the page's free slot, the way the heap places a new
+// record.
+func insert(p *Page, rec []byte) (uint16, error) {
+	s := p.FreeSlot()
+	return s, p.SetSlot(s, rec)
+}
+
 func TestPageInsertRead(t *testing.T) {
 	p := newHeapPage()
 	records := [][]byte{
@@ -22,7 +29,7 @@ func TestPageInsertRead(t *testing.T) {
 	}
 	var slots []uint16
 	for _, r := range records {
-		s, err := p.InsertRecord(r)
+		s, err := insert(p, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,9 +48,9 @@ func TestPageInsertRead(t *testing.T) {
 
 func TestPageDeleteAndSlotReuse(t *testing.T) {
 	p := newHeapPage()
-	s0, _ := p.InsertRecord([]byte("a"))
-	s1, _ := p.InsertRecord([]byte("b"))
-	if err := p.DeleteRecord(s0); err != nil {
+	s0, _ := insert(p, []byte("a"))
+	s1, _ := insert(p, []byte("b"))
+	if err := p.ClearSlot(s0); err != nil {
 		t.Fatal(err)
 	}
 	if p.SlotUsed(s0) {
@@ -52,11 +59,11 @@ func TestPageDeleteAndSlotReuse(t *testing.T) {
 	if _, err := p.ReadRecord(s0); err == nil {
 		t.Error("reading deleted record should fail")
 	}
-	if err := p.DeleteRecord(s0); err == nil {
+	if err := p.ClearSlot(s0); err == nil {
 		t.Error("double delete should fail")
 	}
 	// Reinsert reuses the freed slot.
-	s2, _ := p.InsertRecord([]byte("c"))
+	s2, _ := insert(p, []byte("c"))
 	if s2 != s0 {
 		t.Errorf("expected slot reuse: got %d, want %d", s2, s0)
 	}
@@ -67,9 +74,9 @@ func TestPageDeleteAndSlotReuse(t *testing.T) {
 
 func TestPageUpdateInPlaceAndGrow(t *testing.T) {
 	p := newHeapPage()
-	s, _ := p.InsertRecord(bytes.Repeat([]byte("a"), 100))
+	s, _ := insert(p, bytes.Repeat([]byte("a"), 100))
 	// Shrink in place.
-	if err := p.UpdateRecord(s, []byte("tiny")); err != nil {
+	if err := p.SetSlot(s, []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := p.ReadRecord(s); string(got) != "tiny" {
@@ -77,7 +84,7 @@ func TestPageUpdateInPlaceAndGrow(t *testing.T) {
 	}
 	// Grow within page.
 	big := bytes.Repeat([]byte("b"), 500)
-	if err := p.UpdateRecord(s, big); err != nil {
+	if err := p.SetSlot(s, big); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := p.ReadRecord(s); !bytes.Equal(got, big) {
@@ -94,7 +101,7 @@ func TestPageFullBehaviour(t *testing.T) {
 		if p.FreeSpace() < len(rec) {
 			break
 		}
-		if _, err := p.InsertRecord(rec); err != nil {
+		if _, err := insert(p, rec); err != nil {
 			t.Fatalf("insert with reported free space failed: %v", err)
 		}
 		n++
@@ -102,14 +109,17 @@ func TestPageFullBehaviour(t *testing.T) {
 	if n < 7 {
 		t.Errorf("only %d KiB-records fit on an 8 KiB page", n)
 	}
-	// A grow-update on a full page must report errPageFull.
-	err := p.UpdateRecord(0, bytes.Repeat([]byte("w"), 2048))
-	if err != errPageFull {
-		t.Errorf("expected errPageFull, got %v", err)
+	// A grow that does not fit is refused up front and leaves the page
+	// byte for byte as it was.
+	before := p.data
+	if p.Fits(0, 2048) {
+		t.Error("Fits reports room for a 2 KiB grow on a full page")
 	}
-	// The original record must be intact after the failed grow.
-	if got, _ := p.ReadRecord(0); !bytes.Equal(got, rec) {
-		t.Error("record corrupted by failed grow")
+	if err := p.SetSlot(0, bytes.Repeat([]byte("w"), 2048)); err == nil {
+		t.Error("grow on a full page accepted")
+	}
+	if p.data != before {
+		t.Error("failed grow changed the page")
 	}
 }
 
@@ -120,7 +130,7 @@ func TestPageCompaction(t *testing.T) {
 	var slots []uint16
 	rec := bytes.Repeat([]byte("r"), 700)
 	for p.FreeSpace() >= len(rec) {
-		s, err := p.InsertRecord(rec)
+		s, err := insert(p, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,14 +138,14 @@ func TestPageCompaction(t *testing.T) {
 	}
 	for i, s := range slots {
 		if i%2 == 0 {
-			if err := p.DeleteRecord(s); err != nil {
+			if err := p.ClearSlot(s); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	// Free space is fragmented; a large record forces compaction.
 	big := bytes.Repeat([]byte("B"), 2000)
-	s, err := p.InsertRecord(big)
+	s, err := insert(p, big)
 	if err != nil {
 		t.Fatalf("insert after fragmentation failed: %v", err)
 	}
@@ -153,8 +163,9 @@ func TestPageCompaction(t *testing.T) {
 }
 
 func TestPageInsertRecordAt(t *testing.T) {
+	// Redo places a record at the exact slot its log record names.
 	p := newHeapPage()
-	if err := p.InsertRecordAt(3, []byte("late")); err != nil {
+	if err := p.SetSlot(3, []byte("late")); err != nil {
 		t.Fatal(err)
 	}
 	if p.SlotCount() != 4 {
@@ -168,10 +179,13 @@ func TestPageInsertRecordAt(t *testing.T) {
 			t.Errorf("intermediate slot %d should be empty", s)
 		}
 	}
-	if err := p.InsertRecordAt(3, []byte("dup")); err == nil {
-		t.Error("insert into occupied slot should fail")
+	if err := p.SetSlot(3, []byte("over")); err != nil {
+		t.Fatal(err)
 	}
-	if err := p.InsertRecordAt(1, []byte("mid")); err != nil {
+	if got, _ := p.ReadRecord(3); string(got) != "over" {
+		t.Errorf("overwritten record = %q", got)
+	}
+	if err := p.SetSlot(1, []byte("mid")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := p.ReadRecord(1); string(got) != "mid" {
@@ -193,14 +207,14 @@ func TestPageRandomizedWorkload(t *testing.T) {
 			if p.FreeSpace() < len(rec) {
 				continue
 			}
-			s, err := p.InsertRecord(rec)
+			s, err := insert(p, rec)
 			if err != nil {
 				t.Fatalf("iter %d: insert: %v", i, err)
 			}
 			shadow[s] = rec
 		case op == 1: // delete a random live slot
 			for s := range shadow {
-				if err := p.DeleteRecord(s); err != nil {
+				if err := p.ClearSlot(s); err != nil {
 					t.Fatalf("iter %d: delete: %v", i, err)
 				}
 				delete(shadow, s)
@@ -212,11 +226,10 @@ func TestPageRandomizedWorkload(t *testing.T) {
 				for j := range rec {
 					rec[j] = byte(rng.Intn(256))
 				}
-				err := p.UpdateRecord(s, rec)
-				if err == errPageFull {
+				if !p.Fits(s, len(rec)) {
 					break // acceptable: page too full to grow
 				}
-				if err != nil {
+				if err := p.SetSlot(s, rec); err != nil {
 					t.Fatalf("iter %d: update: %v", i, err)
 				}
 				shadow[s] = rec
@@ -251,13 +264,10 @@ func TestPageErrors(t *testing.T) {
 	if _, err := p.ReadRecord(0); err == nil {
 		t.Error("read of nonexistent slot should fail")
 	}
-	if err := p.UpdateRecord(9, nil); err == nil {
-		t.Error("update of nonexistent slot should fail")
+	if err := p.ClearSlot(9); err == nil {
+		t.Error("clear of nonexistent slot should fail")
 	}
-	if err := p.DeleteRecord(9); err == nil {
-		t.Error("delete of nonexistent slot should fail")
-	}
-	if _, err := p.InsertRecord(make([]byte, MaxHeapRecord+1)); err == nil {
+	if _, err := insert(p, make([]byte, MaxHeapRecord+1)); err == nil {
 		t.Error("oversized record should fail at page level")
 	}
 }

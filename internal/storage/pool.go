@@ -54,11 +54,11 @@ type BufferPool struct {
 	// freeList tracks deallocated device pages available for reuse.
 	freeList []PageID
 	// deferFrees quarantines deallocations made by the active transaction
-	// in pendingFree instead of freeList: their on-device content may still
-	// be referenced by committed records (e.g. the old overflow chain of an
+	// in pendingFree instead of freeList: their content may still be
+	// referenced by committed records (e.g. the old overflow chain of an
 	// updated record), so handing them back to Allocate before the
-	// transaction's outcome is known would let a force-flushed reuse
-	// clobber committed data that a crash-abort still needs.
+	// transaction's outcome is known would let a reuse clobber committed
+	// data that an abort still needs.
 	deferFrees  bool
 	pendingFree []PageID
 }
@@ -220,24 +220,36 @@ func (bp *BufferPool) Allocate() (*Page, error) {
 	return p, nil
 }
 
+// Grow extends the device with zeroed pages until page id exists. Redo
+// uses it to reach pages the log names past the device end; it allocates
+// nothing else.
+func (bp *BufferPool) Grow(id PageID) error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	var zero [PageSize]byte
+	for n := bp.dev.NumPages(); n <= id; n++ {
+		if err := bp.dev.WritePage(n, zero[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Deallocate returns a page to the free list for reuse. The page must be
-// unpinned. Its buffered contents are dropped.
+// unpinned. Its buffered contents are dropped — for a page the active
+// transaction frees, only once the transaction commits (see EndTxn).
 func (bp *BufferPool) Deallocate(id PageID) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if fr, ok := bp.frames[id]; ok {
-		if fr.page.pin > 0 {
-			return fmt.Errorf("storage: deallocating pinned page %d", id)
-		}
-		bp.lru.Remove(fr.elem)
-		bp.recyclePage(fr.page)
-		delete(bp.frames, id)
+	if fr, ok := bp.frames[id]; ok && fr.page.pin > 0 {
+		return fmt.Errorf("storage: deallocating pinned page %d", id)
 	}
 	if bp.deferFrees {
 		bp.pendingFree = append(bp.pendingFree, id)
-	} else {
-		bp.freeList = append(bp.freeList, id)
+		return nil
 	}
+	bp.releaseFrameLocked(id)
+	bp.freeList = append(bp.freeList, id)
 	return nil
 }
 
@@ -305,9 +317,10 @@ func (bp *BufferPool) BeginTxn() {
 
 // EndTxn clears the no-steal marks after the active transaction commits or
 // aborts, making its pages evictable again. On commit the transaction's
-// quarantined deallocations join the free list; on abort they are leaked
-// instead — the restored before-images may still reference their on-device
-// content, so they must never be reused.
+// quarantined deallocations drop their frames and join the free list; on
+// abort they are leaked instead, frames and all — the restored
+// before-images still reference their content, so they must never be
+// reused.
 func (bp *BufferPool) EndTxn(committed bool) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -315,6 +328,9 @@ func (bp *BufferPool) EndTxn(committed bool) {
 		fr.page.txnDirty = false
 	}
 	if committed {
+		for _, id := range bp.pendingFree {
+			bp.releaseFrameLocked(id)
+		}
 		bp.freeList = append(bp.freeList, bp.pendingFree...)
 	}
 	bp.pendingFree = nil

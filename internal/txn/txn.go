@@ -1,7 +1,7 @@
 // Package txn implements the transaction layer: single-writer transactions
 // that assign transaction-time instants from a monotone clock, buffer redo
-// records in the write-ahead log, capture in-memory undo for abort, and
-// enforce the no-steal protocol on the buffer pool.
+// records in the write-ahead log, restore the heap's before-images on
+// abort, and enforce the no-steal protocol on the buffer pool.
 package txn
 
 import (
@@ -86,7 +86,6 @@ type Txn struct {
 	ID      uint64
 	TT      temporal.Instant
 	mgr     *Manager
-	undo    []undoOp
 	idxUndo []func() error
 	done    bool
 }
@@ -95,20 +94,6 @@ type Txn struct {
 // operations to run if the transaction aborts.
 func (t *Txn) RecordIndexUndo(fn func() error) {
 	t.idxUndo = append(t.idxUndo, fn)
-}
-
-type undoKind uint8
-
-const (
-	undoInsert undoKind = iota
-	undoUpdate
-	undoDelete
-)
-
-type undoOp struct {
-	kind  undoKind
-	rid   storage.RID
-	prior []byte
 }
 
 // Begin starts a write transaction, blocking until any current writer
@@ -140,25 +125,9 @@ func (m *Manager) Begin() (*Txn, error) {
 		}
 	}
 	m.heap.SetTxnActive(true)
-	m.heap.SetUndoRecorder(t)
 	m.pool.BeginTxn()
 	m.active = t
 	return t, nil
-}
-
-// RecordInsert implements storage.UndoRecorder.
-func (t *Txn) RecordInsert(rid storage.RID) {
-	t.undo = append(t.undo, undoOp{kind: undoInsert, rid: rid})
-}
-
-// RecordUpdate implements storage.UndoRecorder.
-func (t *Txn) RecordUpdate(rid storage.RID, prior []byte) {
-	t.undo = append(t.undo, undoOp{kind: undoUpdate, rid: rid, prior: prior})
-}
-
-// RecordDelete implements storage.UndoRecorder.
-func (t *Txn) RecordDelete(rid storage.RID, prior []byte) {
-	t.undo = append(t.undo, undoOp{kind: undoDelete, rid: rid, prior: prior})
 }
 
 // Commit makes the transaction's effects durable (to the degree the WAL
@@ -186,7 +155,8 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// Abort rolls the transaction's effects back in memory and releases the
+// Abort rolls the transaction's effects back in memory — every heap page it
+// changed returns to its exact image from before Begin — and releases the
 // writer slot. Nothing of the transaction reaches the log or (thanks to
 // no-steal) the device.
 func (t *Txn) Abort() error {
@@ -198,23 +168,9 @@ func (t *Txn) Abort() error {
 	if m.met.abortNS != nil {
 		start = time.Now()
 	}
-	// Detach the recorder first so undo operations are not re-captured.
-	m.heap.SetUndoRecorder(nil)
 	var firstErr error
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		op := t.undo[i]
-		var err error
-		switch op.kind {
-		case undoInsert:
-			err = m.heap.UndoInsert(op.rid)
-		case undoUpdate:
-			err = m.heap.UndoUpdate(op.rid, op.prior)
-		case undoDelete:
-			err = m.heap.UndoDelete(op.rid, op.prior)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("txn: undo of %v failed: %w", op.rid, err)
-		}
+	if err := m.heap.Rollback(); err != nil {
+		firstErr = fmt.Errorf("txn: heap rollback failed: %w", err)
 	}
 	for i := len(t.idxUndo) - 1; i >= 0; i-- {
 		if err := t.idxUndo[i](); err != nil && firstErr == nil {
@@ -233,7 +189,6 @@ func (t *Txn) Abort() error {
 
 func (t *Txn) finish(committed bool) {
 	m := t.mgr
-	m.heap.SetUndoRecorder(nil)
 	m.heap.SetTxnActive(false)
 	m.pool.EndTxn(committed)
 	m.mu.Lock()
@@ -247,7 +202,6 @@ func (t *Txn) finish(committed bool) {
 	}
 	m.mu.Unlock()
 	t.done = true
-	t.undo = nil
 	m.writeMu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -95,6 +96,65 @@ func TestAbortRollsBackHeap(t *testing.T) {
 	got, err = heap.Fetch(rid)
 	if err != nil || string(got) != "keep" {
 		t.Errorf("aborted delete not rolled back: %q, %v", got, err)
+	}
+}
+
+// slotImages copies every record of every heap page the pool can reach,
+// keyed by RID.
+func slotImages(t *testing.T, pool *storage.BufferPool) map[storage.RID]string {
+	t.Helper()
+	out := map[storage.RID]string{}
+	for id := storage.PageID(1); ; id++ {
+		p, err := pool.Fetch(id)
+		if err != nil {
+			return out // past the device end
+		}
+		if p.Type() == storage.PageHeap {
+			for s := uint16(0); s < p.SlotCount(); s++ {
+				if rec, err := p.ReadRecord(s); err == nil {
+					out[storage.RID{Page: id, Slot: s}] = string(rec)
+				}
+			}
+		}
+		pool.Unpin(p)
+	}
+}
+
+// TestAbortRestoresMovedRecord aborts an update that moved its record to
+// another page behind a stub: every slot must read as it did before Begin.
+func TestAbortRestoresMovedRecord(t *testing.T) {
+	m, heap, pool := newEnv(t, true)
+	t0, _ := m.Begin()
+	var rids []storage.RID
+	for i := 0; i < 7; i++ {
+		rid, err := heap.Insert(bytes.Repeat([]byte{byte('a' + i)}, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := t0.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before := slotImages(t, pool)
+	t1, _ := m.Begin()
+	if err := heap.Update(rids[0], bytes.Repeat([]byte("G"), 3000)); err != nil {
+		t.Fatal(err)
+	}
+	if moved := slotImages(t, pool); len(moved) != len(before)+1 {
+		t.Fatalf("update did not move the record (%d slots before, %d after)", len(before), len(moved))
+	}
+	if err := t1.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	after := slotImages(t, pool)
+	if len(after) != len(before) {
+		t.Errorf("%d slots used after abort, %d before", len(after), len(before))
+	}
+	for rid, img := range before {
+		if after[rid] != img {
+			t.Errorf("slot %v differs from its image before Begin", rid)
+		}
 	}
 }
 
@@ -258,11 +318,25 @@ func TestCommittedSurviveCrashViaReplay(t *testing.T) {
 	if err := heap2.Rebuild(dev); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := w2.Replay(heap2)
+	recs, _, err := w2.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Replayed == 0 {
+	replayed := 0
+	for _, r := range recs {
+		if r.Op == wal.OpCommit {
+			continue
+		}
+		c, err := r.Change()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := heap2.Redo(c, r.LSN); err != nil {
+			t.Fatal(err)
+		}
+		replayed++
+	}
+	if replayed == 0 {
 		t.Fatal("nothing replayed")
 	}
 	got, err := heap2.Fetch(rid)

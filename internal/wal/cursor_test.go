@@ -20,7 +20,7 @@ func commitN(t *testing.T, w *WAL, txn uint64, n int) uint64 {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		w.LogHeapInsert(storage.RID{Page: storage.PageID(txn), Slot: uint16(i)}, []byte(fmt.Sprintf("txn%d-rec%d", txn, i)))
+		logInsert(w, storage.RID{Page: storage.PageID(txn), Slot: uint16(i)}, []byte(fmt.Sprintf("txn%d-rec%d", txn, i)))
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestCursorAbortHolesAreNotGaps(t *testing.T) {
 	commitN(t, w, 1, 2)
 	// Aborted transaction burns LSNs without writing them.
 	_ = w.BeginTxn(2)
-	w.LogHeapInsert(storage.RID{Page: 9}, []byte("doomed"))
-	w.LogHeapInsert(storage.RID{Page: 9, Slot: 1}, []byte("doomed too"))
+	logInsert(w, storage.RID{Page: 9}, []byte("doomed"))
+	logInsert(w, storage.RID{Page: 9, Slot: 1}, []byte("doomed too"))
 	w.Abort()
 	commitN(t, w, 3, 2)
 
@@ -325,7 +325,7 @@ func TestReadOnlyWALRefusesWrites(t *testing.T) {
 	if err := ro.BeginTxn(7); err != nil {
 		t.Fatal(err)
 	}
-	ro.LogHeapInsert(storage.RID{Page: 1}, []byte("x"))
+	logInsert(ro, storage.RID{Page: 1}, []byte("x"))
 	if err := ro.Commit(); err == nil {
 		t.Fatal("read-only WAL accepted a commit")
 	}

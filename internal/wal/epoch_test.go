@@ -13,7 +13,7 @@ func TestAppendEpochGroupWritesCommittedGroup(t *testing.T) {
 	if err := w.BeginTxn(1); err != nil {
 		t.Fatal(err)
 	}
-	w.LogHeapInsert(storage.RID{Page: 1, Slot: 0}, []byte("before"))
+	logInsert(w, storage.RID{Page: 1, Slot: 0}, []byte("before"))
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestReplayRecoversEpoch(t *testing.T) {
 	if err := w.BeginTxn(1); err != nil {
 		t.Fatal(err)
 	}
-	w.LogHeapInsert(storage.RID{Page: 1, Slot: 0}, []byte("x"))
+	logInsert(w, storage.RID{Page: 1, Slot: 0}, []byte("x"))
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,7 @@ func TestReplayRecoversEpoch(t *testing.T) {
 	}
 	defer w2.Close()
 	h, _ := newRecoveryHeap(t)
-	stats, err := w2.Replay(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := replay(t, w2, h)
 	if stats.Epoch != 3 {
 		t.Fatalf("replayed epoch = %d, want 3", stats.Epoch)
 	}

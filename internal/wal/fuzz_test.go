@@ -30,7 +30,7 @@ func TestCorruptionRobustness(t *testing.T) {
 		for j := range payload {
 			payload[j] = byte(i)
 		}
-		w.LogHeapInsert(storage.RID{Page: 1, Slot: uint16(i)}, payload)
+		logInsert(w, storage.RID{Page: 1, Slot: uint16(i)}, payload)
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestTruncationRobustness(t *testing.T) {
 	w, _ := Open(path, Options{SyncOnCommit: true})
 	for i := 1; i <= 5; i++ {
 		_ = w.BeginTxn(uint64(i))
-		w.LogHeapInsert(storage.RID{Page: 1, Slot: uint16(i)}, []byte{byte(i)})
+		logInsert(w, storage.RID{Page: 1, Slot: uint16(i)}, []byte{byte(i)})
 		_ = w.Commit()
 	}
 	w.Close()

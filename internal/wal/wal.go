@@ -11,6 +11,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,12 +27,12 @@ import (
 type Op uint8
 
 const (
-	// OpHeapInsert logs a heap record insertion.
-	OpHeapInsert Op = iota + 1
-	// OpHeapUpdate logs a heap record replacement.
-	OpHeapUpdate
-	// OpHeapDelete logs a heap record deletion.
-	OpHeapDelete
+	// opLegacyInsert, opLegacyUpdate and opLegacyDelete are the heap ops of
+	// logs written before redo became page-exact. Their records do not say
+	// where a payload landed, so recovery refuses them (ErrLegacyLog).
+	opLegacyInsert Op = iota + 1
+	opLegacyUpdate
+	opLegacyDelete
 	// OpCommit marks a transaction as committed; only records of
 	// committed transactions are replayed.
 	OpCommit
@@ -48,7 +49,20 @@ const (
 	// to followers through the ordinary log stream and survives recovery
 	// like any committed write.
 	OpEpoch
+	// OpHeapInsert, OpHeapUpdate and OpHeapDelete log one page-exact heap
+	// change (storage.Change) of the matching kind: RID is the record's
+	// home and Data is Change.Encode. Record.Change decodes them.
+	OpHeapInsert
+	OpHeapUpdate
+	OpHeapDelete
 )
+
+// ErrLegacyLog refuses a log that holds heap records in the format written
+// before redo became page-exact. Such a log belongs to a store that was
+// not closed cleanly by the previous version; replaying it here could
+// misplace records, so it is never attempted.
+var ErrLegacyLog = errors.New("wal: the log holds heap records from a version before page-exact redo; " +
+	"open the store once with that version and close it cleanly (a clean close checkpoints and empties the log), then reopen it with this one")
 
 // Record is one decoded log record.
 type Record struct {
@@ -249,24 +263,23 @@ func (w *WAL) BeginTxn(id uint64) error {
 	return nil
 }
 
-// LogHeapInsert implements storage.RedoLogger.
-func (w *WAL) LogHeapInsert(rid storage.RID, data []byte) uint64 {
-	return w.buffer(OpHeapInsert, rid, data)
+// LogHeap implements storage.RedoLogger: it buffers c's encoding as one
+// heap record at c's home, under the op of c's kind.
+func (w *WAL) LogHeap(c *storage.Change) uint64 {
+	return w.buffer(OpHeapInsert+Op(c.Kind-storage.ChangeInsert), c.Home, c.Encode())
 }
 
-// LogHeapUpdate implements storage.RedoLogger.
-func (w *WAL) LogHeapUpdate(rid storage.RID, data []byte) uint64 {
-	return w.buffer(OpHeapUpdate, rid, data)
-}
-
-// LogHeapDelete implements storage.RedoLogger.
-func (w *WAL) LogHeapDelete(rid storage.RID) uint64 {
-	return w.buffer(OpHeapDelete, rid, nil)
+// Change decodes a heap record into the page-exact change it logged.
+func (r Record) Change() (*storage.Change, error) {
+	if r.Op < OpHeapInsert || r.Op > OpHeapDelete {
+		return nil, fmt.Errorf("wal: op %d at LSN %d is not a heap change", r.Op, r.LSN)
+	}
+	return storage.DecodeChange(storage.ChangeInsert+storage.ChangeKind(r.Op-OpHeapInsert), r.RID, r.Data)
 }
 
 // LogArchiveWrite buffers a cold-archive block append: the frame bytes as
-// written at the given archive byte offset. Replayed (via ReplayWith) by
-// rewriting the frame at the same offset — idempotent, like heap redo.
+// written at the given archive byte offset. Redo rewrites the frame at the
+// same offset — idempotent, like heap redo.
 func (w *WAL) LogArchiveWrite(off uint64, frame []byte) uint64 {
 	data := make([]byte, 8+len(frame))
 	binary.LittleEndian.PutUint64(data, off)
@@ -274,14 +287,14 @@ func (w *WAL) LogArchiveWrite(off uint64, frame []byte) uint64 {
 	return w.buffer(OpArchiveWrite, storage.NilRID, data)
 }
 
+// buffer queues one record of the active transaction; the log keeps data
+// without copying it.
 func (w *WAL) buffer(op Op, rid storage.RID, data []byte) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	lsn := w.nextLSN
 	w.nextLSN++
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	w.pending = append(w.pending, Record{LSN: lsn, Txn: w.txn, Op: op, RID: rid, Data: cp})
+	w.pending = append(w.pending, Record{LSN: lsn, Txn: w.txn, Op: op, RID: rid, Data: data})
 	return lsn
 }
 
@@ -471,37 +484,33 @@ func (w *WAL) ReadAll() ([]Record, error) {
 }
 
 // readAllLocked decodes the intact record prefix and returns it together
-// with the byte offset where that prefix ends (the start of any torn or
-// corrupt tail).
-func (w *WAL) readAllLocked() ([]Record, int64, error) {
+// with the byte offset each record ends at.
+func (w *WAL) readAllLocked() ([]Record, []int64, error) {
 	data := make([]byte, w.size)
 	if w.size > 0 {
 		n, err := w.f.ReadAt(data, 0)
 		if err != nil && err != io.EOF {
-			return nil, 0, fmt.Errorf("wal: read: %w", err)
+			return nil, nil, fmt.Errorf("wal: read: %w", err)
 		}
 		data = data[:n]
 	}
 	var out []Record
+	var ends []int64
 	off := 0
 	for off+8 <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if off+8+n > len(data) {
-			break // torn tail
-		}
-		payload := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt tail
+		n, payload, ok := frameAt(data, off)
+		if !ok {
+			break // torn or corrupt tail
 		}
 		r, err := decodeRecord(payload)
 		if err != nil {
 			break
 		}
+		off += n
 		out = append(out, r)
-		off += 8 + n
+		ends = append(ends, int64(off))
 	}
-	return out, int64(off), nil
+	return out, ends, nil
 }
 
 // RecoveryStats summarizes a replay.
@@ -522,110 +531,76 @@ type RecoveryStats struct {
 	EpochStart uint64
 }
 
-// Replay applies the redo records of committed transactions to the heap,
-// in log order, and returns statistics. Call SetNextLSN(stats.MaxLSN+1)
-// afterwards (Replay does it internally as well).
+// Recover readies the log for redo after an unclean shutdown and returns
+// its committed records in log order; the caller applies them and counts
+// Replayed.
 //
-// A torn or corrupt tail (the bytes a crash left after the last intact
-// record) is truncated away before replay: leaving it in place would make
-// post-recovery commits append *behind* garbage that a future ReadAll
-// stops at, silently losing them on the next crash.
+// Everything after the last intact commit marker — a torn frame, or a
+// group whose commit never landed — is truncated away and the file synced:
+// left in place, post-recovery commits would append behind bytes a future
+// read stops at (or join a dead group), silently losing them on the next
+// crash. The appended and durable frontiers then move to that commit, so a
+// page stamped by redo may be evicted mid-replay under any pool size: the
+// record it carries is on stable storage.
 //
-// Replay handles heap records only; a log containing OpArchiveWrite records
-// needs ReplayWith so the caller can say where archive frames go.
-func (w *WAL) Replay(h *storage.Heap) (RecoveryStats, error) {
-	return w.ReplayWith(h, nil)
-}
-
-// ReplayWith is Replay with a redo hook for cold-archive block writes:
-// arcApply receives each committed OpArchiveWrite record's byte offset and
-// frame, and must reproduce the frame at that offset (idempotently — the
-// same record may be replayed again after a crash during recovery). A nil
-// arcApply makes OpArchiveWrite an unknown op, matching Replay.
-func (w *WAL) ReplayWith(h *storage.Heap, arcApply func(off uint64, frame []byte) error) (RecoveryStats, error) {
+// A read-only log is never truncated; its tail is only ignored. A log
+// holding heap records in the pre-page-exact format is refused with
+// ErrLegacyLog before anything is returned.
+func (w *WAL) Recover() ([]Record, RecoveryStats, error) {
 	w.mu.Lock()
-	records, validEnd, err := w.readAllLocked()
+	defer w.mu.Unlock()
+	records, ends, err := w.readAllLocked()
 	if err != nil {
-		w.mu.Unlock()
-		return RecoveryStats{}, err
+		return nil, RecoveryStats{}, err
 	}
-	var torn int64
-	if validEnd < w.size {
-		torn = w.size - validEnd
-		if w.opts.ReadOnly {
-			// Leave the torn tail in place: a read-only opener must not
-			// mutate a file another process may still own. Replay still
-			// ignores the tail (readAllLocked stops at it).
-			w.size = validEnd
-		} else {
-			if err := w.f.Truncate(validEnd); err != nil {
-				w.mu.Unlock()
-				return RecoveryStats{}, fmt.Errorf("wal: truncating torn tail: %w", err)
-			}
-			if err := w.f.Sync(); err != nil {
-				w.mu.Unlock()
-				return RecoveryStats{}, fmt.Errorf("wal: sync after tail truncation: %w", err)
-			}
-			w.size = validEnd
-		}
-	}
-	w.mu.Unlock()
-	stats := RecoveryStats{Records: len(records), TornBytes: torn}
-	committed := map[uint64]bool{}
-	for _, r := range records {
+	stats := RecoveryStats{Records: len(records)}
+	keep, end := 0, int64(0)
+	for i, r := range records {
+		stats.MaxLSN = max(stats.MaxLSN, r.LSN)
 		if r.Op == OpCommit {
-			committed[r.Txn] = true
-		}
-		if r.LSN > stats.MaxLSN {
-			stats.MaxLSN = r.LSN
+			keep, end = i+1, ends[i]
 		}
 	}
+	records = records[:keep]
 	for _, r := range records {
-		if !committed[r.Txn] || r.Op == OpCommit {
+		switch r.Op {
+		case opLegacyInsert, opLegacyUpdate, opLegacyDelete:
+			return nil, RecoveryStats{}, ErrLegacyLog
+		case OpCommit:
 			continue
+		case OpEpoch:
+			if len(r.Data) >= 8 {
+				if e := binary.LittleEndian.Uint64(r.Data); e > stats.Epoch {
+					stats.Epoch, stats.EpochStart = e, r.LSN-1
+				}
+			}
 		}
 		stats.Committed++
-		var err error
-		switch r.Op {
-		case OpHeapInsert:
-			err = h.RedoInsert(r.RID, r.Data, r.LSN)
-		case OpHeapUpdate:
-			err = h.RedoUpdate(r.RID, r.Data, r.LSN)
-		case OpHeapDelete:
-			err = h.RedoDelete(r.RID, r.LSN)
-		case OpArchiveWrite:
-			if arcApply == nil {
-				err = fmt.Errorf("wal: archive record at LSN %d but no archive apply hook", r.LSN)
-			} else if len(r.Data) < 8 {
-				err = fmt.Errorf("wal: archive record at LSN %d too short (%d bytes)", r.LSN, len(r.Data))
-			} else {
-				err = arcApply(binary.LittleEndian.Uint64(r.Data), r.Data[8:])
-			}
-		case OpEpoch:
-			if len(r.Data) < 8 {
-				err = fmt.Errorf("wal: epoch record at LSN %d too short (%d bytes)", r.LSN, len(r.Data))
-			} else if e := binary.LittleEndian.Uint64(r.Data); e > stats.Epoch {
-				stats.Epoch = e
-				stats.EpochStart = r.LSN - 1
-			}
-		default:
-			err = fmt.Errorf("wal: unknown op %d at LSN %d", r.Op, r.LSN)
-		}
-		if err != nil {
-			return stats, fmt.Errorf("wal: replay LSN %d: %w", r.LSN, err)
-		}
-		stats.Replayed++
 	}
-	w.SetNextLSN(stats.MaxLSN + 1)
-	if len(records) > 0 {
+	stats.TornBytes = w.size
+	if n := len(ends); n > 0 {
+		stats.TornBytes -= ends[n-1]
+	}
+	if !w.opts.ReadOnly {
+		// A read-only opener must not mutate a file another process may
+		// still own; it only ignores the tail.
+		if end < w.size {
+			if err := w.f.Truncate(end); err != nil {
+				return nil, stats, fmt.Errorf("wal: truncating torn tail: %w", err)
+			}
+		}
+		if err := w.syncLocked(); err != nil {
+			return nil, stats, fmt.Errorf("wal: sync before replay: %w", err)
+		}
+	}
+	w.size = end
+	w.nextLSN = max(w.nextLSN, stats.MaxLSN+1)
+	if keep > 0 {
+		last := records[keep-1].LSN
+		w.appended, w.durable = max(w.appended, last), max(w.durable, last)
 		// The file still holds these records: cursors may read from the
-		// first one onward, so pull the gap floor back below it (SetNextLSN
-		// conservatively assumed nothing in the file was readable).
-		w.mu.Lock()
-		if records[0].LSN-1 < w.truncLSN {
-			w.truncLSN = records[0].LSN - 1
-		}
-		w.mu.Unlock()
+		// first one onward.
+		w.truncLSN = min(w.truncLSN, records[0].LSN-1)
 	}
-	return stats, nil
+	return records, stats, nil
 }

@@ -19,15 +19,52 @@ func newWAL(t *testing.T, sync bool) *WAL {
 	return w
 }
 
+// logInsert, logUpdate and logDelete log heap changes that keep the
+// payload in its home slot.
+func logInsert(w *WAL, rid storage.RID, data []byte) uint64 {
+	return w.LogHeap(&storage.Change{Kind: storage.ChangeInsert, Home: rid, Body: rid, Data: data})
+}
+
+func logUpdate(w *WAL, rid storage.RID, data []byte) uint64 {
+	return w.LogHeap(&storage.Change{Kind: storage.ChangeUpdate, Home: rid, Body: rid, Data: data})
+}
+
+func logDelete(w *WAL, rid storage.RID) uint64 {
+	return w.LogHeap(&storage.Change{Kind: storage.ChangeDelete, Home: rid})
+}
+
+// replay recovers w and redoes its heap records into h, as the engine does.
+func replay(t *testing.T, w *WAL, h *storage.Heap) RecoveryStats {
+	t.Helper()
+	recs, stats, err := w.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Op != OpHeapInsert && r.Op != OpHeapUpdate && r.Op != OpHeapDelete {
+			continue
+		}
+		c, err := r.Change()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Redo(c, r.LSN); err != nil {
+			t.Fatal(err)
+		}
+		stats.Replayed++
+	}
+	return stats
+}
+
 func TestCommitWritesRecords(t *testing.T) {
 	w := newWAL(t, true)
 	if err := w.BeginTxn(1); err != nil {
 		t.Fatal(err)
 	}
 	rid := storage.RID{Page: 3, Slot: 1}
-	l1 := w.LogHeapInsert(rid, []byte("hello"))
-	l2 := w.LogHeapUpdate(rid, []byte("world"))
-	l3 := w.LogHeapDelete(rid)
+	l1 := logInsert(w, rid, []byte("hello"))
+	l2 := logUpdate(w, rid, []byte("world"))
+	l3 := logDelete(w, rid)
 	if !(l1 < l2 && l2 < l3) {
 		t.Fatalf("LSNs not monotone: %d %d %d", l1, l2, l3)
 	}
@@ -41,8 +78,8 @@ func TestCommitWritesRecords(t *testing.T) {
 	if len(records) != 4 {
 		t.Fatalf("records = %d, want 4 (3 ops + commit)", len(records))
 	}
-	if records[0].Op != OpHeapInsert || !bytes.Equal(records[0].Data, []byte("hello")) {
-		t.Errorf("record 0 = %+v", records[0])
+	if c, err := records[0].Change(); records[0].Op != OpHeapInsert || err != nil || !bytes.Equal(c.Data, []byte("hello")) {
+		t.Errorf("record 0 = %+v (%v)", records[0], err)
 	}
 	if records[3].Op != OpCommit || records[3].Txn != 1 {
 		t.Errorf("record 3 = %+v", records[3])
@@ -55,7 +92,7 @@ func TestCommitWritesRecords(t *testing.T) {
 func TestAbortDropsRecords(t *testing.T) {
 	w := newWAL(t, true)
 	_ = w.BeginTxn(1)
-	w.LogHeapInsert(storage.RID{Page: 1}, []byte("doomed"))
+	logInsert(w, storage.RID{Page: 1}, []byte("doomed"))
 	w.Abort()
 	records, err := w.ReadAll()
 	if err != nil {
@@ -68,7 +105,7 @@ func TestAbortDropsRecords(t *testing.T) {
 	if err := w.BeginTxn(2); err != nil {
 		t.Fatal(err)
 	}
-	w.LogHeapInsert(storage.RID{Page: 1}, []byte("kept"))
+	logInsert(w, storage.RID{Page: 1}, []byte("kept"))
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +135,7 @@ func TestDoubleBeginAndCommitWithoutBegin(t *testing.T) {
 func TestEnsureDurable(t *testing.T) {
 	w := newWAL(t, false) // no sync on commit
 	_ = w.BeginTxn(1)
-	lsn := w.LogHeapInsert(storage.RID{Page: 1}, []byte("x"))
+	lsn := logInsert(w, storage.RID{Page: 1}, []byte("x"))
 	// Uncommitted LSN cannot be made durable: WAL-rule violation.
 	if err := w.EnsureDurable(lsn); err == nil {
 		t.Error("EnsureDurable of unappended LSN should fail")
@@ -119,7 +156,7 @@ func TestEnsureDurable(t *testing.T) {
 func TestCheckpointTruncates(t *testing.T) {
 	w := newWAL(t, true)
 	_ = w.BeginTxn(1)
-	w.LogHeapInsert(storage.RID{Page: 1}, bytes.Repeat([]byte("z"), 100))
+	logInsert(w, storage.RID{Page: 1}, bytes.Repeat([]byte("z"), 100))
 	_ = w.Commit()
 	if w.Size() == 0 {
 		t.Fatal("log empty after commit")
@@ -160,14 +197,14 @@ func TestReplayCommittedOnly(t *testing.T) {
 	}
 	// Committed transaction.
 	_ = w.BeginTxn(1)
-	w.LogHeapInsert(storage.RID{Page: 1, Slot: 0}, []byte("committed"))
+	logInsert(w, storage.RID{Page: 1, Slot: 0}, []byte("committed"))
 	_ = w.Commit()
 	// Simulate a crash mid-transaction: records appended without commit.
 	// (Write them via a second committed txn's framing trick: append
 	// manually by beginning and never committing — buffered records never
 	// reach the file, which is exactly the no-commit-no-log property.)
 	_ = w.BeginTxn(2)
-	w.LogHeapInsert(storage.RID{Page: 1, Slot: 1}, []byte("uncommitted"))
+	logInsert(w, storage.RID{Page: 1, Slot: 1}, []byte("uncommitted"))
 	w.Close() // crash: pending buffer lost
 
 	w2, err := Open(path, Options{})
@@ -176,10 +213,7 @@ func TestReplayCommittedOnly(t *testing.T) {
 	}
 	defer w2.Close()
 	h, _ := newRecoveryHeap(t)
-	stats, err := w2.Replay(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := replay(t, w2, h)
 	if stats.Replayed != 1 {
 		t.Fatalf("replayed %d, want 1 (stats %+v)", stats.Replayed, stats)
 	}
@@ -200,26 +234,23 @@ func TestReplayFullLifecycle(t *testing.T) {
 	w, _ := Open(path, Options{SyncOnCommit: true})
 	rid := storage.RID{Page: 1, Slot: 0}
 	_ = w.BeginTxn(1)
-	w.LogHeapInsert(rid, []byte("v1"))
+	logInsert(w, rid, []byte("v1"))
 	_ = w.Commit()
 	_ = w.BeginTxn(2)
-	w.LogHeapUpdate(rid, []byte("v2"))
+	logUpdate(w, rid, []byte("v2"))
 	_ = w.Commit()
 	_ = w.BeginTxn(3)
-	w.LogHeapDelete(rid)
+	logDelete(w, rid)
 	_ = w.Commit()
 	_ = w.BeginTxn(4)
-	w.LogHeapInsert(storage.RID{Page: 1, Slot: 1}, []byte("other"))
+	logInsert(w, storage.RID{Page: 1, Slot: 1}, []byte("other"))
 	_ = w.Commit()
 	w.Close()
 
 	w2, _ := Open(path, Options{})
 	defer w2.Close()
 	h, _ := newRecoveryHeap(t)
-	stats, err := w2.Replay(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := replay(t, w2, h)
 	if stats.Replayed != 4 {
 		t.Errorf("replayed %d, want 4", stats.Replayed)
 	}
@@ -237,20 +268,16 @@ func TestReplayIdempotentViaPageLSN(t *testing.T) {
 	w, _ := Open(path, Options{SyncOnCommit: true})
 	rid := storage.RID{Page: 1, Slot: 0}
 	_ = w.BeginTxn(1)
-	w.LogHeapInsert(rid, []byte("once"))
+	logInsert(w, rid, []byte("once"))
 	_ = w.Commit()
 	w.Close()
 
 	w2, _ := Open(path, Options{})
 	defer w2.Close()
 	h, _ := newRecoveryHeap(t)
-	if _, err := w2.Replay(h); err != nil {
-		t.Fatal(err)
-	}
+	replay(t, w2, h)
 	// Replaying again must not double-insert (page LSN guard).
-	if _, err := w2.Replay(h); err != nil {
-		t.Fatal(err)
-	}
+	replay(t, w2, h)
 	n := 0
 	_ = h.Scan(func(r storage.RID, data []byte) (bool, error) {
 		n++
@@ -265,7 +292,7 @@ func TestTornTailIgnored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	w, _ := Open(path, Options{SyncOnCommit: true})
 	_ = w.BeginTxn(1)
-	w.LogHeapInsert(storage.RID{Page: 1, Slot: 0}, []byte("good"))
+	logInsert(w, storage.RID{Page: 1, Slot: 0}, []byte("good"))
 	_ = w.Commit()
 	w.Close()
 
@@ -295,11 +322,11 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.wal")
 	w, _ := Open(path, Options{SyncOnCommit: true})
 	_ = w.BeginTxn(1)
-	w.LogHeapInsert(storage.RID{Page: 1, Slot: 0}, []byte("first"))
+	logInsert(w, storage.RID{Page: 1, Slot: 0}, []byte("first"))
 	_ = w.Commit()
 	sizeAfterFirst := w.Size()
 	_ = w.BeginTxn(2)
-	w.LogHeapInsert(storage.RID{Page: 1, Slot: 1}, []byte("second"))
+	logInsert(w, storage.RID{Page: 1, Slot: 1}, []byte("second"))
 	_ = w.Commit()
 	w.Close()
 

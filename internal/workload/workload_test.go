@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"tcodm/internal/atom"
 	"tcodm/internal/baseline"
 	"tcodm/internal/core"
 	"tcodm/internal/schema"
+	"tcodm/internal/storage"
 	"tcodm/internal/temporal"
 	"tcodm/internal/value"
 )
@@ -44,6 +46,48 @@ func TestPersonnelDeterminism(t *testing.T) {
 	inserts := countInserts(a)
 	if inserts != p.Depts+p.Emps {
 		t.Errorf("inserts = %d, want %d", inserts, p.Depts+p.Emps)
+	}
+}
+
+// TestLoadIsDeterministic loads one personnel op list into two fresh
+// in-memory engines: placement is a function of the operations alone, so
+// every page image must match.
+func TestLoadIsDeterministic(t *testing.T) {
+	for _, strat := range []atom.Strategy{atom.StrategyEmbedded, atom.StrategySeparated, atom.StrategyTuple} {
+		t.Run(strat.String(), func(t *testing.T) {
+			load := func() [][]byte {
+				db := openPersonnelDB(t, strat)
+				app := NewEngineApplier(db, 64)
+				if _, err := Apply(Personnel(DefaultPersonnel()), app); err != nil {
+					t.Fatal(err)
+				}
+				if err := app.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				var pages [][]byte
+				for id := storage.PageID(0); id < db.Stats().DevicePags; id++ {
+					p, err := db.Pool().Fetch(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pages = append(pages, append([]byte(nil), p.Data()...))
+					db.Pool().Unpin(p)
+				}
+				return pages
+			}
+			a, b := load(), load()
+			if len(a) != len(b) {
+				t.Fatalf("loads produced %d and %d pages", len(a), len(b))
+			}
+			for id := range a {
+				if !bytes.Equal(a[id], b[id]) {
+					t.Fatalf("page %d differs between two loads of the same operations", id)
+				}
+			}
+		})
 	}
 }
 

@@ -24,12 +24,30 @@ func appendVersion(dst []byte, v Version) []byte {
 	return value.AppendRecord(dst, v.Val)
 }
 
-func appendVersions(dst []byte, vs []Version) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+// appendVersions appends the count and then the versions keep chooses (all
+// of them for a nil keep), filtering as it goes rather than into a slice.
+func appendVersions(dst []byte, vs []Version, keep func(Version) bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(countKept(vs, keep)))
 	for _, v := range vs {
-		dst = appendVersion(dst, v)
+		if keep == nil || keep(v) {
+			dst = appendVersion(dst, v)
+		}
 	}
 	return dst
+}
+
+// countKept counts the versions keep chooses (all of them for a nil keep).
+func countKept(vs []Version, keep func(Version) bool) int {
+	if keep == nil {
+		return len(vs)
+	}
+	n := 0
+	for _, v := range vs {
+		if keep(v) {
+			n++
+		}
+	}
+	return n
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -51,12 +69,12 @@ func encodeAtomBody(dst []byte, a *Atom, keep func(Version) bool) []byte {
 			flags |= 0x01
 		}
 		dst = append(dst, flags)
-		dst = appendVersions(dst, filterVersions(ad.Versions, keep))
+		dst = appendVersions(dst, ad.Versions, keep)
 	}
 	// Back-references, sorted by key for deterministic encodings.
 	keys := make([]string, 0, len(a.BackRefs))
 	for k := range a.BackRefs {
-		if len(filterVersions(a.BackRefs[k], keep)) > 0 {
+		if countKept(a.BackRefs[k], keep) > 0 {
 			keys = append(keys, k)
 		}
 	}
@@ -64,22 +82,9 @@ func encodeAtomBody(dst []byte, a *Atom, keep func(Version) bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		dst = appendString(dst, k)
-		dst = appendVersions(dst, filterVersions(a.BackRefs[k], keep))
+		dst = appendVersions(dst, a.BackRefs[k], keep)
 	}
 	return dst
-}
-
-func filterVersions(vs []Version, keep func(Version) bool) []Version {
-	if keep == nil {
-		return vs
-	}
-	var out []Version
-	for _, v := range vs {
-		if keep(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // EncodeFull serializes an atom with its entire hot history (embedded

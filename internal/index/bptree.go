@@ -60,7 +60,7 @@ func New(pool *storage.BufferPool) (*BPTree, error) {
 		return nil, err
 	}
 	initNode(p, true)
-	p.MarkDirty(false)
+	p.MarkDirty()
 	t.root = p.ID()
 	pool.Unpin(p)
 	return t, nil
@@ -338,7 +338,7 @@ func (t *BPTree) Insert(key []byte, value uint64) error {
 	initNode(p, false)
 	insertCell(p, 0, promoted, uint64(t.root))
 	setNodeNext(p, newChild)
-	p.MarkDirty(false)
+	p.MarkDirty()
 	t.root = p.ID()
 	t.pool.Unpin(p)
 	return nil
@@ -356,7 +356,7 @@ func (t *BPTree) insertInto(id storage.PageID, key []byte, value uint64) (promot
 		pos, found := search(p, key)
 		if found {
 			setLeafValue(p, pos, value)
-			p.MarkDirty(false)
+			p.MarkDirty()
 			t.pool.Unpin(p)
 			return nil, storage.InvalidPage, true, nil
 		}
@@ -375,19 +375,19 @@ func (t *BPTree) insertInto(id storage.PageID, key []byte, value uint64) (promot
 				}
 				pos, _ := search(rp, key)
 				insertCell(rp, pos, key, value)
-				rp.MarkDirty(false)
+				rp.MarkDirty()
 				t.pool.Unpin(rp)
 			} else {
 				pos, _ := search(p, key)
 				insertCell(p, pos, key, value)
 			}
-			p.MarkDirty(false)
+			p.MarkDirty()
 			t.pool.Unpin(p)
 			return sep, right, false, nil
 		}
 		pos, _ = search(p, key)
 		insertCell(p, pos, key, value)
-		p.MarkDirty(false)
+		p.MarkDirty()
 		t.pool.Unpin(p)
 		return nil, storage.InvalidPage, false, nil
 	}
@@ -438,16 +438,16 @@ func (t *BPTree) insertInto(id storage.PageID, key []byte, value uint64) (promot
 			tpos++
 		}
 		t.innerInsertAt(target, tpos, childSep, childNew)
-		target.MarkDirty(false)
+		target.MarkDirty()
 		if rp != nil {
 			t.pool.Unpin(rp)
 		}
-		p.MarkDirty(false)
+		p.MarkDirty()
 		t.pool.Unpin(p)
 		return sep, right, replaced, nil
 	}
 	t.innerInsertAt(p, pos, childSep, childNew)
-	p.MarkDirty(false)
+	p.MarkDirty()
 	t.pool.Unpin(p)
 	return nil, storage.InvalidPage, replaced, nil
 }
@@ -504,7 +504,7 @@ func (t *BPTree) splitLeaf(p *storage.Page) ([]byte, storage.PageID, error) {
 	setNodeNext(right, nodeNext(p))
 	setNodeNext(p, right.ID())
 	sep := append([]byte(nil), cellKey(right, 0)...)
-	right.MarkDirty(false)
+	right.MarkDirty()
 	id := right.ID()
 	t.pool.Unpin(right)
 	return sep, id, nil
@@ -529,7 +529,7 @@ func (t *BPTree) splitInner(p *storage.Page) ([]byte, storage.PageID, error) {
 	setNodeNext(p, midChild)
 	setNodeCount(p, mid)
 	compactNode(p)
-	right.MarkDirty(false)
+	right.MarkDirty()
 	id := right.ID()
 	t.pool.Unpin(right)
 	return sep, id, nil
@@ -565,7 +565,7 @@ func (t *BPTree) Delete(key []byte) (bool, error) {
 		return false, nil
 	}
 	removeCell(p, pos)
-	p.MarkDirty(false)
+	p.MarkDirty()
 	t.pool.Unpin(p)
 	t.size--
 	return true, nil

@@ -17,7 +17,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 	if err := p.SetSlot(0, []byte("checksummed")); err != nil {
 		t.Fatal(err)
 	}
-	p.MarkDirty(false)
+	p.MarkDirty()
 	id := p.ID()
 	bp.Unpin(p)
 	if err := bp.FlushAll(); err != nil {
@@ -51,7 +51,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	if err := p.SetSlot(0, []byte("precious data")); err != nil {
 		t.Fatal(err)
 	}
-	p.MarkDirty(false)
+	p.MarkDirty()
 	id := p.ID()
 	bp.Unpin(p)
 	if err := bp.FlushAll(); err != nil {

@@ -1,6 +1,6 @@
 // Package storage implements the record-oriented storage substrate beneath
 // the temporal object layer: a page-granular block device abstraction
-// (file-backed or in-memory), 8 KiB slotted pages, a buffer pool with LRU
+// (file-backed or in-memory), 8 KiB slotted pages, a buffer pool with clock
 // replacement and pin counts, and a heap record manager with forwarding
 // stubs and overflow chains for records larger than a page.
 //

@@ -485,7 +485,7 @@ func (h *Heap) Rollback() error {
 		} else {
 			p.InitHeap()
 		}
-		p.MarkDirty(false)
+		p.MarkDirty()
 		h.free.set(id, p.FreeSpace())
 		h.pool.Unpin(p)
 	}
@@ -524,7 +524,7 @@ func (h *Heap) apply(c *Change, lsn uint64, redo bool) error {
 			// Left at LSN 0 and evictable: a chain page is fresh, so
 			// writing it early can clobber nothing committed, and redo
 			// rewrites it unless the page has since become a newer heap page.
-			p.MarkDirty(false)
+			p.MarkDirty()
 		}
 		h.pool.Unpin(p)
 	}
@@ -577,7 +577,11 @@ func (h *Heap) applyPage(ws []slotWrite, lsn uint64, redo bool) error {
 		}
 	}
 	p.SetLSN(lsn)
-	p.MarkDirty(h.txnActive)
+	if h.txnActive {
+		h.pool.markTxnDirty(p)
+	} else {
+		p.MarkDirty()
+	}
 	h.free.set(p.id, p.FreeSpace())
 	return nil
 }

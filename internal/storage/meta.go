@@ -48,7 +48,7 @@ func InitMeta(pool *BufferPool) error {
 	binary.LittleEndian.PutUint16(p.data[metaVersionOff:], metaVersion)
 	p.data[metaCleanOff] = 1
 	binary.LittleEndian.PutUint32(p.data[metaLenOff:], 0)
-	p.MarkDirty(false)
+	p.MarkDirty()
 	return nil
 }
 
@@ -95,6 +95,6 @@ func WriteMeta(pool *BufferPool, payload []byte, clean bool) error {
 	}
 	binary.LittleEndian.PutUint32(p.data[metaLenOff:], uint32(len(payload)))
 	copy(p.data[metaPayloadOff:], payload)
-	p.MarkDirty(false)
+	p.MarkDirty()
 	return nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // PageType tags what a page holds. The type byte lives in every page
@@ -55,12 +56,18 @@ const (
 // Page is one buffered page. The struct is owned by the buffer pool; users
 // access it between Fetch/Unpin pairs.
 type Page struct {
-	id    PageID
-	data  [PageSize]byte
-	pin   int
+	id   PageID
+	data [PageSize]byte
+	// pin counts the calls holding the page. It rises only under the
+	// pool's lock (held shared on a hit) and falls without it.
+	pin atomic.Int32
+	// ref is the clock's reference bit: set by a hit, cleared by a sweep
+	// that passes the page over.
+	ref   atomic.Bool
 	dirty bool
 	// txnDirty marks a page mutated by the active (uncommitted) write
-	// transaction; such pages are not evictable (no-steal policy).
+	// transaction; such pages are not evictable (no-steal policy). The pool
+	// lists them for EndTxn.
 	txnDirty bool
 }
 
@@ -82,14 +89,10 @@ func (p *Page) Type() PageType { return PageType(p.data[typeOff]) }
 // SetType sets the page's type tag.
 func (p *Page) SetType(t PageType) { p.data[typeOff] = byte(t) }
 
-// MarkDirty flags the page as modified. The txn parameter additionally
-// marks it as dirtied by the active uncommitted transaction.
-func (p *Page) MarkDirty(txn bool) {
-	p.dirty = true
-	if txn {
-		p.txnDirty = true
-	}
-}
+// MarkDirty flags the page as modified, so the pool writes it back before
+// dropping it. A page the active transaction changes is marked through the
+// pool instead (markTxnDirty).
+func (p *Page) MarkDirty() { p.dirty = true }
 
 // --- Slotted page operations -------------------------------------------
 
@@ -256,29 +259,23 @@ func (p *Page) SlotUsed(slot uint16) bool {
 	return off != 0
 }
 
-// compact repacks live records against the end of the page, reclaiming the
-// space of deleted and superseded records.
+// compact repacks live records against the end of the page, in slot order,
+// reclaiming the space of deleted and superseded records. Records are
+// copied from an image of the page taken first, so a move never reads
+// bytes an earlier move overwrote.
 func (p *Page) compact() {
-	type live struct {
-		slot uint16
-		data []byte
-	}
+	var img [PageSize]byte
+	copy(img[:], p.data[:])
+	end := uint16(PageSize)
 	n := p.slotCount()
-	records := make([]live, 0, n)
 	for s := uint16(0); s < n; s++ {
 		off, length := p.slot(s)
 		if off == 0 {
 			continue
 		}
-		buf := make([]byte, length)
-		copy(buf, p.data[off:off+length])
-		records = append(records, live{slot: s, data: buf})
-	}
-	end := uint16(PageSize)
-	for _, r := range records {
-		end -= uint16(len(r.data))
-		copy(p.data[end:], r.data)
-		p.setSlot(r.slot, end, uint16(len(r.data)))
+		end -= length
+		copy(p.data[end:], img[off:off+length])
+		p.setSlot(s, end, length)
 	}
 	p.setFreeEnd(end)
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"container/list"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -39,15 +38,29 @@ func (s PoolStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// BufferPool caches pages of a Device with LRU replacement, pin counting,
-// and a no-steal policy for pages dirtied by the active transaction.
+// BufferPool caches pages of a Device with clock (second-chance)
+// replacement, atomic pin counts, and a no-steal policy for pages dirtied by
+// the active transaction.
+//
+// A hit takes the page table's lock shared, pins the page with an atomic add
+// and sets its reference bit, so hits run side by side and move nothing. A
+// miss, an allocation, a deallocation, an eviction and a flush take the lock
+// exclusively. Pinning needs the lock and unpinning does not, so a page the
+// exclusive holder sees unpinned stays unpinned until it lets go.
 type BufferPool struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	dev      Device
 	capacity int
-	frames   map[PageID]*frame
-	lru      *list.List // front = most recently used; holds *frame
-	free     []*Page    // recycled page buffers
+	frames   map[PageID]*Page // the page table: every resident page by id
+	// ring holds every frame in clock order. It grows to capacity, and
+	// after that only what its frames hold changes. hand is the sweep's next
+	// candidate; idle lists the ring's frames that hold no page.
+	ring []*Page
+	hand int
+	idle []*Page
+	// txnPages lists the pages the active transaction marked txn-dirty, so
+	// ending it costs the pages it touched, not the pages the pool holds.
+	txnPages []*Page
 	onFlush  FlushHook
 	met      poolMetrics
 
@@ -61,11 +74,6 @@ type BufferPool struct {
 	// data that an abort still needs.
 	deferFrees  bool
 	pendingFree []PageID
-}
-
-type frame struct {
-	page *Page
-	elem *list.Element
 }
 
 // poolMetrics holds the pool's instrumentation handles. By default they are
@@ -124,8 +132,7 @@ func NewBufferPool(dev Device, capacity int) *BufferPool {
 	return &BufferPool{
 		dev:      dev,
 		capacity: capacity,
-		frames:   make(map[PageID]*frame, capacity),
-		lru:      list.New(),
+		frames:   make(map[PageID]*Page, capacity),
 		met:      standalonePoolMetrics(),
 	}
 }
@@ -135,11 +142,11 @@ func (bp *BufferPool) SetFlushHook(h FlushHook) { bp.onFlush = h }
 
 // Stats returns a snapshot of the activity counters.
 func (bp *BufferPool) Stats() PoolStats {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
+	bp.mu.RLock()
+	defer bp.mu.RUnlock()
 	pinned := 0
-	for _, fr := range bp.frames {
-		if fr.page.pin > 0 {
+	for _, p := range bp.frames {
+		if p.pin.Load() > 0 {
 			pinned++
 		}
 	}
@@ -157,13 +164,20 @@ func (bp *BufferPool) Capacity() int { return bp.capacity }
 
 // Fetch pins and returns the page. Callers must Unpin it when done.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
+	bp.mu.RLock()
+	p, ok := bp.frames[id]
+	if ok {
+		bp.hit(p)
+	}
+	bp.mu.RUnlock()
+	if ok {
+		return p, nil
+	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if fr, ok := bp.frames[id]; ok {
-		bp.met.hits.Inc()
-		fr.page.pin++
-		bp.lru.MoveToFront(fr.elem)
-		return fr.page, nil
+	if p, ok := bp.frames[id]; ok { // loaded by another caller meanwhile
+		bp.hit(p)
+		return p, nil
 	}
 	bp.met.misses.Inc()
 	p, err := bp.allocFrameLocked(id)
@@ -185,8 +199,19 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		bp.releaseFrameLocked(id)
 		return nil, err
 	}
-	p.pin = 1
+	p.pin.Store(1)
 	return p, nil
+}
+
+// hit pins a resident page and gives it a second chance against the clock.
+// The caller holds mu, shared or exclusive. The reference bit is written
+// only when clear, so hits on a hot page do not keep taking its cache line.
+func (bp *BufferPool) hit(p *Page) {
+	bp.met.hits.Inc()
+	p.pin.Add(1)
+	if !p.ref.Load() {
+		p.ref.Store(true)
+	}
 }
 
 // Allocate pins and returns a brand-new page appended to the device (or
@@ -212,10 +237,8 @@ func (bp *BufferPool) Allocate() (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range p.data {
-		p.data[i] = 0
-	}
-	p.pin = 1
+	clear(p.data[:])
+	p.pin.Store(1)
 	p.dirty = true
 	return p, nil
 }
@@ -241,7 +264,7 @@ func (bp *BufferPool) Grow(id PageID) error {
 func (bp *BufferPool) Deallocate(id PageID) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if fr, ok := bp.frames[id]; ok && fr.page.pin > 0 {
+	if p, ok := bp.frames[id]; ok && p.pin.Load() > 0 {
 		return fmt.Errorf("storage: deallocating pinned page %d", id)
 	}
 	if bp.deferFrees {
@@ -253,23 +276,34 @@ func (bp *BufferPool) Deallocate(id PageID) error {
 	return nil
 }
 
-// Unpin releases one pin on the page.
+// Unpin releases one pin on the page. It takes no lock.
 func (bp *BufferPool) Unpin(p *Page) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if p.pin <= 0 {
+	if p.pin.Add(-1) < 0 {
+		p.pin.Add(1)
 		panic(fmt.Sprintf("storage: unpin of unpinned page %d", p.id))
 	}
-	p.pin--
+}
+
+// markTxnDirty flags p as changed by the active transaction: dirty, and
+// unevictable until EndTxn (no-steal). The caller holds a pin on p and is
+// the transaction's writer, the only goroutine that sets the mark.
+func (bp *BufferPool) markTxnDirty(p *Page) {
+	p.dirty = true
+	if p.txnDirty {
+		return
+	}
+	bp.mu.Lock()
+	p.txnDirty = true
+	bp.txnPages = append(bp.txnPages, p)
+	bp.mu.Unlock()
 }
 
 // FlushPage writes one page (if buffered and dirty) to the device and
 // syncs. Used to persist the meta page's dirty mark eagerly.
 func (bp *BufferPool) FlushPage(id PageID) error {
 	bp.mu.Lock()
-	fr, ok := bp.frames[id]
-	if ok {
-		if err := bp.flushFrameLocked(fr.page); err != nil {
+	if p, ok := bp.frames[id]; ok {
+		if err := bp.flushFrameLocked(p); err != nil {
 			bp.mu.Unlock()
 			return err
 		}
@@ -298,12 +332,11 @@ func (bp *BufferPool) FlushAll() error {
 		ids = append(ids[1:], 0)
 	}
 	for _, id := range ids {
-		fr := bp.frames[id]
-		if err := bp.flushFrameLocked(fr.page); err != nil {
+		if err := bp.flushFrameLocked(bp.frames[id]); err != nil {
 			return err
 		}
-		fr.page.txnDirty = false
 	}
+	bp.clearTxnLocked()
 	return bp.dev.Sync()
 }
 
@@ -324,9 +357,7 @@ func (bp *BufferPool) BeginTxn() {
 func (bp *BufferPool) EndTxn(committed bool) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for _, fr := range bp.frames {
-		fr.page.txnDirty = false
-	}
+	bp.clearTxnLocked()
 	if committed {
 		for _, id := range bp.pendingFree {
 			bp.releaseFrameLocked(id)
@@ -337,81 +368,92 @@ func (bp *BufferPool) EndTxn(committed bool) {
 	bp.deferFrees = false
 }
 
+// clearTxnLocked lifts the no-steal mark from the pages the transaction
+// marked, and from those alone.
+func (bp *BufferPool) clearTxnLocked() {
+	for _, p := range bp.txnPages {
+		p.txnDirty = false
+	}
+	bp.txnPages = bp.txnPages[:0]
+}
+
 // DirtyPages returns the number of dirty pages currently buffered.
 func (bp *BufferPool) DirtyPages() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
+	bp.mu.RLock()
+	defer bp.mu.RUnlock()
 	n := 0
-	for _, fr := range bp.frames {
-		if fr.page.dirty {
+	for _, p := range bp.frames {
+		if p.dirty {
 			n++
 		}
 	}
 	return n
 }
 
-// allocFrameLocked obtains a frame for page id, evicting if necessary.
+// allocFrameLocked obtains a frame for page id: an idle one, a new one while
+// the ring is short of capacity, else the clock's victim.
 func (bp *BufferPool) allocFrameLocked(id PageID) (*Page, error) {
-	if len(bp.frames) >= bp.capacity {
-		if err := bp.evictLocked(); err != nil {
+	var p *Page
+	switch n := len(bp.idle); {
+	case n > 0:
+		p, bp.idle = bp.idle[n-1], bp.idle[:n-1]
+	case len(bp.ring) < bp.capacity:
+		p = &Page{}
+		bp.ring = append(bp.ring, p)
+	default:
+		var err error
+		if p, err = bp.evictLocked(); err != nil {
 			return nil, err
 		}
 	}
-	var p *Page
-	if n := len(bp.free); n > 0 {
-		p = bp.free[n-1]
-		bp.free = bp.free[:n-1]
-	} else {
-		p = &Page{}
-	}
 	p.id = id
-	p.pin = 0
+	p.pin.Store(0)
+	p.ref.Store(false)
 	p.dirty = false
 	p.txnDirty = false
-	fr := &frame{page: p}
-	fr.elem = bp.lru.PushFront(fr)
-	bp.frames[id] = fr
+	bp.frames[id] = p
 	return p, nil
 }
 
+// releaseFrameLocked drops page id from the pool; its frame goes idle.
 func (bp *BufferPool) releaseFrameLocked(id PageID) {
-	if fr, ok := bp.frames[id]; ok {
-		bp.lru.Remove(fr.elem)
-		bp.recyclePage(fr.page)
+	if p, ok := bp.frames[id]; ok {
 		delete(bp.frames, id)
+		bp.idle = append(bp.idle, p)
 	}
 }
 
-func (bp *BufferPool) recyclePage(p *Page) {
-	if len(bp.free) < bp.capacity {
-		bp.free = append(bp.free, p)
-	}
-}
-
-// evictLocked removes the least recently used unpinned, non-txn-dirty page.
-func (bp *BufferPool) evictLocked() error {
+// evictLocked frees a frame by the clock and returns it. The hand passes
+// over pinned and txn-dirty pages, clears the reference bit of a page that
+// has it set (its second chance), and takes the first page whose bit was
+// already clear. Every frame holds a page here, so two turns of the hand
+// reach any candidate with its bit cleared.
+func (bp *BufferPool) evictLocked() (*Page, error) {
 	start := time.Time{}
 	if bp.met.evictNS != nil {
 		start = time.Now()
 	}
-	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		fr := e.Value.(*frame)
-		if fr.page.pin > 0 || fr.page.txnDirty {
+	for range 2 * len(bp.ring) {
+		p := bp.ring[bp.hand]
+		bp.hand = (bp.hand + 1) % len(bp.ring)
+		if p.pin.Load() > 0 || p.txnDirty {
 			continue
 		}
-		if err := bp.flushFrameLocked(fr.page); err != nil {
-			return err
+		if p.ref.Load() {
+			p.ref.Store(false)
+			continue
 		}
-		bp.lru.Remove(e)
-		delete(bp.frames, fr.page.id)
-		bp.recyclePage(fr.page)
+		if err := bp.flushFrameLocked(p); err != nil {
+			return nil, err
+		}
+		delete(bp.frames, p.id)
 		bp.met.evictions.Inc()
 		if !start.IsZero() {
 			bp.met.evictNS.Observe(time.Since(start))
 		}
-		return nil
+		return p, nil
 	}
-	return fmt.Errorf("storage: buffer pool exhausted: all %d pages pinned or transaction-dirty", bp.capacity)
+	return nil, fmt.Errorf("storage: buffer pool exhausted: all %d pages pinned or transaction-dirty", bp.capacity)
 }
 
 func (bp *BufferPool) flushFrameLocked(p *Page) error {
@@ -509,19 +551,14 @@ func (bp *BufferPool) ZapPage(id PageID) error {
 	if id >= bp.dev.NumPages() {
 		return fmt.Errorf("storage: zap of page %d beyond device end %d", id, bp.dev.NumPages())
 	}
-	p := (*Page)(nil)
-	if fr, ok := bp.frames[id]; ok {
-		p = fr.page
-	} else {
+	p, ok := bp.frames[id]
+	if !ok {
 		var err error
-		p, err = bp.allocFrameLocked(id)
-		if err != nil {
+		if p, err = bp.allocFrameLocked(id); err != nil {
 			return err
 		}
 	}
-	for i := range p.data {
-		p.data[i] = 0
-	}
+	clear(p.data[:])
 	p.SetType(PageFree)
 	p.dirty = true
 	return nil

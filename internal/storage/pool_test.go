@@ -2,8 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -131,7 +135,7 @@ func TestBufferPoolFetchAllocateUnpin(t *testing.T) {
 	}
 	id := p.ID()
 	copy(p.Data()[100:], "payload")
-	p.MarkDirty(false)
+	p.MarkDirty()
 	bp.Unpin(p)
 	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -152,7 +156,7 @@ func TestBufferPoolFetchAllocateUnpin(t *testing.T) {
 	}
 }
 
-func TestBufferPoolEvictionLRU(t *testing.T) {
+func TestBufferPoolEviction(t *testing.T) {
 	dev := NewMemDevice()
 	bp := NewBufferPool(dev, 4)
 	// Create 8 pages through a pool of 4: evictions must occur and all
@@ -164,7 +168,7 @@ func TestBufferPoolEvictionLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Data()[200] = byte(i)
-		p.MarkDirty(false)
+		p.MarkDirty()
 		ids = append(ids, p.ID())
 		bp.Unpin(p)
 	}
@@ -214,7 +218,7 @@ func TestBufferPoolNoStealTxnDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.MarkDirty(true) // txn-dirty
+	bp.markTxnDirty(p)
 	id := p.ID()
 	bp.Unpin(p)
 	// Fill the pool; the txn-dirty page must survive unflushed.
@@ -223,14 +227,11 @@ func TestBufferPoolNoStealTxnDirty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.MarkDirty(false)
+		q.MarkDirty()
 		bp.Unpin(q)
 	}
 	// The txn-dirty page is still buffered (was never evicted).
-	bp.mu.Lock()
-	_, present := bp.frames[id]
-	bp.mu.Unlock()
-	if !present {
+	if !resident(bp, id) {
 		t.Fatal("txn-dirty page was evicted (no-steal violated)")
 	}
 	bp.EndTxn(true)
@@ -257,7 +258,7 @@ func TestBufferPoolFlushHookWALRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetLSN(77)
-	p.MarkDirty(false)
+	p.MarkDirty()
 	bp.Unpin(p)
 	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -364,4 +365,221 @@ func TestUnpinPanicsWhenNotPinned(t *testing.T) {
 		}
 	}()
 	bp.Unpin(p)
+}
+
+// stampedDevice returns a device of n pages, each holding its own id at
+// byte 100, written through a pool so every page carries its checksum.
+func stampedDevice(tb testing.TB, n int) *MemDevice {
+	tb.Helper()
+	dev := NewMemDevice()
+	bp := NewBufferPool(dev, 8)
+	for i := 0; i < n; i++ {
+		p, err := bp.Allocate()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(p.Data()[100:], uint64(p.ID()))
+		p.MarkDirty()
+		bp.Unpin(p)
+	}
+	if err := bp.FlushAll(); err != nil {
+		tb.Fatal(err)
+	}
+	return dev
+}
+
+// touch fetches page id, checks its stamp and unpins it.
+func touch(tb testing.TB, bp *BufferPool, id PageID) {
+	tb.Helper()
+	p, err := bp.Fetch(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(p.Data()[100:]); got != uint64(id) {
+		tb.Fatalf("page %d holds the stamp of page %d", id, got)
+	}
+	bp.Unpin(p)
+}
+
+func resident(bp *BufferPool, id PageID) bool {
+	bp.mu.RLock()
+	defer bp.mu.RUnlock()
+	_, ok := bp.frames[id]
+	return ok
+}
+
+// TestBufferPoolConcurrentFetchUnpin runs readers against a pool a quarter
+// the size of the device, so hits under the shared lock, misses and
+// evictions under the exclusive one, and lock-free unpins all interleave.
+// One goroutine also marks the pages it holds dirty, as the engine's single
+// writer does, so evictions write pages back while others hit. Run it with
+// -race.
+func TestBufferPoolConcurrentFetchUnpin(t *testing.T) {
+	const poolPages, devPages, workers, rounds = 16, 64, 6, 3000
+	dev := stampedDevice(t, devPages)
+	bp := NewBufferPool(dev, poolPages)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < rounds; i++ {
+				// Hold up to two pages at once: six workers pin at most 12
+				// of the 16 frames, so the pool never runs dry.
+				held := make([]*Page, 0, 2)
+				for n := 1 + rng.Intn(2); n > 0; n-- {
+					id := PageID(rng.Intn(devPages))
+					p, err := bp.Fetch(id)
+					if err != nil {
+						t.Errorf("worker %d: fetch %d: %v", g, id, err)
+						return
+					}
+					if got := binary.LittleEndian.Uint64(p.Data()[100:]); got != uint64(id) {
+						t.Errorf("worker %d: page %d holds the stamp of page %d", g, id, got)
+					}
+					if g == 0 {
+						p.MarkDirty()
+					}
+					held = append(held, p)
+				}
+				for _, p := range held {
+					bp.Unpin(p)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := bp.Stats()
+	if st.Pinned != 0 {
+		t.Errorf("%d frames pinned after every worker unpinned", st.Pinned)
+	}
+	if st.Evictions == 0 || st.Hits == 0 {
+		t.Errorf("stats %+v: the run needs both hits and evictions", st)
+	}
+	for id := PageID(0); id < devPages; id++ {
+		touch(t, bp, id)
+	}
+}
+
+// TestBufferPoolTxnDirtyPagesUnevictableUntilEndTxn dirties k pages of a
+// full pool in a transaction, then streams the rest of the device through
+// it: exactly those k stay resident until EndTxn, and are evicted after.
+func TestBufferPoolTxnDirtyPagesUnevictableUntilEndTxn(t *testing.T) {
+	const poolPages, devPages = 8, 32
+	dev := stampedDevice(t, devPages)
+	bp := NewBufferPool(dev, poolPages)
+	for id := PageID(0); id < poolPages; id++ {
+		touch(t, bp, id)
+	}
+	bp.BeginTxn()
+	dirtied := map[PageID]bool{1: true, 4: true, 6: true}
+	for id := range dirtied {
+		p, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.markTxnDirty(p)
+		bp.Unpin(p)
+	}
+	for id := PageID(poolPages); id < devPages; id++ {
+		touch(t, bp, id)
+	}
+	for id := PageID(0); id < poolPages; id++ {
+		if resident(bp, id) != dirtied[id] {
+			t.Errorf("during the transaction: page %d resident %v, txn-dirty %v", id, resident(bp, id), dirtied[id])
+		}
+	}
+	bp.EndTxn(true)
+	if len(bp.txnPages) != 0 {
+		t.Errorf("EndTxn left %d pages listed", len(bp.txnPages))
+	}
+	for id := PageID(poolPages); id < devPages; id++ {
+		touch(t, bp, id)
+	}
+	for id := range dirtied {
+		if resident(bp, id) {
+			t.Errorf("page %d still resident after EndTxn and a full sweep", id)
+		}
+		touch(t, bp, id) // written back on eviction, content intact
+	}
+}
+
+// TestBufferPoolSecondChance fills a pool, hits half its pages again, then
+// misses on as many new pages: the sweep passes over the re-fetched pages
+// and evicts the ones touched only once.
+func TestBufferPoolSecondChance(t *testing.T) {
+	const poolPages = 8
+	dev := stampedDevice(t, 2*poolPages)
+	bp := NewBufferPool(dev, poolPages)
+	for id := PageID(0); id < poolPages; id++ {
+		touch(t, bp, id)
+	}
+	for id := PageID(0); id < poolPages; id += 2 {
+		touch(t, bp, id)
+	}
+	for id := PageID(poolPages); id < poolPages+poolPages/2; id++ {
+		touch(t, bp, id)
+	}
+	for id := PageID(0); id < poolPages; id++ {
+		if want := id%2 == 0; resident(bp, id) != want {
+			t.Errorf("page %d resident %v, want %v", id, resident(bp, id), want)
+		}
+	}
+	st := bp.Stats()
+	if st.Hits != poolPages/2 || st.Misses != poolPages+poolPages/2 || st.Evictions != poolPages/2 {
+		t.Errorf("stats %+v, want %d hits, %d misses, %d evictions", st, poolPages/2, poolPages+poolPages/2, poolPages/2)
+	}
+}
+
+// BenchmarkPoolFetchParallel measures Fetch+Unpin pairs that all hit, from
+// GOMAXPROCS goroutines at once. Each goroutine walks the pages from its own
+// starting point, as parallel scan workers walk their own chunks.
+func BenchmarkPoolFetchParallel(b *testing.B) {
+	const pages = 64
+	bp := NewBufferPool(stampedDevice(b, pages), pages)
+	for id := PageID(0); id < pages; id++ {
+		touch(b, bp, id)
+	}
+	var worker atomic.Int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := PageID(worker.Add(1)*pages/4) % pages
+		for pb.Next() {
+			p, err := bp.Fetch(id)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			bp.Unpin(p)
+			id = (id + 1) % pages
+		}
+	})
+}
+
+// BenchmarkEndTxn measures a transaction that dirties four pages, ended
+// on a pool holding 5 640 pages (the frames a personnel-L store keeps
+// resident).
+func BenchmarkEndTxn(b *testing.B) {
+	const frames, perTxn = 5640, 4
+	bp := NewBufferPool(NewMemDevice(), frames)
+	pages := make([]*Page, 0, frames)
+	for i := 0; i < frames; i++ {
+		p, err := bp.Allocate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		bp.Unpin(p)
+		pages = append(pages, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bp.BeginTxn()
+		for j := 0; j < perTxn; j++ {
+			bp.markTxnDirty(pages[(i*perTxn+j)%frames])
+		}
+		bp.EndTxn(true)
+	}
 }

@@ -80,7 +80,7 @@ func (c *Cursor) Read(maxRecords int) ([]Record, error) {
 	}
 	var out []Record
 	off := 0
-	for off+8 <= len(data) {
+	for off+frameHeaderLen <= len(data) {
 		if len(out) >= maxRecords && out[len(out)-1].Op == OpCommit {
 			break
 		}
@@ -119,14 +119,14 @@ func (c *Cursor) Read(maxRecords int) ([]Record, error) {
 func frameAt(data []byte, off int) (int, []byte, bool) {
 	n := int(binary.LittleEndian.Uint32(data[off:]))
 	sum := binary.LittleEndian.Uint32(data[off+4:])
-	if n < 0 || off+8+n > len(data) {
+	if n < 0 || off+frameHeaderLen+n > len(data) {
 		return 0, nil, false
 	}
-	payload := data[off+8 : off+8+n]
+	payload := data[off+frameHeaderLen : off+frameHeaderLen+n]
 	if crc32.ChecksumIEEE(payload) != sum {
 		return 0, nil, false
 	}
-	return 8 + n, payload, true
+	return frameHeaderLen + n, payload, true
 }
 
 // AppendWatch returns a channel that is closed the next time committed

@@ -312,7 +312,11 @@ func (w *WAL) Commit() error {
 	commit := Record{LSN: w.nextLSN, Txn: w.txn, Op: OpCommit}
 	w.nextLSN++
 	records := append(w.pending, commit)
-	var buf []byte
+	size := 0
+	for _, r := range records {
+		size += frameHeaderLen + recordHeaderLen + len(r.Data)
+	}
+	buf := make([]byte, 0, size)
 	for _, r := range records {
 		buf = appendRecord(buf, r)
 	}
@@ -443,21 +447,31 @@ func (w *WAL) Close() error {
 
 // Frame layout: [payloadLen uint32][crc32(payload) uint32][payload].
 // Payload: [lsn uint64][txn uint64][op uint8][rid uint64][dataLen uint32][data].
+// The frame is built in place in dst; its checksum is filled in last.
 func appendRecord(dst []byte, r Record) []byte {
-	payload := make([]byte, 0, 29+len(r.Data))
-	payload = binary.LittleEndian.AppendUint64(payload, r.LSN)
-	payload = binary.LittleEndian.AppendUint64(payload, r.Txn)
-	payload = append(payload, byte(r.Op))
-	payload = binary.LittleEndian.AppendUint64(payload, r.RID.Pack())
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(r.Data)))
-	payload = append(payload, r.Data...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(recordHeaderLen+len(r.Data)))
+	sumAt := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	payload := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, r.LSN)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Txn)
+	dst = append(dst, byte(r.Op))
+	dst = binary.LittleEndian.AppendUint64(dst, r.RID.Pack())
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Data)))
+	dst = append(dst, r.Data...)
+	binary.LittleEndian.PutUint32(dst[sumAt:], crc32.ChecksumIEEE(dst[payload:]))
+	return dst
 }
 
+// frameHeaderLen is the frame's fixed part: payloadLen and crc; and
+// recordHeaderLen the payload's: lsn, txn, op, rid and dataLen.
+const (
+	frameHeaderLen  = 8
+	recordHeaderLen = 29
+)
+
 func decodeRecord(payload []byte) (Record, error) {
-	if len(payload) < 29 {
+	if len(payload) < recordHeaderLen {
 		return Record{}, fmt.Errorf("wal: short record payload (%d bytes)", len(payload))
 	}
 	r := Record{
@@ -467,10 +481,10 @@ func decodeRecord(payload []byte) (Record, error) {
 		RID: storage.UnpackRID(binary.LittleEndian.Uint64(payload[17:])),
 	}
 	n := binary.LittleEndian.Uint32(payload[25:])
-	if int(n) != len(payload)-29 {
-		return Record{}, fmt.Errorf("wal: record data length mismatch: header %d, actual %d", n, len(payload)-29)
+	if int(n) != len(payload)-recordHeaderLen {
+		return Record{}, fmt.Errorf("wal: record data length mismatch: header %d, actual %d", n, len(payload)-recordHeaderLen)
 	}
-	r.Data = append([]byte(nil), payload[29:]...)
+	r.Data = append([]byte(nil), payload[recordHeaderLen:]...)
 	return r, nil
 }
 
@@ -497,7 +511,7 @@ func (w *WAL) readAllLocked() ([]Record, []int64, error) {
 	var out []Record
 	var ends []int64
 	off := 0
-	for off+8 <= len(data) {
+	for off+frameHeaderLen <= len(data) {
 		n, payload, ok := frameAt(data, off)
 		if !ok {
 			break // torn or corrupt tail

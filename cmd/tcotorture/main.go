@@ -3,12 +3,14 @@
 // and without torn writes, through write-through and page-cache device
 // models, plus transient sync and read errors — and after every cut the
 // database is reopened and checked against an oracle of acknowledged
-// commits. Every scenario is deterministic: a failure replays bit-for-bit
-// from the printed seed.
+// commits. A second matrix cuts the archive tiering run the same way. Every
+// scenario is deterministic — a failure replays bit-for-bit from the
+// printed seed — and runs under a watchdog, so a hang or a panic is one
+// violation, not a stalled run.
 //
 //	tcotorture                      # all strategies, default seed and cuts
 //	tcotorture -strategy separated  # one strategy
-//	tcotorture -seed 7 -cuts 25     # denser cut schedule, different workload
+//	tcotorture -seed 7 -cuts 20     # denser cut schedule, different workload
 package main
 
 import (
@@ -18,28 +20,14 @@ import (
 
 	"tcodm/internal/atom"
 	"tcodm/internal/fault"
-	"tcodm/internal/obs"
 )
 
 func main() {
 	seed := flag.Int64("seed", 20260806, "workload and schedule seed (printed; failures replay from it)")
 	cuts := flag.Int("cuts", 14, "cut points per script variant")
-	batch := flag.Int("batch", 5, "operations per transaction")
 	strategy := flag.String("strategy", "", "run only this storage strategy (embedded, separated, tuple)")
 	verbose := flag.Bool("v", false, "log each scenario's outcome")
-	debugAddr := flag.String("debug-addr", "", "serve expvar+pprof on this address while scenarios run")
 	flag.Parse()
-
-	results := map[string]*fault.Result{}
-	if *debugAddr != "" {
-		obs.SetDebugVars(func() any { return results })
-		addr, err := obs.StartDebugServer(*debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcotorture: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(debug server on http://%s/debug/vars)\n", addr.Addr())
-	}
 
 	if *cuts < 1 {
 		fmt.Fprintf(os.Stderr, "tcotorture: -cuts must be at least 1 (got %d)\n", *cuts)
@@ -54,73 +42,50 @@ func main() {
 		}
 		strategies = []atom.Strategy{s}
 	}
+	logf := func(format string, args ...any) {}
+	if *verbose {
+		logf = func(format string, args ...any) {
+			fmt.Printf(format+"\n", args...)
+		}
+	}
+	// The workload matrix cuts a scripted workload; the archive matrix cuts
+	// the tiering cut-over, with torn WAL and archive tails.
+	families := []struct {
+		label  string // inserted before "scenarios"
+		run    func(fault.Config) (*fault.Result, error)
+		replay bool // print the recovery replay totals
+	}{
+		{"", fault.Run, true},
+		{"archive ", fault.RunArchive, false},
+	}
 
 	fmt.Printf("torture seed %d, %d cut points per variant\n", *seed, *cuts)
 	failed := false
 	total := 0
 	for _, strat := range strategies {
-		dir, err := os.MkdirTemp("", "tcotorture")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcotorture: %v\n", err)
-			os.Exit(1)
-		}
-		logf := func(format string, args ...any) {}
-		if *verbose {
-			logf = func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
+		for _, fam := range families {
+			dir, err := os.MkdirTemp("", "tcotorture")
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "tcotorture: %v\n", err)
+				os.Exit(1)
 			}
-		}
-		res, err := fault.Run(fault.Config{
-			Strategy:  strat,
-			Seed:      *seed,
-			Cuts:      *cuts,
-			BatchSize: *batch,
-			Dir:       dir,
-			Logf:      logf,
-		})
-		os.RemoveAll(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcotorture: %s: %v\n", strat, err)
-			os.Exit(1)
-		}
-		results[strat.String()] = res
-		total += res.Scenarios
-		fmt.Printf("%-10s %4d scenarios: %d recovered, %d refused, %d clean, %d violations\n",
-			strat, res.Scenarios, res.Recovered, res.Refused, res.Clean, len(res.Violations))
-		fmt.Printf("%-10s recovery replay: %d records read, %d committed, %d redo ops applied, %d torn bytes truncated\n",
-			"", res.Replay.Records, res.Replay.Committed, res.Replay.Replayed, res.Replay.TornBytes)
-		for _, v := range res.Violations {
-			failed = true
-			fmt.Printf("  VIOLATION: %s\n", v)
-		}
-
-		// Archive-migration matrix: power cuts during the tiering cut-over,
-		// torn WAL tails, torn archive tails.
-		arcDir, err := os.MkdirTemp("", "tcotorture-arc")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcotorture: %v\n", err)
-			os.Exit(1)
-		}
-		arc, err := fault.RunArchive(fault.Config{
-			Strategy:  strat,
-			Seed:      *seed,
-			Cuts:      *cuts,
-			PoolPages: 16,
-			Dir:       arcDir,
-			Logf:      logf,
-		})
-		os.RemoveAll(arcDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcotorture: %s archive: %v\n", strat, err)
-			os.Exit(1)
-		}
-		results[strat.String()+"-archive"] = arc
-		total += arc.Scenarios
-		fmt.Printf("%-10s %4d archive scenarios: %d recovered, %d refused, %d clean, %d violations\n",
-			strat, arc.Scenarios, arc.Recovered, arc.Refused, arc.Clean, len(arc.Violations))
-		for _, v := range arc.Violations {
-			failed = true
-			fmt.Printf("  VIOLATION: %s\n", v)
+			res, err := fam.run(fault.Config{Strategy: strat, Seed: *seed, Cuts: *cuts, Dir: dir, Logf: logf})
+			os.RemoveAll(dir)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "tcotorture: %s: %v\n", strat, err)
+				os.Exit(1)
+			}
+			total += res.Scenarios
+			fmt.Printf("%-10s %4d %sscenarios: %d recovered, %d refused, %d clean, %d violations\n",
+				strat, res.Scenarios, fam.label, res.Recovered, res.Refused, res.Clean, len(res.Violations))
+			if fam.replay {
+				fmt.Printf("%-10s recovery replay: %d records read, %d committed, %d redo ops applied, %d torn bytes truncated\n",
+					"", res.Replay.Records, res.Replay.Committed, res.Replay.Replayed, res.Replay.TornBytes)
+			}
+			for _, v := range res.Violations {
+				failed = true
+				fmt.Printf("  VIOLATION: %s\n", v)
+			}
 		}
 	}
 	fmt.Printf("total: %d scenarios\n", total)

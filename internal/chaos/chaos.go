@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"tcodm/internal/core"
+	"tcodm/internal/fault"
 	"tcodm/internal/netfault"
 	"tcodm/internal/obs"
 	"tcodm/internal/server"
@@ -108,7 +109,7 @@ type probe struct {
 	S2C int64 // server-to-client bytes
 }
 
-const verdictOK, verdictError = "ok", "error"
+const verdictOK, verdictError = "ok", fault.VerdictError
 
 // chaosQueries is the fixed read-only workload every scenario replays.
 var chaosQueries = []string{
@@ -132,8 +133,6 @@ type env struct {
 	addr   string
 	golden []golden
 	connsG *obs.Gauge
-	shedC  *obs.Counter
-	logf   func(format string, args ...any)
 
 	// Overload scenarios need queries whose execution outlasts the Go
 	// runtime's ~10ms async-preemption threshold — otherwise, on a
@@ -157,33 +156,10 @@ const heavyQuery = `SELECT HISTORY(Emp.salary) FROM Emp DURING [0, 100000)`
 
 func (e *env) overloadEngine() (*core.Engine, error) {
 	e.overloadOnce.Do(func() {
-		eng, err := core.Open(core.Options{})
-		if err != nil {
-			e.overloadErr = err
-			return
-		}
-		sch, err := workload.PersonnelSchema()
-		if err != nil {
-			eng.Close()
-			e.overloadErr = err
-			return
-		}
-		if err := workload.Install(eng, sch); err != nil {
-			eng.Close()
-			e.overloadErr = err
-			return
-		}
-		app := workload.NewEngineApplier(eng, 256)
-		ops := workload.Personnel(workload.PersonnelParams{
+		eng, err := personnelEngine(workload.PersonnelParams{
 			Depts: 8, Emps: 3200, UpdatesPerEmp: 6, MovesPerEmp: 1, TimeStep: 10, Seed: e.seed,
 		})
-		if _, err := workload.Apply(ops, app); err != nil {
-			eng.Close()
-			e.overloadErr = err
-			return
-		}
-		if err := app.Flush(); err != nil {
-			eng.Close()
+		if err != nil {
 			e.overloadErr = err
 			return
 		}
@@ -204,35 +180,17 @@ func (e *env) overloadEngine() (*core.Engine, error) {
 	return e.overloadEng, e.overloadErr
 }
 
-// outcome is one scenario's result.
-type outcome struct {
-	verdict    string
-	violations []string
-}
-
-func (o *outcome) bad(format string, args ...any) {
-	o.violations = append(o.violations, fmt.Sprintf(format, args...))
-}
-
-// scenario is one scripted failure mode.
-type scenario struct {
-	name  string
-	short bool // member of the -short subset
-	run   func(e *env) outcome
-}
-
 // Run executes the chaos matrix.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Watchdog <= 0 {
-		cfg.Watchdog = 30 * time.Second
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	start := time.Now()
 
-	eng, err := buildEngine(cfg.Seed)
+	eng, err := personnelEngine(workload.PersonnelParams{
+		Depts: 3, Emps: 30, UpdatesPerEmp: 3, MovesPerEmp: 1, TimeStep: 10, Seed: cfg.Seed,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: building engine: %w", err)
 	}
@@ -242,8 +200,6 @@ func Run(cfg Config) (*Report, error) {
 		seed:   cfg.Seed,
 		eng:    eng,
 		connsG: eng.Metrics().Gauge("server.conns"),
-		shedC:  eng.Metrics().Counter("server.shed"),
-		logf:   logf,
 	}
 	defer func() {
 		if oe := e.overloadEng; oe != nil {
@@ -263,29 +219,18 @@ func Run(cfg Config) (*Report, error) {
 		})
 	}
 
-	srv, err := server.New(server.Config{Engine: eng, Banner: "tcochaos"})
+	srv, err := serve(server.Config{Engine: eng, Banner: "tcochaos"})
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	e.addr = ln.Addr().String()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-served
-	}()
+	defer srv.stop()
+	e.addr = srv.addr()
 
 	// Probe: measure the fault-free per-direction byte streams so fault
 	// offsets spread across the whole exchange.
 	c2s, s2c, out := probeRun(e)
-	if len(out.violations) > 0 {
-		return nil, fmt.Errorf("chaos: probe violated invariants: %s", out.violations[0])
+	if len(out.Violations) > 0 {
+		return nil, fmt.Errorf("chaos: probe violated invariants: %s", out.Violations[0])
 	}
 	logf("probe: %d bytes client-to-server, %d server-to-client", c2s, s2c)
 
@@ -293,7 +238,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Short {
 		kept := scenarios[:0]
 		for _, sc := range scenarios {
-			if sc.short {
+			if sc.Short {
 				kept = append(kept, sc)
 			}
 		}
@@ -305,28 +250,25 @@ func Run(cfg Config) (*Report, error) {
 
 	rep := &Report{Seed: cfg.Seed, Short: cfg.Short}
 	rep.Stats.Probe = probe{C2S: c2s, S2C: s2c}
-	for _, sc := range scenarios {
-		out := runGuarded(sc, e, cfg.Watchdog)
-		rep.Scenarios = append(rep.Scenarios, ScenarioResult{Name: sc.name, Verdict: out.verdict})
+	for i, out := range fault.Drive(scenarios, cfg.Watchdog, logf) {
+		name := scenarios[i].Name
+		rep.Scenarios = append(rep.Scenarios, ScenarioResult{Name: name, Verdict: out.Verdict})
 		rep.Summary.Total++
-		switch out.verdict {
+		switch out.Verdict {
 		case verdictOK:
 			rep.Summary.OK++
 		default:
 			rep.Summary.Errors++
 		}
-		for _, v := range out.violations {
-			rep.Stats.Failures = append(rep.Stats.Failures, sc.name+": "+v)
+		for _, v := range out.Violations {
+			rep.Stats.Failures = append(rep.Stats.Failures, name+": "+v)
 		}
-		rep.Summary.Violations += len(out.violations)
-		if len(out.violations) > 0 {
-			logf("%s: %s, %d violation(s): %s", sc.name, out.verdict, len(out.violations), out.violations[0])
-		} else {
-			logf("%s: %s", sc.name, out.verdict)
-		}
+		rep.Summary.Violations += len(out.Violations)
 	}
 
-	rep.Sweep = availabilitySweep(e)
+	if rep.Sweep, err = availabilitySweep(e); err != nil {
+		return nil, err
+	}
 	rep.Stats.Retries = e.retries.Load()
 	rep.Stats.Sheds = e.sheds.Load()
 	rep.Stats.SampleTrace = e.sampleTrace
@@ -334,59 +276,65 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runGuarded runs one scenario under the watchdog with panic recovery.
-func runGuarded(sc scenario, e *env, watchdog time.Duration) outcome {
-	done := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				var o outcome
-				o.verdict = verdictError
-				o.bad("panic: %v", r)
-				done <- o
-			}
-		}()
-		done <- sc.run(e)
-	}()
-	select {
-	case o := <-done:
-		return o
-	case <-time.After(watchdog):
-		var o outcome
-		o.verdict = verdictError
-		o.bad("hang: scenario exceeded the %v watchdog", watchdog)
-		return o
-	}
-}
-
-// buildEngine constructs the seeded personnel engine.
-func buildEngine(seed int64) (*core.Engine, error) {
+// personnelEngine builds an in-memory engine loaded with the seeded
+// personnel workload p.
+func personnelEngine(p workload.PersonnelParams) (*core.Engine, error) {
 	eng, err := core.Open(core.Options{})
 	if err != nil {
 		return nil, err
 	}
 	sch, err := workload.PersonnelSchema()
+	if err == nil {
+		err = workload.Install(eng, sch)
+	}
+	if err == nil {
+		app := workload.NewEngineApplier(eng, 256)
+		if _, err = workload.Apply(workload.Personnel(p), app); err == nil {
+			err = app.Flush()
+		}
+	}
 	if err != nil {
 		eng.Close()
 		return nil, err
 	}
-	if err := workload.Install(eng, sch); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	app := workload.NewEngineApplier(eng, 256)
-	ops := workload.Personnel(workload.PersonnelParams{
-		Depts: 3, Emps: 30, UpdatesPerEmp: 3, MovesPerEmp: 1, TimeStep: 10, Seed: seed,
-	})
-	if _, err := workload.Apply(ops, app); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	if err := app.Flush(); err != nil {
-		eng.Close()
-		return nil, err
-	}
 	return eng, nil
+}
+
+// loopback is a wire server on a loopback port.
+type loopback struct {
+	srv    *server.Server
+	ln     net.Listener
+	served chan error
+	once   sync.Once
+}
+
+// serve starts a server for cfg on a fresh loopback port.
+func serve(cfg server.Config) (*loopback, error) {
+	srv, err := server.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	s := &loopback{srv: srv, ln: ln, served: make(chan error, 1)}
+	go func() { s.served <- srv.Serve(ln) }()
+	return s, nil
+}
+
+func (s *loopback) addr() string { return s.ln.Addr().String() }
+
+// stop drains the server and waits for Serve to return. Idempotent:
+// failover scenarios stop a leader mid-body ("the leader dies") and their
+// teardown stops it again.
+func (s *loopback) stop() {
+	s.once.Do(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.srv.Shutdown(ctx)
+		<-s.served
+	})
 }
 
 // clientTweaks parameterize the scenario client.
@@ -394,7 +342,7 @@ type clientTweaks struct {
 	queryRetries    int
 	dialRetries     int
 	readTimeout     time.Duration
-	breakerFailures int           // 0 = disabled for scenario determinism
+	breakerFailures int // 0 = disabled for scenario determinism
 	breakerCooldown time.Duration
 	preSleep        map[int]time.Duration // query index -> sleep first
 }
@@ -455,21 +403,20 @@ func checkResult(g golden, res *client.Result) error {
 // runWorkload replays the standard queries through a proxy scripted with
 // scriptFor and applies the chaos contract: correct result or typed
 // error, never a wrong answer; no leaked connection afterwards.
-func (e *env) runWorkload(scriptFor func(i int) netfault.Script, tw clientTweaks) outcome {
-	var out outcome
-	out.verdict = verdictOK
+func (e *env) runWorkload(scriptFor func(i int) netfault.Script, tw clientTweaks) fault.Outcome {
+	out := fault.Outcome{Verdict: verdictOK}
 
 	proxy, err := netfault.NewProxy(e.addr, e.seed, scriptFor)
 	if err != nil {
-		out.verdict = verdictError
-		out.bad("proxy: %v", err)
+		out.Verdict = verdictError
+		out.Bad("proxy: %v", err)
 		return out
 	}
 	cl, reg, err := e.newClient(proxy.Addr(), tw, 1)
 	if err != nil {
 		proxy.Close()
-		out.verdict = verdictError
-		out.bad("client: %v", err)
+		out.Verdict = verdictError
+		out.Bad("client: %v", err)
 		return out
 	}
 
@@ -481,11 +428,11 @@ func (e *env) runWorkload(scriptFor func(i int) netfault.Script, tw clientTweaks
 		if err != nil {
 			// A typed error is an allowed outcome; record and continue on
 			// a fresh footing (the client discards broken connections).
-			out.verdict = verdictError
+			out.Verdict = verdictError
 			continue
 		}
 		if cerr := checkResult(g, res); cerr != nil {
-			out.bad("query %d returned a WRONG ANSWER under faults: %v", qi, cerr)
+			out.Bad("query %d returned a WRONG ANSWER under faults: %v", qi, cerr)
 		}
 	}
 	e.retries.Add(reg.Counters()["client.retry"])
@@ -496,7 +443,7 @@ func (e *env) runWorkload(scriptFor func(i int) netfault.Script, tw clientTweaks
 	deadline := time.Now().Add(5 * time.Second)
 	for proxy.Conns() != 0 || e.connsG.Value() != 0 {
 		if time.Now().After(deadline) {
-			out.bad("leak: %d proxied conns, server gauge %d after client close", proxy.Conns(), e.connsG.Value())
+			out.Bad("leak: %d proxied conns, server gauge %d after client close", proxy.Conns(), e.connsG.Value())
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -506,10 +453,10 @@ func (e *env) runWorkload(scriptFor func(i int) netfault.Script, tw clientTweaks
 }
 
 // probeRun measures the fault-free per-direction byte streams.
-func probeRun(e *env) (c2s, s2c int64, out outcome) {
+func probeRun(e *env) (c2s, s2c int64, out fault.Outcome) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		out.bad("probe listen: %v", err)
+		out.Bad("probe listen: %v", err)
 		return 0, 0, out
 	}
 	var up, down atomic.Int64
@@ -541,20 +488,20 @@ func probeRun(e *env) (c2s, s2c int64, out outcome) {
 
 	cl, _, err := e.newClient(ln.Addr().String(), clientTweaks{queryRetries: -1, dialRetries: -1}, 0)
 	if err != nil {
-		out.bad("probe client: %v", err)
+		out.Bad("probe client: %v", err)
 		ln.Close()
 		wg.Wait()
 		return 0, 0, out
 	}
-	out.verdict = verdictOK
+	out.Verdict = verdictOK
 	for qi, g := range e.golden {
 		res, err := cl.Query(g.text)
 		if err != nil {
-			out.bad("probe query %d failed fault-free: %v", qi, err)
+			out.Bad("probe query %d failed fault-free: %v", qi, err)
 			continue
 		}
 		if cerr := checkResult(g, res); cerr != nil {
-			out.bad("probe query %d mismatched golden fault-free: %v", qi, cerr)
+			out.Bad("probe query %d mismatched golden fault-free: %v", qi, cerr)
 		}
 	}
 	cl.Close()
@@ -576,19 +523,12 @@ func spread(n int, total int64) []int64 {
 	return offs
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // buildScenarios assembles the full matrix. Each entry is deterministic
 // under (seed, scenario); short entries form the CI subset.
-func buildScenarios(e *env, c2s, s2c int64) []scenario {
-	var scs []scenario
-	add := func(name string, short bool, run func(e *env) outcome) {
-		scs = append(scs, scenario{name: name, short: short, run: run})
+func buildScenarios(e *env, c2s, s2c int64) []fault.Scenario {
+	var scs []fault.Scenario
+	add := func(name string, short bool, run func() fault.Outcome) {
+		scs = append(scs, fault.Scenario{Name: name, Short: short, Run: run})
 	}
 
 	// Family A: one byte-offset fault on the FIRST connection only; a
@@ -620,7 +560,7 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 		for _, f := range faults {
 			for oi, off := range spread(11, d.len) {
 				d, f, off := d, f, off
-				add(fmt.Sprintf("%s-%s@%d-first", d.name, f.name, off), oi%2 == 0, func(e *env) outcome {
+				add(fmt.Sprintf("%s-%s@%d-first", d.name, f.name, off), oi%2 == 0, func() fault.Outcome {
 					return e.runWorkload(func(i int) netfault.Script {
 						if i == 0 {
 							return d.pipe(f.ps(off))
@@ -628,7 +568,7 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 						return netfault.Script{}
 					}, clientTweaks{})
 				})
-				add(fmt.Sprintf("%s-%s@%d-all", d.name, f.name, off), oi%8 == 0, func(e *env) outcome {
+				add(fmt.Sprintf("%s-%s@%d-all", d.name, f.name, off), oi%8 == 0, func() fault.Outcome {
 					return e.runWorkload(func(i int) netfault.Script {
 						return d.pipe(f.ps(off))
 					}, clientTweaks{queryRetries: -1, dialRetries: -1})
@@ -669,10 +609,10 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 	}
 	for _, tm := range timing {
 		tm := tm
-		add("timing-"+tm.name, true, func(e *env) outcome {
+		add("timing-"+tm.name, true, func() fault.Outcome {
 			out := e.runWorkload(func(int) netfault.Script { return tm.sc }, clientTweaks{})
-			if out.verdict != verdictOK && len(out.violations) == 0 {
-				out.bad("timing fault %s produced an error; timing must never break a query", tm.name)
+			if out.Verdict != verdictOK && len(out.Violations) == 0 {
+				out.Bad("timing fault %s produced an error; timing must never break a query", tm.name)
 			}
 			return out
 		})
@@ -681,26 +621,26 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 	// Accept-time refusals: the first k dials die at accept.
 	for _, k := range []int{1, 2, 3} {
 		k := k
-		add(fmt.Sprintf("refuse-first-%d", k), true, func(e *env) outcome {
+		add(fmt.Sprintf("refuse-first-%d", k), true, func() fault.Outcome {
 			out := e.runWorkload(func(i int) netfault.Script {
 				return netfault.Script{RefuseAccept: i < k}
 			}, clientTweaks{})
-			if out.verdict != verdictOK && len(out.violations) == 0 {
-				out.bad("client failed to dial past %d refused accepts", k)
+			if out.Verdict != verdictOK && len(out.Violations) == 0 {
+				out.Bad("client failed to dial past %d refused accepts", k)
 			}
 			return out
 		})
 	}
-	add("refuse-all", true, func(e *env) outcome {
+	add("refuse-all", true, func() fault.Outcome {
 		out := e.runWorkload(func(int) netfault.Script {
 			return netfault.Script{RefuseAccept: true}
 		}, clientTweaks{queryRetries: -1, dialRetries: -1})
-		if out.verdict != verdictError {
-			out.bad("every accept refused yet the workload reported %q", out.verdict)
+		if out.Verdict != verdictError {
+			out.Bad("every accept refused yet the workload reported %q", out.Verdict)
 		}
 		return out
 	})
-	add("refuse-alternate", true, func(e *env) outcome {
+	add("refuse-alternate", true, func() fault.Outcome {
 		return e.runWorkload(func(i int) netfault.Script {
 			return netfault.Script{RefuseAccept: i%2 == 0}
 		}, clientTweaks{})
@@ -710,12 +650,12 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 	// surface as a typed timeout, not a hang.
 	for _, d := range dirs {
 		d := d
-		add("freeze-timeout-"+d.name, true, func(e *env) outcome {
+		add("freeze-timeout-"+d.name, true, func() fault.Outcome {
 			out := e.runWorkload(func(int) netfault.Script {
 				return d.pipe(netfault.PipeScript{FreezeAt: d.len / 3, FreezeFor: 600 * time.Millisecond})
 			}, clientTweaks{queryRetries: -1, dialRetries: -1, readTimeout: 100 * time.Millisecond})
-			if out.verdict != verdictError {
-				out.bad("600ms freeze under a 100ms read deadline reported %q", out.verdict)
+			if out.Verdict != verdictError {
+				out.Bad("600ms freeze under a 100ms read deadline reported %q", out.Verdict)
 			}
 			return out
 		})
@@ -743,7 +683,7 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 	}
 	for _, cb := range combos {
 		cb := cb
-		add("combo-"+cb.name+"-first", true, func(e *env) outcome {
+		add("combo-"+cb.name+"-first", true, func() fault.Outcome {
 			return e.runWorkload(func(i int) netfault.Script {
 				if i == 0 {
 					return cb.sc
@@ -751,7 +691,7 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 				return netfault.Script{}
 			}, clientTweaks{})
 		})
-		add("combo-"+cb.name+"-all", false, func(e *env) outcome {
+		add("combo-"+cb.name+"-all", false, func() fault.Outcome {
 			return e.runWorkload(func(int) netfault.Script { return cb.sc },
 				clientTweaks{queryRetries: -1, dialRetries: -1})
 		})
@@ -762,10 +702,10 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 	// storage-accounting child — whose totals match what came back on the
 	// wire. Runs fault-free and under degraded timing: faults slow
 	// queries, they must never produce half-recorded traces.
-	add("trace-spans", true, func(e *env) outcome {
+	add("trace-spans", true, func() fault.Outcome {
 		return e.traceScenario(netfault.Script{})
 	})
-	add("trace-spans-chunked", false, func(e *env) outcome {
+	add("trace-spans-chunked", false, func() fault.Outcome {
 		return e.traceScenario(netfault.Script{
 			Read:  netfault.PipeScript{ChunkMax: 5},
 			Write: netfault.PipeScript{ChunkMax: 11},
@@ -774,10 +714,10 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 
 	// Breaker: consecutive dial failures must open the circuit (fail
 	// fast), and a healthy server after the cooldown must close it again.
-	add("breaker-trips-open", true, func(e *env) outcome {
+	add("breaker-trips-open", true, func() fault.Outcome {
 		return e.breakerTripScenario()
 	})
-	add("breaker-recovers", false, func(e *env) outcome {
+	add("breaker-recovers", false, func() fault.Outcome {
 		return e.breakerRecoverScenario()
 	})
 
@@ -785,7 +725,7 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 	// retry hints, and retrying clients must still finish correctly.
 	for _, workers := range []int{4, 8, 16} {
 		workers := workers
-		add(fmt.Sprintf("overload-%d-workers", workers), workers == 8, func(e *env) outcome {
+		add(fmt.Sprintf("overload-%d-workers", workers), workers == 8, func() fault.Outcome {
 			return e.overloadScenario(workers)
 		})
 	}
@@ -806,21 +746,20 @@ func buildScenarios(e *env, c2s, s2c int64) []scenario {
 // tree in the server tracer, and the resource totals on the wire equal
 // the totals the root span accounted. The first complete tree is kept as
 // the run's sample trace.
-func (e *env) traceScenario(sc netfault.Script) outcome {
-	var out outcome
-	out.verdict = verdictOK
+func (e *env) traceScenario(sc netfault.Script) fault.Outcome {
+	out := fault.Outcome{Verdict: verdictOK}
 
 	proxy, err := netfault.NewProxy(e.addr, e.seed, func(int) netfault.Script { return sc })
 	if err != nil {
-		out.verdict = verdictError
-		out.bad("proxy: %v", err)
+		out.Verdict = verdictError
+		out.Bad("proxy: %v", err)
 		return out
 	}
 	defer proxy.Close()
 	cl, _, err := e.newClient(proxy.Addr(), clientTweaks{}, 4)
 	if err != nil {
-		out.verdict = verdictError
-		out.bad("client: %v", err)
+		out.Verdict = verdictError
+		out.Bad("client: %v", err)
 		return out
 	}
 	defer cl.Close()
@@ -828,15 +767,15 @@ func (e *env) traceScenario(sc netfault.Script) outcome {
 	for qi, g := range e.golden {
 		res, err := cl.Query(g.text)
 		if err != nil {
-			out.verdict = verdictError
+			out.Verdict = verdictError
 			continue
 		}
 		if cerr := checkResult(g, res); cerr != nil {
-			out.bad("query %d wrong answer: %v", qi, cerr)
+			out.Bad("query %d wrong answer: %v", qi, cerr)
 			continue
 		}
 		if res.Trace == 0 {
-			out.bad("query %d completed without a trace id", qi)
+			out.Bad("query %d completed without a trace id", qi)
 			continue
 		}
 		evs := e.eng.Tracer().Trace(res.Trace)
@@ -846,26 +785,26 @@ func (e *env) traceScenario(sc netfault.Script) outcome {
 		}
 		root, ok := spans["query"]
 		if !ok || root.Parent != 0 {
-			out.bad("query %d trace %d: no root query span", qi, res.Trace)
+			out.Bad("query %d trace %d: no root query span", qi, res.Trace)
 			continue
 		}
 		if q, ok := spans["queue"]; !ok || q.Parent != root.Span {
-			out.bad("query %d trace %d: queue span missing or misparented", qi, res.Trace)
+			out.Bad("query %d trace %d: queue span missing or misparented", qi, res.Trace)
 		}
 		exec, ok := spans["exec"]
 		if !ok || exec.Parent != root.Span {
-			out.bad("query %d trace %d: exec span missing or misparented", qi, res.Trace)
+			out.Bad("query %d trace %d: exec span missing or misparented", qi, res.Trace)
 			continue
 		}
 		if st, ok := spans["storage"]; !ok || st.Parent != exec.Span {
-			out.bad("query %d trace %d: no storage child under exec", qi, res.Trace)
+			out.Bad("query %d trace %d: no storage child under exec", qi, res.Trace)
 		}
 		if root.Res != res.Res {
-			out.bad("query %d trace %d: root accounted %s but the wire reported %s",
+			out.Bad("query %d trace %d: root accounted %s but the wire reported %s",
 				qi, res.Trace, root.Res, res.Res)
 		}
 		if res.Res.IsZero() {
-			out.bad("query %d trace %d: resource totals all zero", qi, res.Trace)
+			out.Bad("query %d trace %d: resource totals all zero", qi, res.Trace)
 		}
 		e.sampleMu.Lock()
 		if e.sampleTrace == "" {
@@ -876,14 +815,13 @@ func (e *env) traceScenario(sc netfault.Script) outcome {
 	return out
 }
 
-func (e *env) breakerTripScenario() outcome {
-	var out outcome
-	out.verdict = verdictError // this scenario's deterministic endpoint
+func (e *env) breakerTripScenario() fault.Outcome {
+	out := fault.Outcome{Verdict: verdictError} // this scenario's deterministic endpoint
 	proxy, err := netfault.NewProxy(e.addr, e.seed, func(int) netfault.Script {
 		return netfault.Script{RefuseAccept: true}
 	})
 	if err != nil {
-		out.bad("proxy: %v", err)
+		out.Bad("proxy: %v", err)
 		return out
 	}
 	defer proxy.Close()
@@ -892,32 +830,31 @@ func (e *env) breakerTripScenario() outcome {
 		breakerFailures: 2, breakerCooldown: time.Hour,
 	}, 2)
 	if err != nil {
-		out.bad("client: %v", err)
+		out.Bad("client: %v", err)
 		return out
 	}
 	defer cl.Close()
 	for i := 0; i < 2; i++ {
 		if err := cl.Ping(); err == nil || errors.Is(err, client.ErrBreakerOpen) {
-			out.bad("refused dial %d: got %v", i, err)
+			out.Bad("refused dial %d: got %v", i, err)
 		}
 	}
 	if err := cl.Ping(); !errors.Is(err, client.ErrBreakerOpen) {
-		out.bad("after %d failures the breaker must fail fast, got %v", 2, err)
+		out.Bad("after %d failures the breaker must fail fast, got %v", 2, err)
 	}
 	if got := proxy.Accepted(); got != 2 {
-		out.bad("breaker open yet the client dialed: %d accepts, want 2", got)
+		out.Bad("breaker open yet the client dialed: %d accepts, want 2", got)
 	}
 	return out
 }
 
-func (e *env) breakerRecoverScenario() outcome {
-	var out outcome
-	out.verdict = verdictError // the trip phase errors; recovery is checked explicitly
+func (e *env) breakerRecoverScenario() fault.Outcome {
+	out := fault.Outcome{Verdict: verdictError} // the trip phase errors; recovery is checked explicitly
 	proxy, err := netfault.NewProxy(e.addr, e.seed, func(i int) netfault.Script {
 		return netfault.Script{RefuseAccept: i < 2}
 	})
 	if err != nil {
-		out.bad("proxy: %v", err)
+		out.Bad("proxy: %v", err)
 		return out
 	}
 	defer proxy.Close()
@@ -926,24 +863,24 @@ func (e *env) breakerRecoverScenario() outcome {
 		breakerFailures: 2, breakerCooldown: 30 * time.Millisecond,
 	}, 3)
 	if err != nil {
-		out.bad("client: %v", err)
+		out.Bad("client: %v", err)
 		return out
 	}
 	defer cl.Close()
 	cl.Ping() // failure 1
 	cl.Ping() // failure 2: open
 	if err := cl.Ping(); !errors.Is(err, client.ErrBreakerOpen) {
-		out.bad("expected an open breaker, got %v", err)
+		out.Bad("expected an open breaker, got %v", err)
 	}
 	time.Sleep(50 * time.Millisecond) // cooldown elapses
 	g := e.golden[0]
 	res, err := cl.Query(g.text)
 	if err != nil {
-		out.bad("half-open probe against a healthy server failed: %v", err)
+		out.Bad("half-open probe against a healthy server failed: %v", err)
 		return out
 	}
 	if cerr := checkResult(g, res); cerr != nil {
-		out.bad("post-recovery result: %v", cerr)
+		out.Bad("post-recovery result: %v", cerr)
 	}
 	return out
 }
@@ -951,17 +888,16 @@ func (e *env) breakerRecoverScenario() outcome {
 // overloadScenario saturates a tiny admission gate with concurrent
 // retrying clients: every query must still complete correctly, and the
 // server must have shed at least once.
-func (e *env) overloadScenario(workers int) outcome {
-	var out outcome
-	out.verdict = verdictOK
+func (e *env) overloadScenario(workers int) fault.Outcome {
+	out := fault.Outcome{Verdict: verdictOK}
 
 	oeng, err := e.overloadEngine()
 	if err != nil {
-		out.verdict = verdictError
-		out.bad("overload engine: %v", err)
+		out.Verdict = verdictError
+		out.Bad("overload engine: %v", err)
 		return out
 	}
-	srv, err := server.New(server.Config{
+	srv, err := serve(server.Config{
 		Engine:         oeng,
 		MaxActive:      1,
 		MaxQueueDepth:  1,
@@ -969,24 +905,11 @@ func (e *env) overloadScenario(workers int) outcome {
 		RetryAfterHint: 5 * time.Millisecond,
 	})
 	if err != nil {
-		out.verdict = verdictError
-		out.bad("server: %v", err)
+		out.Verdict = verdictError
+		out.Bad("server: %v", err)
 		return out
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		out.verdict = verdictError
-		out.bad("listen: %v", err)
-		return out
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-served
-	}()
+	defer srv.stop()
 
 	shedC := oeng.Metrics().Counter("server.shed")
 	shedBefore := shedC.Value()
@@ -999,7 +922,7 @@ func (e *env) overloadScenario(workers int) outcome {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cl, reg, err := e.newClient(ln.Addr().String(), clientTweaks{queryRetries: 500}, int64(10+w))
+			cl, reg, err := e.newClient(srv.addr(), clientTweaks{queryRetries: 500}, int64(10+w))
 			if err != nil {
 				errs <- fmt.Sprintf("worker %d client: %v", w, err)
 				return
@@ -1023,11 +946,11 @@ func (e *env) overloadScenario(workers int) outcome {
 	wg.Wait()
 	close(errs)
 	for msg := range errs {
-		out.bad("%s", msg)
+		out.Bad("%s", msg)
 	}
 	sheds := shedC.Value() - shedBefore
 	if sheds == 0 {
-		out.bad("overload with %d workers through a 1-wide gate never shed", workers)
+		out.Bad("overload with %d workers through a 1-wide gate never shed", workers)
 	}
 	e.sheds.Add(sheds)
 	e.retries.Add(retries.Load())
@@ -1049,8 +972,10 @@ func splitmix64(x uint64) uint64 {
 // Each query runs on a fresh client with two retries, so a query fails
 // only when three consecutive connections are all faulty — the measured
 // curve is the resilience the retry layer buys. Everything is
-// sequential and seed-driven, so each point is deterministic.
-func availabilitySweep(e *env) []SweepPoint {
+// sequential and seed-driven, so each point is deterministic. A proxy or
+// client the sweep cannot build fails the run: a dropped point or a
+// query never sent would change the curve without a violation.
+func availabilitySweep(e *env) ([]SweepPoint, error) {
 	points := []int{0, 16, 8, 4, 2} // 1-in-N connections faulty; 0 = none
 	var sweep []SweepPoint
 	for pi, every := range points {
@@ -1069,14 +994,15 @@ func availabilitySweep(e *env) []SweepPoint {
 			return netfault.Script{}
 		})
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("chaos: availability sweep, faults 1/%d: proxy: %w", every, err)
 		}
 		for r := 0; r < rounds; r++ {
 			for _, g := range e.golden {
 				total++
 				cl, _, err := e.newClient(proxy.Addr(), clientTweaks{queryRetries: 2}, int64(100+pi)+next.Add(1))
 				if err != nil {
-					continue
+					proxy.Close()
+					return nil, fmt.Errorf("chaos: availability sweep, faults 1/%d: client: %w", every, err)
 				}
 				res, err := cl.Query(g.text)
 				if err == nil && checkResult(g, res) == nil {
@@ -1093,5 +1019,5 @@ func availabilitySweep(e *env) []SweepPoint {
 			Availability: float64(correct) / float64(total),
 		})
 	}
-	return sweep
+	return sweep, nil
 }

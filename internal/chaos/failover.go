@@ -27,37 +27,12 @@ import (
 	"time"
 
 	"tcodm/internal/core"
+	"tcodm/internal/fault"
 	"tcodm/internal/repl"
-	"tcodm/internal/server"
 	"tcodm/internal/temporal"
-	"tcodm/internal/value"
 	"tcodm/internal/wire"
 	"tcodm/pkg/client"
 )
-
-// commitEng appends n single-insert commits with a distinct name prefix
-// to any writable engine (the promoted-timeline counterpart of
-// replLab.commit). seq persists across calls so names never collide.
-func commitEng(eng *core.Engine, prefix string, seq *int, n int) error {
-	for i := 0; i < n; i++ {
-		*seq++
-		tx, err := eng.Begin()
-		if err != nil {
-			return err
-		}
-		if _, err := tx.Insert("Emp", map[string]value.V{
-			"name":   value.String_(fmt.Sprintf("%s%04d", prefix, *seq)),
-			"salary": value.Int(int64(5000 + *seq)),
-		}, 0); err != nil {
-			tx.Abort()
-			return err
-		}
-		if err := tx.Commit(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // countEmp returns the number of Emp rows visible at VT 0, latest TT.
 func countEmp(eng *core.Engine) (int, error) {
@@ -68,114 +43,34 @@ func countEmp(eng *core.Engine) (int, error) {
 	return len(res.Rows), nil
 }
 
-// foServer is a wire server with replication enabled for an arbitrary
-// engine — the serving half of a promoted node.
-type foServer struct {
-	srv    *server.Server
-	ln     net.Listener
-	served chan error
-}
-
-func serveRepl(eng *core.Engine) (*foServer, error) {
-	srv, err := server.New(server.Config{
-		Engine:    eng,
-		Banner:    "tcochaos-failover",
-		Repl:      &repl.Source{Engine: eng, Heartbeat: 20 * time.Millisecond},
-		Staleness: func() time.Duration { return 0 },
-	})
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	return &foServer{srv: srv, ln: ln, served: served}, nil
-}
-
-func (s *foServer) addr() string { return s.ln.Addr().String() }
-
-func (s *foServer) stop() {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	s.srv.Shutdown(ctx)
-	<-s.served
-}
-
-// startFoFollower starts a follower of addr at path; force requests a
-// snapshot rejoin (the operator demotion path).
-func startFoFollower(addr func() string, path string, force bool) (*repl.Follower, context.CancelFunc, error) {
-	f, err := repl.StartFollower(repl.FollowerConfig{
-		Leader: "fo-lab",
-		Path:   path,
-		Dial: func(ctx context.Context, _ string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr())
-		},
-		ReadTimeout:   time.Second,
-		Backoff:       20 * time.Millisecond,
-		ForceSnapshot: force,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go f.Run(ctx)
-	return f, cancel, nil
-}
-
-// waitEngConverged polls until f matches the target engine's frontier and
-// logical digest.
-func waitEngConverged(f *repl.Follower, target *core.Engine, out *outcome) bool {
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.Watermark() == target.Log().AppendedLSN() {
-			td, err := target.DigestStore()
-			if err != nil {
-				out.bad("target digest: %v", err)
-				return false
-			}
-			fd, err := f.Engine().DigestStore()
-			if err == nil && bytes.Equal(td, fd) {
-				return true
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	out.bad("follower stuck at watermark %d, target at %d", f.Watermark(), target.Log().AppendedLSN())
-	return false
-}
-
 // promoteOrBad promotes f and runs the shared post-promotion assertions:
 // epoch value, writability, zero staleness, once-only.
-func promoteOrBad(f *repl.Follower, wantEpoch uint64, out *outcome) bool {
+func promoteOrBad(f *repl.Follower, wantEpoch uint64, out *fault.Outcome) bool {
 	epoch, err := f.Promote()
 	if err != nil {
-		out.bad("promote: %v", err)
+		out.Bad("promote: %v", err)
 		return false
 	}
 	if epoch != wantEpoch {
-		out.bad("promotion epoch = %d, want %d", epoch, wantEpoch)
+		out.Bad("promotion epoch = %d, want %d", epoch, wantEpoch)
 	}
 	if f.Engine().IsReadOnly() || f.Engine().IsFollower() {
-		out.bad("promoted engine still refuses writes")
+		out.Bad("promoted engine still refuses writes")
 	}
 	if s := f.Staleness(); s != 0 {
-		out.bad("promoted node staleness = %v, want 0", s)
+		out.Bad("promoted node staleness = %v, want 0", s)
 	}
 	if _, err := f.Promote(); err == nil {
-		out.bad("DOUBLE PROMOTION: second Promote on the same node succeeded")
+		out.Bad("DOUBLE PROMOTION: second Promote on the same node succeeded")
 	}
 	return true
 }
 
 // failoverScenarios is the leader-failover fault family.
-func failoverScenarios(e *env) []scenario {
-	var scs []scenario
-	add := func(name string, short bool, run func(e *env) outcome) {
-		scs = append(scs, scenario{name: name, short: short, run: run})
+func failoverScenarios(e *env) []fault.Scenario {
+	var scs []fault.Scenario
+	add := func(name string, short bool, run func() fault.Outcome) {
+		scs = append(scs, fault.Scenario{Name: name, Short: short, Run: run})
 	}
 
 	// --- caught-up promotion -------------------------------------------------
@@ -183,34 +78,25 @@ func failoverScenarios(e *env) []scenario {
 	// exact row counts (zero acked-write loss), epoch 1, local writes land.
 	for _, n := range []int{1, 3, 5, 8, 12, 20, 30, 45} {
 		n := n
-		add(fmt.Sprintf("failover-promote-caught-up-%d", n), n == 8, replScenario(func(l *replLab, out *outcome) {
-			if err := l.commit(n); err != nil {
-				out.bad("commit: %v", err)
+		add(fmt.Sprintf("failover-promote-caught-up-%d", n), n == 8, replScenario(func(l *replLab, out *fault.Outcome) {
+			f := l.caughtUp(n, out)
+			if f == nil {
 				return
 			}
-			f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-			if err != nil {
-				out.bad("follower: %v", err)
-				return
-			}
-			defer func() { cancel(); f.Close() }()
-			if !l.waitReplConverged(f, out) {
-				return
-			}
-			l.stopServer() // the leader "dies" (cleanly severs the stream)
+			l.srv.stop() // the leader "dies" (cleanly severs the stream)
 			if !promoteOrBad(f, 1, out) {
 				return
 			}
 			if got, err := countEmp(f.Engine()); err != nil || got != n {
-				out.bad("ACKED WRITE LOST: promoted node has %d rows, want %d (%v)", got, n, err)
+				out.Bad("ACKED WRITE LOST: promoted node has %d rows, want %d (%v)", got, n, err)
 			}
 			seq := 0
-			if err := commitEng(f.Engine(), "p", &seq, 3); err != nil {
-				out.bad("post-promotion commit: %v", err)
+			if err := commit(f.Engine(), "p", &seq, 3); err != nil {
+				out.Bad("post-promotion commit: %v", err)
 				return
 			}
 			if got, err := countEmp(f.Engine()); err != nil || got != n+3 {
-				out.bad("post-promotion rows = %d, want %d (%v)", got, n+3, err)
+				out.Bad("post-promotion rows = %d, want %d (%v)", got, n+3, err)
 			}
 		}))
 	}
@@ -228,29 +114,20 @@ func failoverScenarios(e *env) []scenario {
 			if torn {
 				name += "-torn"
 			}
-			add(name, n == 8 && !torn, replScenario(func(l *replLab, out *outcome) {
-				if err := l.commit(n); err != nil {
-					out.bad("commit: %v", err)
+			add(name, n == 8 && !torn, replScenario(func(l *replLab, out *fault.Outcome) {
+				f := l.caughtUp(n, out)
+				if f == nil {
 					return
 				}
-				f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-				if err != nil {
-					out.bad("follower: %v", err)
-					return
-				}
-				defer func() { cancel(); f.Close() }()
-				if !l.waitReplConverged(f, out) {
-					return
-				}
-				l.stopServer()
+				l.srv.stop()
 				// Two commits the stream never sees, then SIGKILL.
-				if err := l.commit(2); err != nil {
-					out.bad("unshipped commit: %v", err)
+				if err := commit(l.leader, "e", &l.seq, 2); err != nil {
+					out.Bad("unshipped commit: %v", err)
 					return
 				}
 				leaderPath := filepath.Join(l.dir, "leader")
 				if err := l.leader.Crash(); err != nil {
-					out.bad("crash: %v", err)
+					out.Bad("crash: %v", err)
 					return
 				}
 				if torn {
@@ -258,7 +135,7 @@ func failoverScenarios(e *env) []scenario {
 					// SIGKILL leaves behind.
 					wf, err := os.OpenFile(leaderPath+".wal", os.O_APPEND|os.O_WRONLY, 0o644)
 					if err != nil {
-						out.bad("torn tail: %v", err)
+						out.Bad("torn tail: %v", err)
 						return
 					}
 					wf.Write([]byte{0x7F, 0x01, 0x02, 0x03, 0x04})
@@ -269,44 +146,44 @@ func failoverScenarios(e *env) []scenario {
 					return
 				}
 				if got, err := countEmp(f.Engine()); err != nil || got != n {
-					out.bad("ACKED WRITE LOST: promoted node has %d rows, want %d (%v)", got, n, err)
+					out.Bad("ACKED WRITE LOST: promoted node has %d rows, want %d (%v)", got, n, err)
 				}
 				seq := 0
-				if err := commitEng(f.Engine(), "p", &seq, 2); err != nil {
-					out.bad("post-promotion commit: %v", err)
+				if err := commit(f.Engine(), "p", &seq, 2); err != nil {
+					out.Bad("post-promotion commit: %v", err)
 					return
 				}
 
 				// Resurrect the old leader as a follower of the new one: its
 				// divergent suffix must be fenced away, not merged.
-				ns, err := serveRepl(f.Engine())
+				ns, err := serveLeader(f.Engine(), zeroLag)
 				if err != nil {
-					out.bad("new leader server: %v", err)
+					out.Bad("new leader server: %v", err)
 					return
 				}
 				defer ns.stop()
-				old, cancelOld, err := startFoFollower(ns.addr, leaderPath, false)
+				old, cancelOld, err := startFollower(ns.addr, leaderPath, false)
 				if err != nil {
-					out.bad("resurrect old leader: %v", err)
+					out.Bad("resurrect old leader: %v", err)
 					return
 				}
 				defer func() { cancelOld(); old.Close() }()
 				// The lab still owns l.leader; hand it the rejoined engine's
 				// lifecycle is ours, the crashed engine needs no close.
-				if !waitEngConverged(old, f.Engine(), out) {
+				if !waitConverged(old, f.Engine(), out) {
 					return
 				}
 				if old.Engine().Epoch() != 1 {
-					out.bad("rejoined old leader epoch = %d, want 1", old.Engine().Epoch())
+					out.Bad("rejoined old leader epoch = %d, want 1", old.Engine().Epoch())
 				}
 				if got, err := countEmp(old.Engine()); err != nil || got != n+2 {
-					out.bad("SPLIT BRAIN: rejoined old leader has %d rows, want %d (%v)", got, n+2, err)
+					out.Bad("SPLIT BRAIN: rejoined old leader has %d rows, want %d (%v)", got, n+2, err)
 				}
 				if f.Engine().Metrics().Counters()["repl.fences_sent"] == 0 {
-					out.bad("divergent ex-leader rejoined without being fenced")
+					out.Bad("divergent ex-leader rejoined without being fenced")
 				}
 				if old.Engine().Metrics().Counters()["repl.snapshot_bootstraps"] == 0 {
-					out.bad("divergent ex-leader rejoined without a snapshot")
+					out.Bad("divergent ex-leader rejoined without a snapshot")
 				}
 			}))
 		}
@@ -319,73 +196,64 @@ func failoverScenarios(e *env) []scenario {
 	// WITHOUT fencing or a snapshot and learn the epoch from the stream.
 	for _, k := range []int{0, 1, 2, 3, 7, 15} {
 		k := k
-		add(fmt.Sprintf("failover-promote-partitioned-%d-unshipped", k), k == 0 || k == 3, replScenario(func(l *replLab, out *outcome) {
+		add(fmt.Sprintf("failover-promote-partitioned-%d-unshipped", k), k == 0 || k == 3, replScenario(func(l *replLab, out *fault.Outcome) {
 			const n = 6
-			if err := l.commit(n); err != nil {
-				out.bad("commit: %v", err)
+			f := l.caughtUp(n, out)
+			if f == nil {
 				return
 			}
-			f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-			if err != nil {
-				out.bad("follower: %v", err)
-				return
-			}
-			defer func() { cancel(); f.Close() }()
-			if !l.waitReplConverged(f, out) {
-				return
-			}
-			l.stopServer() // partition
-			if err := l.commit(k); err != nil {
-				out.bad("partitioned commit: %v", err)
+			l.srv.stop() // partition
+			if err := commit(l.leader, "e", &l.seq, k); err != nil {
+				out.Bad("partitioned commit: %v", err)
 				return
 			}
 			if !promoteOrBad(f, 1, out) {
 				return
 			}
 			if got, err := countEmp(f.Engine()); err != nil || got != n {
-				out.bad("promoted node has %d rows, want %d (%v)", got, n, err)
+				out.Bad("promoted node has %d rows, want %d (%v)", got, n, err)
 			}
 
 			// The old leader shuts down cleanly and rejoins.
 			leaderPath := filepath.Join(l.dir, "leader")
 			if err := l.leader.Close(); err != nil {
-				out.bad("leader close: %v", err)
+				out.Bad("leader close: %v", err)
 				return
 			}
-			ns, err := serveRepl(f.Engine())
+			ns, err := serveLeader(f.Engine(), zeroLag)
 			if err != nil {
-				out.bad("new leader server: %v", err)
+				out.Bad("new leader server: %v", err)
 				return
 			}
 			defer ns.stop()
-			old, cancelOld, err := startFoFollower(ns.addr, leaderPath, false)
+			old, cancelOld, err := startFollower(ns.addr, leaderPath, false)
 			if err != nil {
-				out.bad("rejoin: %v", err)
+				out.Bad("rejoin: %v", err)
 				return
 			}
 			defer func() { cancelOld(); old.Close() }()
-			if !waitEngConverged(old, f.Engine(), out) {
+			if !waitConverged(old, f.Engine(), out) {
 				return
 			}
 			if old.Engine().Epoch() != 1 {
-				out.bad("rejoined epoch = %d, want 1", old.Engine().Epoch())
+				out.Bad("rejoined epoch = %d, want 1", old.Engine().Epoch())
 			}
 			fences := f.Engine().Metrics().Counters()["repl.fences_sent"]
 			boots := old.Engine().Metrics().Counters()["repl.snapshot_bootstraps"]
 			if k == 0 {
 				// Clean prefix: served in place, no fence, no snapshot.
 				if fences != 0 {
-					out.bad("clean-prefix ex-leader was fenced (%d fences)", fences)
+					out.Bad("clean-prefix ex-leader was fenced (%d fences)", fences)
 				}
 				if boots != 0 {
-					out.bad("clean-prefix ex-leader was made to bootstrap")
+					out.Bad("clean-prefix ex-leader was made to bootstrap")
 				}
 			} else {
 				if fences == 0 {
-					out.bad("divergent ex-leader (%d unshipped) was not fenced", k)
+					out.Bad("divergent ex-leader (%d unshipped) was not fenced", k)
 				}
 				if boots == 0 {
-					out.bad("divergent ex-leader rejoined without a snapshot")
+					out.Bad("divergent ex-leader rejoined without a snapshot")
 				}
 			}
 		}))
@@ -404,29 +272,29 @@ func failoverScenarios(e *env) []scenario {
 			if swap {
 				name += "-swapped"
 			}
-			add(name, n == 5 && !swap, replScenario(func(l *replLab, out *outcome) {
-				if err := l.commit(n); err != nil {
-					out.bad("commit: %v", err)
+			add(name, n == 5 && !swap, replScenario(func(l *replLab, out *fault.Outcome) {
+				if err := commit(l.leader, "e", &l.seq, n); err != nil {
+					out.Bad("commit: %v", err)
 					return
 				}
-				f1, cancel1, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
+				f1, cancel1, err := startFollower(l.addr, filepath.Join(l.dir, "f1"), false)
 				if err != nil {
-					out.bad("f1: %v", err)
+					out.Bad("f1: %v", err)
 					return
 				}
 				defer func() { cancel1(); f1.Close() }()
-				f2, cancel2, err := l.follower(l.addr, filepath.Join(l.dir, "f2"))
+				f2, cancel2, err := startFollower(l.addr, filepath.Join(l.dir, "f2"), false)
 				if err != nil {
-					out.bad("f2: %v", err)
+					out.Bad("f2: %v", err)
 					return
 				}
 				deadAddr := l.addr()
-				if !l.waitReplConverged(f1, out) || !l.waitReplConverged(f2, out) {
+				if !waitConverged(f1, l.leader, out) || !waitConverged(f2, l.leader, out) {
 					cancel2()
 					f2.Close()
 					return
 				}
-				l.stopServer() // leader dies; both followers promote
+				l.srv.stop() // leader dies; both followers promote
 				if !promoteOrBad(f1, 1, out) || !promoteOrBad(f2, 1, out) {
 					cancel2()
 					f2.Close()
@@ -436,19 +304,19 @@ func failoverScenarios(e *env) []scenario {
 				d1, err1 := f1.Engine().DigestStore()
 				d2, err2 := f2.Engine().DigestStore()
 				if err1 != nil || err2 != nil || !bytes.Equal(d1, d2) {
-					out.bad("same-frontier double promotion diverged (%v, %v)", err1, err2)
+					out.Bad("same-frontier double promotion diverged (%v, %v)", err1, err2)
 				}
 
-				s1, err := serveRepl(f1.Engine())
+				s1, err := serveLeader(f1.Engine(), zeroLag)
 				if err != nil {
-					out.bad("s1: %v", err)
+					out.Bad("s1: %v", err)
 					cancel2()
 					f2.Close()
 					return
 				}
-				s2, err := serveRepl(f2.Engine())
+				s2, err := serveLeader(f2.Engine(), zeroLag)
 				if err != nil {
-					out.bad("s2: %v", err)
+					out.Bad("s2: %v", err)
 					s1.stop()
 					cancel2()
 					f2.Close()
@@ -468,28 +336,28 @@ func failoverScenarios(e *env) []scenario {
 						RetryBackoff: time.Millisecond, JitterSeed: e.seed + int64(i),
 					})
 					if err != nil {
-						out.bad("client: %v", err)
+						out.Bad("client: %v", err)
 						break
 					}
 					sess, err := cl.Session()
 					if err != nil {
-						out.bad("session after double promote: %v", err)
+						out.Bad("session after double promote: %v", err)
 						cl.Close()
 						break
 					}
 					sess.Close()
 					if cl.Epoch() != 1 {
-						out.bad("client observed epoch %d, want 1", cl.Epoch())
+						out.Bad("client observed epoch %d, want 1", cl.Epoch())
 					}
 					winners = append(winners, cl.Leader())
 					cl.Close()
 				}
 				if len(winners) == 2 {
 					if winners[0] != winners[1] {
-						out.bad("NONDETERMINISTIC WINNER: %s vs %s", winners[0], winners[1])
+						out.Bad("NONDETERMINISTIC WINNER: %s vs %s", winners[0], winners[1])
 					}
 					if winners[0] != replicas[0] {
-						out.bad("winner %s is not the earliest probe address %s", winners[0], replicas[0])
+						out.Bad("winner %s is not the earliest probe address %s", winners[0], replicas[0])
 					}
 				}
 				s2.stop()
@@ -500,23 +368,23 @@ func failoverScenarios(e *env) []scenario {
 				f2Path := filepath.Join(l.dir, "f2")
 				cancel2()
 				if err := f2.Close(); err != nil {
-					out.bad("loser close: %v", err)
+					out.Bad("loser close: %v", err)
 					s1.stop()
 					return
 				}
-				loser, cancelL, err := startFoFollower(s1.addr, f2Path, true)
+				loser, cancelL, err := startFollower(s1.addr, f2Path, true)
 				if err != nil {
-					out.bad("demote rejoin: %v", err)
+					out.Bad("demote rejoin: %v", err)
 					s1.stop()
 					return
 				}
 				defer func() { cancelL(); loser.Close() }()
-				if waitEngConverged(loser, f1.Engine(), out) {
+				if waitConverged(loser, f1.Engine(), out) {
 					if !loser.Engine().IsReadOnly() {
-						out.bad("demoted loser still accepts writes")
+						out.Bad("demoted loser still accepts writes")
 					}
 					if loser.Engine().Epoch() != 1 {
-						out.bad("demoted loser epoch = %d, want 1", loser.Engine().Epoch())
+						out.Bad("demoted loser epoch = %d, want 1", loser.Engine().Epoch())
 					}
 				}
 				s1.stop()
@@ -525,49 +393,40 @@ func failoverScenarios(e *env) []scenario {
 	}
 
 	// --- promotion vs the archive tier ---------------------------------------
-	add("failover-archive-then-promote", false, replScenario(func(l *replLab, out *outcome) {
-		if err := l.commit(30); err != nil {
-			out.bad("commit: %v", err)
+	add("failover-archive-then-promote", false, replScenario(func(l *replLab, out *fault.Outcome) {
+		if err := commit(l.leader, "e", &l.seq, 30); err != nil {
+			out.Bad("commit: %v", err)
 			return
 		}
 		// Tier the older half of history down, then replicate and promote:
 		// the archive state must ship and survive promotion.
 		if _, err := l.leader.Archive(temporal.Instant(l.leader.Now() / 2)); err != nil {
-			out.bad("archive: %v", err)
+			out.Bad("archive: %v", err)
 			return
 		}
-		f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
+		f, cancel, err := startFollower(l.addr, filepath.Join(l.dir, "f1"), false)
 		if err != nil {
-			out.bad("follower: %v", err)
+			out.Bad("follower: %v", err)
 			return
 		}
 		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
+		if !waitConverged(f, l.leader, out) {
 			return
 		}
-		l.stopServer()
+		l.srv.stop()
 		if !promoteOrBad(f, 1, out) {
 			return
 		}
 		if got, err := countEmp(f.Engine()); err != nil || got != 30 {
-			out.bad("rows after archive+promote = %d, want 30 (%v)", got, err)
+			out.Bad("rows after archive+promote = %d, want 30 (%v)", got, err)
 		}
 	}))
-	add("failover-promote-then-archive", true, replScenario(func(l *replLab, out *outcome) {
-		if err := l.commit(20); err != nil {
-			out.bad("commit: %v", err)
+	add("failover-promote-then-archive", true, replScenario(func(l *replLab, out *fault.Outcome) {
+		f := l.caughtUp(20, out)
+		if f == nil {
 			return
 		}
-		f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-		if err != nil {
-			out.bad("follower: %v", err)
-			return
-		}
-		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
-			return
-		}
-		l.stopServer()
+		l.srv.stop()
 		if !promoteOrBad(f, 1, out) {
 			return
 		}
@@ -575,46 +434,37 @@ func failoverScenarios(e *env) []scenario {
 		// committing; a fresh follower must still converge byte-for-byte.
 		neu := f.Engine()
 		if _, err := neu.Archive(temporal.Instant(neu.Now() / 2)); err != nil {
-			out.bad("archive on promoted node: %v", err)
+			out.Bad("archive on promoted node: %v", err)
 			return
 		}
 		seq := 0
-		if err := commitEng(neu, "p", &seq, 4); err != nil {
-			out.bad("commit after archive: %v", err)
+		if err := commit(neu, "p", &seq, 4); err != nil {
+			out.Bad("commit after archive: %v", err)
 			return
 		}
 		if got, err := countEmp(neu); err != nil || got != 24 {
-			out.bad("rows after promote+archive = %d, want 24 (%v)", got, err)
+			out.Bad("rows after promote+archive = %d, want 24 (%v)", got, err)
 		}
-		ns, err := serveRepl(neu)
+		ns, err := serveLeader(neu, zeroLag)
 		if err != nil {
-			out.bad("serve: %v", err)
+			out.Bad("serve: %v", err)
 			return
 		}
 		defer ns.stop()
-		f2, cancel2, err := startFoFollower(ns.addr, filepath.Join(l.dir, "f2"), false)
+		f2, cancel2, err := startFollower(ns.addr, filepath.Join(l.dir, "f2"), false)
 		if err != nil {
-			out.bad("f2: %v", err)
+			out.Bad("f2: %v", err)
 			return
 		}
 		defer func() { cancel2(); f2.Close() }()
-		waitEngConverged(f2, neu, out)
+		waitConverged(f2, neu, out)
 	}))
-	add("failover-promote-then-checkpoint", false, replScenario(func(l *replLab, out *outcome) {
-		if err := l.commit(10); err != nil {
-			out.bad("commit: %v", err)
+	add("failover-promote-then-checkpoint", false, replScenario(func(l *replLab, out *fault.Outcome) {
+		f := l.caughtUp(10, out)
+		if f == nil {
 			return
 		}
-		f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-		if err != nil {
-			out.bad("follower: %v", err)
-			return
-		}
-		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
-			return
-		}
-		l.stopServer()
+		l.srv.stop()
 		if !promoteOrBad(f, 1, out) {
 			return
 		}
@@ -622,32 +472,32 @@ func failoverScenarios(e *env) []scenario {
 		// no longer start from LSN 1 and must be seeded with a snapshot.
 		neu := f.Engine()
 		if err := neu.Checkpoint(); err != nil {
-			out.bad("checkpoint on promoted node: %v", err)
+			out.Bad("checkpoint on promoted node: %v", err)
 			return
 		}
 		seq := 0
-		if err := commitEng(neu, "p", &seq, 3); err != nil {
-			out.bad("commit after checkpoint: %v", err)
+		if err := commit(neu, "p", &seq, 3); err != nil {
+			out.Bad("commit after checkpoint: %v", err)
 			return
 		}
-		ns, err := serveRepl(neu)
+		ns, err := serveLeader(neu, zeroLag)
 		if err != nil {
-			out.bad("serve: %v", err)
+			out.Bad("serve: %v", err)
 			return
 		}
 		defer ns.stop()
-		f2, cancel2, err := startFoFollower(ns.addr, filepath.Join(l.dir, "f2"), false)
+		f2, cancel2, err := startFollower(ns.addr, filepath.Join(l.dir, "f2"), false)
 		if err != nil {
-			out.bad("f2: %v", err)
+			out.Bad("f2: %v", err)
 			return
 		}
 		defer func() { cancel2(); f2.Close() }()
-		if waitEngConverged(f2, neu, out) {
+		if waitConverged(f2, neu, out) {
 			if f2.Engine().Metrics().Counters()["repl.snapshot_bootstraps"] == 0 {
-				out.bad("follower of a checkpointed promoted leader converged without a snapshot")
+				out.Bad("follower of a checkpointed promoted leader converged without a snapshot")
 			}
 			if f2.Engine().Epoch() != 1 {
-				out.bad("snapshot carried epoch %d, want 1", f2.Engine().Epoch())
+				out.Bad("snapshot carried epoch %d, want 1", f2.Engine().Epoch())
 			}
 		}
 	}))
@@ -658,9 +508,9 @@ func failoverScenarios(e *env) []scenario {
 	// stream a single record.
 	for _, peer := range []uint64{1, 2, 3, 5, 9, 17} {
 		peer := peer
-		add(fmt.Sprintf("failover-fence-subscriber-epoch-%d", peer), peer == 2, replScenario(func(l *replLab, out *outcome) {
-			if err := l.commit(3); err != nil {
-				out.bad("commit: %v", err)
+		add(fmt.Sprintf("failover-fence-subscriber-epoch-%d", peer), peer == 2, replScenario(func(l *replLab, out *fault.Outcome) {
+			if err := commit(l.leader, "e", &l.seq, 3); err != nil {
+				out.Bad("commit: %v", err)
 				return
 			}
 			var fencedBy uint64
@@ -674,49 +524,40 @@ func failoverScenarios(e *env) []scenario {
 			}()
 			fr, err := wire.ReadFrame(bufio.NewReader(cli))
 			if err != nil {
-				out.bad("read: %v", err)
+				out.Bad("read: %v", err)
 				return
 			}
 			if fr.Type != wire.FrameFence {
-				out.bad("stale source sent frame 0x%02x, want Fence", fr.Type)
+				out.Bad("stale source sent frame 0x%02x, want Fence", fr.Type)
 				return
 			}
 			fence, err := wire.DecodeFence(fr.Payload)
 			if err != nil || fence.Epoch != 0 {
-				out.bad("fence = %+v (%v), want source epoch 0", fence, err)
+				out.Bad("fence = %+v (%v), want source epoch 0", fence, err)
 			}
 			if err := <-done; err == nil {
-				out.bad("stale source served a higher-epoch subscriber")
+				out.Bad("stale source served a higher-epoch subscriber")
 			}
 			if fencedBy != peer {
-				out.bad("OnFenced saw epoch %d, want %d", fencedBy, peer)
+				out.Bad("OnFenced saw epoch %d, want %d", fencedBy, peer)
 			}
 		}))
 	}
 
 	// --- client failover ------------------------------------------------------
-	add("failover-client-session-reroutes", true, replScenario(func(l *replLab, out *outcome) {
-		if err := l.commit(10); err != nil {
-			out.bad("commit: %v", err)
-			return
-		}
-		f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-		if err != nil {
-			out.bad("follower: %v", err)
-			return
-		}
-		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
+	add("failover-client-session-reroutes", true, replScenario(func(l *replLab, out *fault.Outcome) {
+		f := l.caughtUp(10, out)
+		if f == nil {
 			return
 		}
 		deadAddr := l.addr()
-		l.stopServer()
+		l.srv.stop()
 		if !promoteOrBad(f, 1, out) {
 			return
 		}
-		ns, err := serveRepl(f.Engine())
+		ns, err := serveLeader(f.Engine(), zeroLag)
 		if err != nil {
-			out.bad("serve: %v", err)
+			out.Bad("serve: %v", err)
 			return
 		}
 		defer ns.stop()
@@ -726,49 +567,40 @@ func failoverScenarios(e *env) []scenario {
 			RetryBackoff: time.Millisecond, JitterSeed: e.seed,
 		})
 		if err != nil {
-			out.bad("client: %v", err)
+			out.Bad("client: %v", err)
 			return
 		}
 		defer cl.Close()
 		sess, err := cl.Session()
 		if err != nil {
-			out.bad("leader-targeted session did not fail over: %v", err)
+			out.Bad("leader-targeted session did not fail over: %v", err)
 			return
 		}
 		res, err := sess.Query(replQuery)
 		sess.Close()
 		if err != nil || len(res.Rows) != 10 {
-			out.bad("post-failover session query: %d rows (%v), want 10", len(res.Rows), err)
+			out.Bad("post-failover session query: %d rows (%v), want 10", len(res.Rows), err)
 		}
 		if cl.Leader() != ns.addr() {
-			out.bad("client leader = %s, want the promoted node %s", cl.Leader(), ns.addr())
+			out.Bad("client leader = %s, want the promoted node %s", cl.Leader(), ns.addr())
 		}
 		if cl.Epoch() != 1 {
-			out.bad("client epoch = %d, want 1", cl.Epoch())
+			out.Bad("client epoch = %d, want 1", cl.Epoch())
 		}
 	}))
-	add("failover-client-result-epoch", true, replScenario(func(l *replLab, out *outcome) {
-		if err := l.commit(5); err != nil {
-			out.bad("commit: %v", err)
-			return
-		}
-		f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-		if err != nil {
-			out.bad("follower: %v", err)
-			return
-		}
-		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
+	add("failover-client-result-epoch", true, replScenario(func(l *replLab, out *fault.Outcome) {
+		f := l.caughtUp(5, out)
+		if f == nil {
 			return
 		}
 		deadAddr := l.addr()
-		l.stopServer()
+		l.srv.stop()
 		if !promoteOrBad(f, 1, out) {
 			return
 		}
-		ns, err := serveRepl(f.Engine())
+		ns, err := serveLeader(f.Engine(), zeroLag)
 		if err != nil {
-			out.bad("serve: %v", err)
+			out.Bad("serve: %v", err)
 			return
 		}
 		defer ns.stop()
@@ -778,41 +610,41 @@ func failoverScenarios(e *env) []scenario {
 			RetryBackoff: time.Millisecond, JitterSeed: e.seed,
 		})
 		if err != nil {
-			out.bad("client: %v", err)
+			out.Bad("client: %v", err)
 			return
 		}
 		defer cl.Close()
 		res, err := cl.Exec(replQuery)
 		if err != nil {
-			out.bad("exec after failover: %v", err)
+			out.Bad("exec after failover: %v", err)
 			return
 		}
 		if res.Epoch != 1 {
-			out.bad("Result.Epoch = %d, want 1 (clients watch this for failovers)", res.Epoch)
+			out.Bad("Result.Epoch = %d, want 1 (clients watch this for failovers)", res.Epoch)
 		}
 		if len(res.Rows) != 5 {
-			out.bad("exec rows = %d, want 5", len(res.Rows))
+			out.Bad("exec rows = %d, want 5", len(res.Rows))
 		}
 	}))
-	add("failover-client-no-replicas-typed-error", true, replScenario(func(l *replLab, out *outcome) {
+	add("failover-client-no-replicas-typed-error", true, replScenario(func(l *replLab, out *fault.Outcome) {
 		// Without a replica set there is nowhere to go: the client must
 		// surface a typed transport error, never hang or invent a leader.
 		deadAddr := l.addr()
-		l.stopServer()
+		l.srv.stop()
 		cl, err := client.New(client.Config{
 			Addr: deadAddr, DialRetries: -1, QueryRetries: 1,
 			RetryBackoff: time.Millisecond, DialTimeout: time.Second, JitterSeed: e.seed,
 		})
 		if err != nil {
-			out.bad("client: %v", err)
+			out.Bad("client: %v", err)
 			return
 		}
 		defer cl.Close()
 		if _, err := cl.Exec(replQuery); err == nil {
-			out.bad("exec against a dead leader with no replicas succeeded")
+			out.Bad("exec against a dead leader with no replicas succeeded")
 		}
 		if cl.Leader() != deadAddr {
-			out.bad("client moved its leader with no replicas configured: %s", cl.Leader())
+			out.Bad("client moved its leader with no replicas configured: %s", cl.Leader())
 		}
 	}))
 
@@ -822,55 +654,55 @@ func failoverScenarios(e *env) []scenario {
 	// surviving writes.
 	for _, hops := range []int{2, 3, 4} {
 		hops := hops
-		add(fmt.Sprintf("failover-epoch-chain-%d", hops), hops == 2, replScenario(func(l *replLab, out *outcome) {
+		add(fmt.Sprintf("failover-epoch-chain-%d", hops), hops == 2, replScenario(func(l *replLab, out *fault.Outcome) {
 			const base = 4
-			if err := l.commit(base); err != nil {
-				out.bad("commit: %v", err)
+			if err := commit(l.leader, "e", &l.seq, base); err != nil {
+				out.Bad("commit: %v", err)
 				return
 			}
-			f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "h1"))
+			f, cancel, err := startFollower(l.addr, filepath.Join(l.dir, "h1"), false)
 			if err != nil {
-				out.bad("h1: %v", err)
+				out.Bad("h1: %v", err)
 				return
 			}
-			if !l.waitReplConverged(f, out) {
+			if !waitConverged(f, l.leader, out) {
 				cancel()
 				f.Close()
 				return
 			}
-			l.stopServer()
+			l.srv.stop()
 			want := base
 			seq := 0
-			var lastSrv *foServer
+			var lastSrv *loopback
 			for h := 1; h <= hops; h++ {
 				epoch, err := f.Promote()
 				if err != nil {
-					out.bad("hop %d promote: %v", h, err)
+					out.Bad("hop %d promote: %v", h, err)
 					break
 				}
 				if epoch != uint64(h) {
-					out.bad("hop %d epoch = %d", h, epoch)
+					out.Bad("hop %d epoch = %d", h, epoch)
 				}
-				if err := commitEng(f.Engine(), "h", &seq, 3); err != nil {
-					out.bad("hop %d commit: %v", h, err)
+				if err := commit(f.Engine(), "h", &seq, 3); err != nil {
+					out.Bad("hop %d commit: %v", h, err)
 					break
 				}
 				want += 3
 				if h == hops {
 					break
 				}
-				srv, err := serveRepl(f.Engine())
+				srv, err := serveLeader(f.Engine(), zeroLag)
 				if err != nil {
-					out.bad("hop %d serve: %v", h, err)
+					out.Bad("hop %d serve: %v", h, err)
 					break
 				}
-				next, cancelN, err := startFoFollower(srv.addr, filepath.Join(l.dir, fmt.Sprintf("h%d", h+1)), false)
+				next, cancelN, err := startFollower(srv.addr, filepath.Join(l.dir, fmt.Sprintf("h%d", h+1)), false)
 				if err != nil {
-					out.bad("hop %d follower: %v", h, err)
+					out.Bad("hop %d follower: %v", h, err)
 					srv.stop()
 					break
 				}
-				if !waitEngConverged(next, f.Engine(), out) {
+				if !waitConverged(next, f.Engine(), out) {
 					cancelN()
 					next.Close()
 					srv.stop()
@@ -889,10 +721,10 @@ func failoverScenarios(e *env) []scenario {
 				lastSrv.stop()
 			}
 			if got := f.Engine().Epoch(); got != uint64(hops) {
-				out.bad("final epoch = %d, want %d", got, hops)
+				out.Bad("final epoch = %d, want %d", got, hops)
 			}
 			if got, err := countEmp(f.Engine()); err != nil || got != want {
-				out.bad("final rows = %d, want %d (%v)", got, want, err)
+				out.Bad("final rows = %d, want %d (%v)", got, want, err)
 			}
 			cancel()
 			f.Close()
@@ -902,27 +734,18 @@ func failoverScenarios(e *env) []scenario {
 	// --- staleness after promotion -------------------------------------------
 	// "A leader is a replica with zero lag": a promoted node serving with
 	// a zero staleness source must satisfy even the tightest bound.
-	add("failover-staleness-zero-after-promote", true, replScenario(func(l *replLab, out *outcome) {
-		if err := l.commit(5); err != nil {
-			out.bad("commit: %v", err)
+	add("failover-staleness-zero-after-promote", true, replScenario(func(l *replLab, out *fault.Outcome) {
+		f := l.caughtUp(5, out)
+		if f == nil {
 			return
 		}
-		f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-		if err != nil {
-			out.bad("follower: %v", err)
-			return
-		}
-		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
-			return
-		}
-		l.stopServer()
+		l.srv.stop()
 		if !promoteOrBad(f, 1, out) {
 			return
 		}
-		ns, err := serveRepl(f.Engine())
+		ns, err := serveLeader(f.Engine(), zeroLag)
 		if err != nil {
-			out.bad("serve: %v", err)
+			out.Bad("serve: %v", err)
 			return
 		}
 		defer ns.stop()
@@ -931,22 +754,22 @@ func failoverScenarios(e *env) []scenario {
 			RetryBackoff: time.Millisecond, JitterSeed: e.seed,
 		})
 		if err != nil {
-			out.bad("client: %v", err)
+			out.Bad("client: %v", err)
 			return
 		}
 		defer cl.Close()
 		sess, err := cl.Session()
 		if err != nil {
-			out.bad("session: %v", err)
+			out.Bad("session: %v", err)
 			return
 		}
 		defer sess.Close()
 		if _, err := sess.Option("max_staleness", "1ms"); err != nil {
-			out.bad("max_staleness on promoted node: %v", err)
+			out.Bad("max_staleness on promoted node: %v", err)
 			return
 		}
 		if res, err := sess.Query(replQuery); err != nil || len(res.Rows) != 5 {
-			out.bad("bounded-staleness read on promoted node: %d rows (%v)", len(res.Rows), err)
+			out.Bad("bounded-staleness read on promoted node: %d rows (%v)", len(res.Rows), err)
 		}
 	}))
 

@@ -9,20 +9,20 @@ func TestFailoverScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("failover scenarios spin real leaders/followers/clients; skipped with -short")
 	}
-	e := &env{seed: 7, logf: t.Logf}
+	e := &env{seed: 7}
 	scs := failoverScenarios(e)
 	if len(scs) < 40 {
 		t.Fatalf("failover family has %d scenarios, want >= 40", len(scs))
 	}
 	for _, sc := range scs {
 		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			out := sc.run(e)
-			if len(out.violations) > 0 {
-				t.Fatalf("verdict %q, violations: %v", out.verdict, out.violations)
+		t.Run(sc.Name, func(t *testing.T) {
+			out := sc.Run()
+			if len(out.Violations) > 0 {
+				t.Fatalf("verdict %q, violations: %v", out.Verdict, out.Violations)
 			}
-			if out.verdict != verdictOK {
-				t.Fatalf("verdict = %q, want ok", out.verdict)
+			if out.Verdict != verdictOK {
+				t.Fatalf("verdict = %q, want ok", out.Verdict)
 			}
 		})
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"tcodm/internal/core"
+	"tcodm/internal/fault"
 	"tcodm/internal/netfault"
 	"tcodm/internal/repl"
 	"tcodm/internal/schema"
@@ -38,12 +39,11 @@ const replQuery = `SELECT (Emp.name, Emp.salary) FROM Emp WHERE Emp.salary >= 0 
 // replLab is one leader: a file-backed engine behind a real wire server
 // with replication enabled, plus a commit driver.
 type replLab struct {
-	dir    string
-	leader *core.Engine
-	srv    *server.Server
-	ln     net.Listener
-	served chan error
-	seq    int
+	dir     string
+	leader  *core.Engine
+	srv     *loopback
+	seq     int      // names of the leader's commits
+	onClose []func() // run in reverse order at teardown, before the leader stops
 }
 
 func openReplLeader(path string) (*core.Engine, error) {
@@ -79,7 +79,7 @@ func newReplLab() (*replLab, error) {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	if err := l.startServer(); err != nil {
+	if l.srv, err = serveLeader(l.leader, nil); err != nil {
 		l.leader.Close()
 		os.RemoveAll(dir)
 		return nil, err
@@ -87,58 +87,42 @@ func newReplLab() (*replLab, error) {
 	return l, nil
 }
 
-func (l *replLab) startServer() error {
-	srv, err := server.New(server.Config{
-		Engine: l.leader,
-		Banner: "tcochaos-repl",
-		Repl:   &repl.Source{Engine: l.leader, Heartbeat: 20 * time.Millisecond},
+// serveLeader serves eng with replication enabled. A promoted node passes
+// a zero staleness probe, so replica-dialed sessions keep max_staleness.
+func serveLeader(eng *core.Engine, staleness func() time.Duration) (*loopback, error) {
+	return serve(server.Config{
+		Engine:    eng,
+		Banner:    "tcochaos-repl",
+		Repl:      &repl.Source{Engine: eng, Heartbeat: 20 * time.Millisecond},
+		Staleness: staleness,
 	})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	l.srv, l.ln, l.served = srv, ln, served
-	return nil
 }
 
-// stopServer drains the wire server. Idempotent: failover scenarios stop
-// the server mid-body ("the leader dies") and lab teardown must not
-// double-drain.
-func (l *replLab) stopServer() {
-	if l.srv == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	l.srv.Shutdown(ctx)
-	<-l.served
-	l.srv = nil
-}
+func zeroLag() time.Duration { return 0 }
 
-func (l *replLab) addr() string { return l.ln.Addr().String() }
+func (l *replLab) addr() string { return l.srv.addr() }
 
 func (l *replLab) close() {
-	l.stopServer()
+	for i := len(l.onClose) - 1; i >= 0; i-- {
+		l.onClose[i]()
+	}
+	l.srv.stop()
 	l.leader.Close()
 	os.RemoveAll(l.dir)
 }
 
-// commit appends n single-insert transactions to the leader.
-func (l *replLab) commit(n int) error {
+// commit appends n single-insert transactions to any writable engine,
+// named prefix and *seq; seq persists across calls so names never collide.
+func commit(eng *core.Engine, prefix string, seq *int, n int) error {
 	for i := 0; i < n; i++ {
-		l.seq++
-		tx, err := l.leader.Begin()
+		*seq++
+		tx, err := eng.Begin()
 		if err != nil {
 			return err
 		}
 		if _, err := tx.Insert("Emp", map[string]value.V{
-			"name":   value.String_(fmt.Sprintf("e%04d", l.seq)),
-			"salary": value.Int(int64(1000 + l.seq)),
+			"name":   value.String_(fmt.Sprintf("%s%04d", prefix, *seq)),
+			"salary": value.Int(int64(1000 + *seq)),
 		}, 0); err != nil {
 			tx.Abort()
 			return err
@@ -150,9 +134,30 @@ func (l *replLab) commit(n int) error {
 	return nil
 }
 
-// follower starts a replica of the lab's leader, dialing addr (usually a
-// netfault proxy in front of the leader server).
-func (l *replLab) follower(addr func() string, path string) (*repl.Follower, context.CancelFunc, error) {
+// caughtUp commits n transactions to the leader and starts a follower at
+// dir/f1 that has replicated them; the lab closes it at teardown. It
+// returns nil once it has recorded a violation.
+func (l *replLab) caughtUp(n int, out *fault.Outcome) *repl.Follower {
+	if err := commit(l.leader, "e", &l.seq, n); err != nil {
+		out.Bad("commit: %v", err)
+		return nil
+	}
+	f, cancel, err := startFollower(l.addr, filepath.Join(l.dir, "f1"), false)
+	if err != nil {
+		out.Bad("follower: %v", err)
+		return nil
+	}
+	l.onClose = append(l.onClose, func() { cancel(); f.Close() })
+	if !waitConverged(f, l.leader, out) {
+		return nil
+	}
+	return f
+}
+
+// startFollower starts a replica at path that dials addr (usually the lab
+// leader or a netfault proxy in front of it); force requests a snapshot
+// rejoin (the operator demotion path).
+func startFollower(addr func() string, path string, force bool) (*repl.Follower, context.CancelFunc, error) {
 	f, err := repl.StartFollower(repl.FollowerConfig{
 		Leader: "lab",
 		Path:   path,
@@ -160,8 +165,9 @@ func (l *replLab) follower(addr func() string, path string) (*repl.Follower, con
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", addr())
 		},
-		ReadTimeout: time.Second,
-		Backoff:     20 * time.Millisecond,
+		ReadTimeout:   time.Second,
+		Backoff:       20 * time.Millisecond,
+		ForceSnapshot: force,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -171,78 +177,68 @@ func (l *replLab) follower(addr func() string, path string) (*repl.Follower, con
 	return f, cancel, nil
 }
 
-// waitReplConverged polls until the follower's watermark reaches the
-// leader's appended LSN and the logical store digests agree.
-func (l *replLab) waitReplConverged(f *repl.Follower, out *outcome) bool {
+// waitConverged polls until f's watermark reaches the target engine's
+// appended LSN and the logical store digests agree.
+func waitConverged(f *repl.Follower, target *core.Engine, out *fault.Outcome) bool {
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if f.Watermark() == l.leader.Log().AppendedLSN() {
-			ld, err := l.leader.DigestStore()
+		if f.Watermark() == target.Log().AppendedLSN() {
+			td, err := target.DigestStore()
 			if err != nil {
-				out.bad("leader digest: %v", err)
+				out.Bad("target digest: %v", err)
 				return false
 			}
 			fd, err := f.Engine().DigestStore()
-			if err == nil && bytes.Equal(ld, fd) {
+			if err == nil && bytes.Equal(td, fd) {
 				return true
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	out.bad("follower stuck at watermark %d, leader at %d", f.Watermark(), l.leader.Log().AppendedLSN())
+	out.Bad("follower stuck at watermark %d, target at %d", f.Watermark(), target.Log().AppendedLSN())
 	return false
 }
 
 // replScenario wraps a scenario body with lab setup/teardown.
-func replScenario(body func(l *replLab, out *outcome)) func(e *env) outcome {
-	return func(e *env) outcome {
-		var out outcome
-		out.verdict = verdictOK
+func replScenario(body func(l *replLab, out *fault.Outcome)) func() fault.Outcome {
+	return func() fault.Outcome {
+		out := fault.Outcome{Verdict: verdictOK}
 		l, err := newReplLab()
 		if err != nil {
-			out.verdict = verdictError
-			out.bad("repl lab: %v", err)
+			out.Verdict = verdictError
+			out.Bad("repl lab: %v", err)
 			return out
 		}
 		defer l.close()
 		body(l, &out)
-		if len(out.violations) > 0 {
-			out.verdict = verdictError
+		if len(out.Violations) > 0 {
+			out.Verdict = verdictError
 		}
 		return out
 	}
 }
 
 // replScenarios is the replication fault family.
-func replScenarios(e *env) []scenario {
-	var scs []scenario
-	add := func(name string, short bool, run func(e *env) outcome) {
-		scs = append(scs, scenario{name: name, short: short, run: run})
+func replScenarios(e *env) []fault.Scenario {
+	var scs []fault.Scenario
+	add := func(name string, short bool, run func() fault.Outcome) {
+		scs = append(scs, fault.Scenario{Name: name, Short: short, Run: run})
 	}
 
 	// Clean link: stream, converge, and stay converged across later commits.
-	add("repl-converge-direct", true, replScenario(func(l *replLab, out *outcome) {
-		if err := l.commit(20); err != nil {
-			out.bad("commit: %v", err)
-			return
-		}
-		f, cancel, err := l.follower(l.addr, filepath.Join(l.dir, "f1"))
-		if err != nil {
-			out.bad("follower: %v", err)
-			return
-		}
-		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
+	add("repl-converge-direct", true, replScenario(func(l *replLab, out *fault.Outcome) {
+		f := l.caughtUp(20, out)
+		if f == nil {
 			return
 		}
 		if s := f.Staleness(); s > 5*time.Second {
-			out.bad("caught-up follower reports staleness %v", s)
+			out.Bad("caught-up follower reports staleness %v", s)
 		}
-		if err := l.commit(10); err != nil {
-			out.bad("commit: %v", err)
+		if err := commit(l.leader, "e", &l.seq, 10); err != nil {
+			out.Bad("commit: %v", err)
 			return
 		}
-		l.waitReplConverged(f, out)
+		waitConverged(f, l.leader, out)
 	}))
 
 	// Degraded links: chunked and slow streams must still converge — the
@@ -262,38 +258,38 @@ func replScenarios(e *env) []scenario {
 	}
 	for _, lk := range links {
 		lk := lk
-		add("repl-link-"+lk.name, lk.short, replScenario(func(l *replLab, out *outcome) {
+		add("repl-link-"+lk.name, lk.short, replScenario(func(l *replLab, out *fault.Outcome) {
 			proxy, err := netfault.NewProxy(l.addr(), 1, func(int) netfault.Script { return lk.sc })
 			if err != nil {
-				out.bad("proxy: %v", err)
+				out.Bad("proxy: %v", err)
 				return
 			}
 			defer proxy.Close()
-			if err := l.commit(15); err != nil {
-				out.bad("commit: %v", err)
+			if err := commit(l.leader, "e", &l.seq, 15); err != nil {
+				out.Bad("commit: %v", err)
 				return
 			}
-			f, cancel, err := l.follower(proxy.Addr, filepath.Join(l.dir, "f1"))
+			f, cancel, err := startFollower(proxy.Addr, filepath.Join(l.dir, "f1"), false)
 			if err != nil {
-				out.bad("follower: %v", err)
+				out.Bad("follower: %v", err)
 				return
 			}
 			defer func() { cancel(); f.Close() }()
-			if !l.waitReplConverged(f, out) {
+			if !waitConverged(f, l.leader, out) {
 				return
 			}
-			if err := l.commit(15); err != nil {
-				out.bad("commit: %v", err)
+			if err := commit(l.leader, "e", &l.seq, 15); err != nil {
+				out.Bad("commit: %v", err)
 				return
 			}
-			l.waitReplConverged(f, out)
+			waitConverged(f, l.leader, out)
 		}))
 	}
 
 	// Partition: the first subscription is reset mid-stream; the follower
 	// must redial and converge from its watermark — no restart, no resync
 	// from scratch.
-	add("repl-partition-heals", true, replScenario(func(l *replLab, out *outcome) {
+	add("repl-partition-heals", true, replScenario(func(l *replLab, out *fault.Outcome) {
 		proxy, err := netfault.NewProxy(l.addr(), 2, func(i int) netfault.Script {
 			if i == 0 {
 				return netfault.Script{Write: netfault.PipeScript{ResetAt: 2000}}
@@ -301,40 +297,40 @@ func replScenarios(e *env) []scenario {
 			return netfault.Script{}
 		})
 		if err != nil {
-			out.bad("proxy: %v", err)
+			out.Bad("proxy: %v", err)
 			return
 		}
 		defer proxy.Close()
-		if err := l.commit(30); err != nil {
-			out.bad("commit: %v", err)
+		if err := commit(l.leader, "e", &l.seq, 30); err != nil {
+			out.Bad("commit: %v", err)
 			return
 		}
-		f, cancel, err := l.follower(proxy.Addr, filepath.Join(l.dir, "f1"))
+		f, cancel, err := startFollower(proxy.Addr, filepath.Join(l.dir, "f1"), false)
 		if err != nil {
-			out.bad("follower: %v", err)
+			out.Bad("follower: %v", err)
 			return
 		}
 		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
+		if !waitConverged(f, l.leader, out) {
 			return
 		}
 		if proxy.Accepted() < 2 {
-			out.bad("converged without reconnecting through the reset (%d accepts)", proxy.Accepted())
+			out.Bad("converged without reconnecting through the reset (%d accepts)", proxy.Accepted())
 		}
 	}))
 
 	// Follower crash mid-replay: kill the follower while the stream is
 	// live, restart on the same directory. The restarted watermark must
 	// not regress (replicated state is durable), and it must converge.
-	add("repl-follower-crash-mid-replay", true, replScenario(func(l *replLab, out *outcome) {
-		if err := l.commit(40); err != nil {
-			out.bad("commit: %v", err)
+	add("repl-follower-crash-mid-replay", true, replScenario(func(l *replLab, out *fault.Outcome) {
+		if err := commit(l.leader, "e", &l.seq, 40); err != nil {
+			out.Bad("commit: %v", err)
 			return
 		}
 		fpath := filepath.Join(l.dir, "f1")
-		f, cancel, err := l.follower(l.addr, fpath)
+		f, cancel, err := startFollower(l.addr, fpath, false)
 		if err != nil {
-			out.bad("follower: %v", err)
+			out.Bad("follower: %v", err)
 			return
 		}
 		// Wait for replay to be underway (not necessarily done), then kill.
@@ -344,7 +340,7 @@ func replScenarios(e *env) []scenario {
 		}
 		wm := f.Watermark()
 		if wm == 0 {
-			out.bad("follower never started applying")
+			out.Bad("follower never started applying")
 			cancel()
 			f.Close()
 			return
@@ -352,62 +348,62 @@ func replScenarios(e *env) []scenario {
 		cancel()
 		f.Close()
 
-		if err := l.commit(10); err != nil {
-			out.bad("commit: %v", err)
+		if err := commit(l.leader, "e", &l.seq, 10); err != nil {
+			out.Bad("commit: %v", err)
 			return
 		}
-		f2, cancel2, err := l.follower(l.addr, fpath)
+		f2, cancel2, err := startFollower(l.addr, fpath, false)
 		if err != nil {
-			out.bad("restarted follower: %v", err)
+			out.Bad("restarted follower: %v", err)
 			return
 		}
 		defer func() { cancel2(); f2.Close() }()
 		if got := f2.Engine().Watermark(); got < wm {
-			out.bad("watermark regressed across restart: %d -> %d", wm, got)
+			out.Bad("watermark regressed across restart: %d -> %d", wm, got)
 		}
-		l.waitReplConverged(f2, out)
+		waitConverged(f2, l.leader, out)
 	}))
 
 	// Leader restart: the leader process goes away and comes back on a new
 	// port; the follower redials (through the address indirection) and
 	// converges on the post-restart history.
-	add("repl-leader-restart", false, replScenario(func(l *replLab, out *outcome) {
+	add("repl-leader-restart", false, replScenario(func(l *replLab, out *fault.Outcome) {
 		var addr atomic.Value
 		addr.Store(l.addr())
-		if err := l.commit(10); err != nil {
-			out.bad("commit: %v", err)
+		if err := commit(l.leader, "e", &l.seq, 10); err != nil {
+			out.Bad("commit: %v", err)
 			return
 		}
-		f, cancel, err := l.follower(func() string { return addr.Load().(string) }, filepath.Join(l.dir, "f1"))
+		f, cancel, err := startFollower(func() string { return addr.Load().(string) }, filepath.Join(l.dir, "f1"), false)
 		if err != nil {
-			out.bad("follower: %v", err)
+			out.Bad("follower: %v", err)
 			return
 		}
 		defer func() { cancel(); f.Close() }()
-		if !l.waitReplConverged(f, out) {
+		if !waitConverged(f, l.leader, out) {
 			return
 		}
 
-		l.stopServer()
+		l.srv.stop()
 		if err := l.leader.Close(); err != nil {
-			out.bad("leader close: %v", err)
+			out.Bad("leader close: %v", err)
 			return
 		}
 		l.leader, err = openReplLeader(filepath.Join(l.dir, "leader"))
 		if err != nil {
-			out.bad("leader reopen: %v", err)
+			out.Bad("leader reopen: %v", err)
 			return
 		}
-		if err := l.startServer(); err != nil {
-			out.bad("leader restart: %v", err)
+		if l.srv, err = serveLeader(l.leader, nil); err != nil {
+			out.Bad("leader restart: %v", err)
 			return
 		}
 		addr.Store(l.addr())
-		if err := l.commit(10); err != nil {
-			out.bad("commit after restart: %v", err)
+		if err := commit(l.leader, "e", &l.seq, 10); err != nil {
+			out.Bad("commit after restart: %v", err)
 			return
 		}
-		l.waitReplConverged(f, out)
+		waitConverged(f, l.leader, out)
 	}))
 
 	// Watermark consistency (the TT-prefix property): replay the leader's
@@ -416,41 +412,40 @@ func replScenarios(e *env) []scenario {
 	// does "as of" the follower's clock — a replica is never a smeared
 	// state, always a clean transaction-time prefix. Pure in-process
 	// replay: fully deterministic, no network.
-	add("repl-watermark-consistency", true, func(e *env) outcome {
-		var out outcome
-		out.verdict = verdictOK
+	add("repl-watermark-consistency", true, func() fault.Outcome {
+		out := fault.Outcome{Verdict: verdictOK}
 		dir, err := os.MkdirTemp("", "tcochaos-repl-wm-")
 		if err != nil {
-			out.verdict = verdictError
-			out.bad("tempdir: %v", err)
+			out.Verdict = verdictError
+			out.Bad("tempdir: %v", err)
 			return out
 		}
 		defer os.RemoveAll(dir)
 		leader, err := openReplLeader(filepath.Join(dir, "leader"))
 		if err != nil {
-			out.verdict = verdictError
-			out.bad("leader: %v", err)
+			out.Verdict = verdictError
+			out.Bad("leader: %v", err)
 			return out
 		}
 		defer leader.Close()
 		// A burst of commits, then group-wise replay.
-		lab := &replLab{leader: leader}
-		if err := lab.commit(25); err != nil {
-			out.verdict = verdictError
-			out.bad("commit: %v", err)
+		seq := 0
+		if err := commit(leader, "e", &seq, 25); err != nil {
+			out.Verdict = verdictError
+			out.Bad("commit: %v", err)
 			return out
 		}
 		cur := leader.Log().Cursor(1)
 		recs, err := cur.Read(1 << 20)
 		if err != nil {
-			out.verdict = verdictError
-			out.bad("cursor: %v", err)
+			out.Verdict = verdictError
+			out.Bad("cursor: %v", err)
 			return out
 		}
 		fw, err := core.Open(core.Options{Path: filepath.Join(dir, "follower"), Follower: true})
 		if err != nil {
-			out.verdict = verdictError
-			out.bad("follower engine: %v", err)
+			out.Verdict = verdictError
+			out.Bad("follower engine: %v", err)
 			return out
 		}
 		defer fw.Close()
@@ -462,7 +457,7 @@ func replScenarios(e *env) []scenario {
 				continue
 			}
 			if _, err := fw.ApplyReplicated(group); err != nil {
-				out.bad("apply group ending at LSN %d: %v", r.LSN, err)
+				out.Bad("apply group ending at LSN %d: %v", r.LSN, err)
 				break
 			}
 			group = group[:0]
@@ -475,23 +470,23 @@ func replScenarios(e *env) []scenario {
 			}
 			fres, err := fw.Query(replQuery)
 			if err != nil {
-				out.bad("follower query at watermark %d: %v", fw.Watermark(), err)
+				out.Bad("follower query at watermark %d: %v", fw.Watermark(), err)
 				break
 			}
 			tt := temporal.Instant(t)
 			lres, err := leader.QueryWith(context.Background(), replQuery, core.QueryOptions{TT: &tt})
 			if err != nil {
-				out.bad("leader asof %v: %v", t, err)
+				out.Bad("leader asof %v: %v", t, err)
 				break
 			}
 			if !bytes.Equal(wire.EncodeResultRows(fres.Rows), wire.EncodeResultRows(lres.Rows)) {
-				out.bad("PREFIX VIOLATION at watermark %d: follower state is not the leader asof %v (%d vs %d rows)",
+				out.Bad("PREFIX VIOLATION at watermark %d: follower state is not the leader asof %v (%d vs %d rows)",
 					fw.Watermark(), t, len(fres.Rows), len(lres.Rows))
 				break
 			}
 		}
-		if len(out.violations) > 0 {
-			out.verdict = verdictError
+		if len(out.Violations) > 0 {
+			out.Verdict = verdictError
 		}
 		return out
 	})

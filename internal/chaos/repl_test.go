@@ -9,16 +9,16 @@ func TestReplScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replication scenarios spin real leaders/followers; skipped with -short")
 	}
-	e := &env{seed: 7, logf: t.Logf}
+	e := &env{seed: 7}
 	for _, sc := range replScenarios(e) {
 		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			out := sc.run(e)
-			if len(out.violations) > 0 {
-				t.Fatalf("verdict %q, violations: %v", out.verdict, out.violations)
+		t.Run(sc.Name, func(t *testing.T) {
+			out := sc.Run()
+			if len(out.Violations) > 0 {
+				t.Fatalf("verdict %q, violations: %v", out.Verdict, out.Violations)
 			}
-			if out.verdict != verdictOK {
-				t.Fatalf("verdict = %q, want ok", out.verdict)
+			if out.Verdict != verdictOK {
+				t.Fatalf("verdict = %q, want ok", out.Verdict)
 			}
 		})
 	}

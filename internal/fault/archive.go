@@ -10,8 +10,6 @@ package fault
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"tcodm/internal/atom"
@@ -20,222 +18,100 @@ import (
 	"tcodm/internal/value"
 )
 
-// archiveScenario is one scripted failure during a tiering run.
-type archiveScenario struct {
-	name   string
-	script Script
-	// chopArc appends garbage to the archive file after the crash,
-	// modelling a power cut mid segment-append beneath the block layer:
-	// a torn tail past the committed frontier.
-	chopArc bool
-}
-
 // RunArchive executes the archive-migration torture matrix for one
 // strategy: a fault-free probe to count the tiering run's I/O operations
 // and prove it migrates versions, then cut/tear/chop variants at every cut
 // point plus transient sync and read errors, each in a fresh directory,
 // each verified after recovery.
-func RunArchive(cfg Config) (*Result, error) {
-	if cfg.PoolPages <= 0 {
-		cfg.PoolPages = 16
-	}
-	if cfg.Cuts <= 0 {
-		cfg.Cuts = 14
-	}
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("fault: Config.Dir is required")
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	res := &Result{}
+func RunArchive(cfg Config) (*Result, error) { return runFamily(archiveFamily, cfg) }
 
-	probe := runArchiveScenario(cfg, archiveScenario{name: "probe"})
-	res.Scenarios++
-	res.Clean++
-	res.ProbeOps = probe.report.Ops
-	res.Violations = append(res.Violations, probe.violations...)
-	if len(probe.violations) > 0 {
-		return res, fmt.Errorf("fault: archive probe violated invariants: %s", probe.violations[0])
-	}
-	if probe.archived == 0 {
-		return res, fmt.Errorf("fault: archive probe migrated no versions; the matrix would be vacuous")
-	}
-	if res.ProbeOps < cfg.Cuts {
-		return res, fmt.Errorf("fault: archive probe counted only %d ops for %d cut points", res.ProbeOps, cfg.Cuts)
-	}
-	logf("[%s] archive probe: %d ops, %d versions migrated", cfg.Strategy, res.ProbeOps, probe.archived)
-
-	var scenarios []archiveScenario
-	for k := 0; k < cfg.Cuts; k++ {
-		cut := 1 + k*(res.ProbeOps-1)/max(1, cfg.Cuts-1)
-		scenarios = append(scenarios,
-			archiveScenario{name: fmt.Sprintf("arccut@%d", cut), script: Script{CutAtOp: cut}},
-			archiveScenario{name: fmt.Sprintf("arctear@%d", cut), script: Script{CutAtOp: cut, TearWrite: true, TearBytes: 512}},
-			archiveScenario{name: fmt.Sprintf("arcchop@%d", cut), script: Script{CutAtOp: cut}, chopArc: true},
-		)
-	}
-	for _, s := range []int{1, 3} {
-		scenarios = append(scenarios, archiveScenario{name: fmt.Sprintf("arcsyncerr@%d", s), script: Script{SyncErrAt: s}})
-	}
-	for _, r := range []int{2, 9} {
-		scenarios = append(scenarios, archiveScenario{name: fmt.Sprintf("arcreaderr@%d", r), script: Script{ReadErrAt: r}})
-	}
-
-	for _, sc := range scenarios {
-		out := runArchiveScenario(cfg, sc)
-		res.Scenarios++
-		switch out.outcome {
-		case outcomeRecovered:
-			res.Recovered++
-		case outcomeRefused:
-			res.Refused++
-		case outcomeClean:
-			res.Clean++
-		}
-		res.Replay.add(out.recovery)
-		logf("[%s] %s: %s", cfg.Strategy, sc.name, out.outcome)
-		res.Violations = append(res.Violations, out.violations...)
-		if len(out.violations) > 0 {
-			logf("[%s] %s: %d violation(s): %s", cfg.Strategy, sc.name, len(out.violations), out.violations[0])
-		}
-	}
-	logf("[%s] %d archive scenarios: %d recovered, %d refused, %d clean, %d violations",
-		cfg.Strategy, res.Scenarios, res.Recovered, res.Refused, res.Clean, len(res.Violations))
-	return res, nil
+// archiveFamily builds a deep history fault-free and cuts the tiering run
+// over it. Every fact is durably committed before any injection starts, so
+// the pre-archive fingerprint is the oracle: no fault during the tiering
+// run may change a single answer.
+var archiveFamily = &family{
+	label:  "archive ",
+	prefix: "arc",
+	work:   "versions migrated",
+	variants: []variant{
+		{name: "cut"},
+		{name: "tear", script: Script{TearWrite: true, TearBytes: 512}},
+		{name: "chop", chop: true},
+	},
+	syncErrAt: []int{1, 3},
+	readErrAt: []int{2, 9},
+	// Garbage past the archive's committed frontier, as a power cut mid
+	// segment-append leaves it. Recovery must ignore it: the meta records
+	// the committed size and every replayed frame overwrites its own
+	// offset, so the tail is never read and eventually overwritten.
+	chopSuffix: ".arc",
+	chopLen:    301,
+	chopFill:   0xC3,
+	start: func(cfg Config, path string) (trial, error) {
+		return buildArchiveDB(path, cfg.Strategy)
+	},
 }
 
-// runArchiveScenario builds a deep history fault-free, runs the tiering
-// migration with the scenario's script injected, crashes when the fault
-// fires, recovers twice, and verifies the fingerprint each time. Like
-// runScenario it never returns an error: everything unexpected becomes a
-// violation.
-func runArchiveScenario(cfg Config, sc archiveScenario) (out scenarioResult) {
-	dir := filepath.Join(cfg.Dir, sc.name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		out.violations = append(out.violations, fmt.Sprintf("%s: mkdir: %v", sc.name, err))
-		return out
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "db.tdb")
-	bad := func(format string, args ...any) {
-		out.violations = append(out.violations, sc.name+": "+fmt.Sprintf(format, args...))
-	}
+// archiveTrial is one archive-family scenario: the built history, its
+// watermark, and the fingerprint every recovery must reproduce.
+type archiveTrial struct {
+	ids       []value.ID
+	wm, maxTT temporal.Instant
+	want      string
+	archived  int // versions the faulted tiering run migrated
+}
 
-	// Phase 1: fault-free. Every fact below is durably committed before any
-	// injection starts, so the fingerprint is the oracle: no fault during
-	// the tiering run may change a single answer.
-	ids, wm, maxTT, want, err := buildArchiveDB(path, cfg)
+func (a *archiveTrial) work() int { return a.archived }
+
+// fault runs the migration until it completes or the fault kills it.
+func (a *archiveTrial) fault(e *core.Engine, inj *Injector, bad func(string, ...any)) bool {
+	ar, err := e.Archive(a.wm)
+	if err != nil && !inj.Cut() && inj.transient() {
+		// Transient fault: the migration rolled back whole; retry it.
+		ar, err = e.Archive(a.wm)
+	}
+	a.archived = ar.Archived
 	if err != nil {
-		bad("building history: %v", err)
-		return out
-	}
-
-	// Phase 2: reopen with injection spanning device, WAL, and archive, and
-	// run the migration until it completes or the fault kills it.
-	inj := NewInjector(sc.script)
-	transient := func() bool {
-		r := inj.Report()
-		return r.SyncErrs > 0 || r.ReadErrs > 0
-	}
-	crashed := false
-	e, err := core.Open(injectedOptions(path, cfg, inj))
-	if err != nil {
-		crashed = true
-		if !inj.Cut() && !transient() {
-			bad("reopen for archival failed without a fault: %v", err)
+		_ = e.Crash()
+		if !inj.Cut() {
+			bad("archive failed without a power cut: %v", err)
 		}
-	} else {
-		ar, err := e.Archive(wm)
-		if err != nil && !inj.Cut() && transient() {
-			// Transient fault: the migration rolled back whole; retry it.
-			ar, err = e.Archive(wm)
-		}
-		out.archived = ar.Archived
-		if err != nil {
-			crashed = true
-			_ = e.Crash()
-			if !inj.Cut() {
-				bad("archive failed without a power cut: %v", err)
-			}
-		} else if err := e.Close(); err != nil {
-			crashed = true
-			_ = e.Crash()
-		}
+		return false
 	}
-	out.report = inj.Report()
+	return true
+}
 
-	if sc.chopArc && crashed {
-		chopArchiveTail(path + ".arc")
-	}
-
-	// Phase 3: recover on the real files and hold the store to its oracle.
-	e2, err := core.Open(core.Options{Path: path, PoolPages: cfg.PoolPages})
-	if err != nil {
-		if out.report.TornPage >= 0 {
-			out.outcome = outcomeRefused
-			return out
-		}
-		bad("reopen failed: %v", err)
-		return out
-	}
-	out.recovery = e2.RecoveryStats()
-	verifyArchiveAnswers(e2, ids, wm, maxTT, want, bad)
-
-	// Double recovery off identical on-disk state: replaying the archive
-	// frames again must be byte-identical overwrites.
-	_ = e2.Crash()
-	e3, err := core.Open(core.Options{Path: path, PoolPages: cfg.PoolPages})
-	if err != nil {
-		bad("second recovery failed: %v", err)
-		return out
-	}
-	verifyArchiveAnswers(e3, ids, wm, maxTT, want, bad)
-
-	// The store must still tier: a fresh run over the full history has to
-	// succeed (it may find nothing left to move) and change no answer.
-	if _, err := e3.Archive(maxTT); err != nil {
+// post proves the store still tiers: a fresh run over the full history has
+// to succeed (it may find nothing left to move) and change no answer.
+func (a *archiveTrial) post(e *core.Engine, bad func(string, ...any)) {
+	if _, err := e.Archive(a.maxTT); err != nil {
 		bad("post-recovery archive: %v", err)
 	}
-	verifyArchiveAnswers(e3, ids, wm, maxTT, want, bad)
-	if err := e3.Checkpoint(); err != nil {
-		bad("post-recovery checkpoint: %v", err)
-	}
-	if err := e3.Close(); err != nil {
-		bad("post-recovery close: %v", err)
-	}
-	sweepChecksums(path, bad)
-
-	if crashed {
-		out.outcome = outcomeRecovered
-	} else {
-		out.outcome = outcomeClean
-	}
-	return out
+	a.verify(e, bad)
 }
 
 // buildArchiveDB commits the personnel schema, three employees, and 36
 // updates whose valid-from points repeat in runs of three — monotone with
 // repeats, so every strategy (including tuple, which archives only whole
 // superseded snapshots) has transaction-closed versions below the
-// watermark. Returns the ids, a watermark inside the history, the highest
-// transaction time, and the pre-archive fingerprint.
-func buildArchiveDB(path string, cfg Config) (ids []value.ID, wm, maxTT temporal.Instant, want string, err error) {
+// watermark. The trial holds the ids, a watermark inside the history, the
+// highest transaction time, and the pre-archive fingerprint.
+func buildArchiveDB(path string, strategy atom.Strategy) (*archiveTrial, error) {
+	a := &archiveTrial{}
 	e, err := core.Open(core.Options{
-		Path: path, Strategy: cfg.Strategy, SyncOnCommit: true, PoolPages: cfg.PoolPages,
+		Path: path, Strategy: strategy, SyncOnCommit: true, PoolPages: poolPages,
 	})
 	if err != nil {
-		return nil, 0, 0, "", err
+		return nil, err
 	}
 	if err := installSchema(e); err != nil {
 		_ = e.Crash()
-		return nil, 0, 0, "", err
+		return nil, err
 	}
 	tx, err := e.Begin()
 	if err != nil {
 		_ = e.Crash()
-		return nil, 0, 0, "", err
+		return nil, err
 	}
 	for i := 0; i < 3; i++ {
 		id, err := tx.Insert("Emp", map[string]value.V{
@@ -244,61 +120,61 @@ func buildArchiveDB(path string, cfg Config) (ids []value.ID, wm, maxTT temporal
 		}, 0)
 		if err != nil {
 			_ = e.Crash()
-			return nil, 0, 0, "", err
+			return nil, err
 		}
-		ids = append(ids, id)
+		a.ids = append(a.ids, id)
 	}
 	if err := tx.Commit(); err != nil {
 		_ = e.Crash()
-		return nil, 0, 0, "", err
+		return nil, err
 	}
 	for i := 1; i <= 36; i++ {
 		tx, err := e.Begin()
 		if err != nil {
 			_ = e.Crash()
-			return nil, 0, 0, "", err
+			return nil, err
 		}
 		// Valid-from i-(i%3): runs of three updates correcting the same
 		// instant. The small value domain gives compaction equal-valued
 		// runs to coalesce.
 		from := temporal.Instant(i - i%3)
-		if err := tx.Set(ids[i%3], "salary", value.Int(int64(i%4)), from); err != nil {
+		if err := tx.Set(a.ids[i%3], "salary", value.Int(int64(i%4)), from); err != nil {
 			_ = e.Crash()
-			return nil, 0, 0, "", err
+			return nil, err
 		}
 		if i%5 == 0 {
-			if err := tx.Set(ids[i%3], "name", value.String_(fmt.Sprintf("n%d", i%3)), from); err != nil {
+			if err := tx.Set(a.ids[i%3], "name", value.String_(fmt.Sprintf("n%d", i%3)), from); err != nil {
 				_ = e.Crash()
-				return nil, 0, 0, "", err
+				return nil, err
 			}
 		}
-		maxTT = tx.TT()
+		a.maxTT = tx.TT()
 		if i == 18 {
-			wm = tx.TT() + 1
+			a.wm = tx.TT() + 1
 		}
 		if err := tx.Commit(); err != nil {
 			_ = e.Crash()
-			return nil, 0, 0, "", err
+			return nil, err
 		}
 	}
-	want, err = archiveFingerprint(e, ids, wm, maxTT)
+	a.want, err = a.fingerprint(e)
 	if err != nil {
 		_ = e.Crash()
-		return nil, 0, 0, "", err
+		return nil, err
 	}
 	if err := e.Close(); err != nil {
-		return nil, 0, 0, "", err
+		return nil, err
 	}
-	return ids, wm, maxTT, want, nil
+	return a, nil
 }
 
-// archiveFingerprint renders point states and histories across a grid that
+// fingerprint renders point states and histories across a grid that
 // spans both sides of the watermark — deep ASOF answers (which a migrated
 // store serves from the cold file) and hot ones alike.
-func archiveFingerprint(e *core.Engine, ids []value.ID, wm, maxTT temporal.Instant) (string, error) {
+func (a *archiveTrial) fingerprint(e *core.Engine) (string, error) {
 	var sb strings.Builder
-	for _, id := range ids {
-		for _, tt := range []temporal.Instant{wm - 1, wm, maxTT, atom.Now} {
+	for _, id := range a.ids {
+		for _, tt := range []temporal.Instant{a.wm - 1, a.wm, a.maxTT, atom.Now} {
 			for _, vt := range []temporal.Instant{0, 3, 9, 17, 33, 100} {
 				st, err := e.StateAt(id, vt, tt)
 				if err != nil {
@@ -316,17 +192,16 @@ func archiveFingerprint(e *core.Engine, ids []value.ID, wm, maxTT temporal.Insta
 	return sb.String(), nil
 }
 
-// verifyArchiveAnswers holds a recovered engine to the pre-archive oracle
-// and proves the query path works.
-func verifyArchiveAnswers(e *core.Engine, ids []value.ID, wm, maxTT temporal.Instant,
-	want string, bad func(string, ...any)) {
-	got, err := archiveFingerprint(e, ids, wm, maxTT)
+// verify holds a recovered engine to the pre-archive oracle and proves the
+// query path works.
+func (a *archiveTrial) verify(e *core.Engine, bad func(string, ...any)) {
+	got, err := a.fingerprint(e)
 	if err != nil {
 		bad("fingerprint after recovery: %v", err)
 		return
 	}
-	if got != want {
-		bad("answers diverged after recovery: %s", firstLineDiff(want, got))
+	if got != a.want {
+		bad("answers diverged after recovery: %s", firstLineDiff(a.want, got))
 	}
 	if _, err := e.Query("SELECT (Emp.name, Emp.salary) FROM Emp"); err != nil {
 		bad("query after recovery: %v", err)
@@ -343,21 +218,4 @@ func firstLineDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("line count %d vs %d", len(al), len(bl))
-}
-
-// chopArchiveTail appends garbage past the archive's committed frontier, as
-// a power cut mid segment-append would. Recovery must ignore it: the meta
-// records the committed size and every replayed frame overwrites its own
-// offset, so the tail is never read and eventually overwritten.
-func chopArchiveTail(path string) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return // no archive file materialized before the crash
-	}
-	garbage := make([]byte, 301)
-	for i := range garbage {
-		garbage[i] = 0xC3
-	}
-	_, _ = f.Write(garbage)
-	_ = f.Close()
 }

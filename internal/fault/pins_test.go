@@ -39,7 +39,7 @@ func TestReaderErrorLeavesNoPins(t *testing.T) {
 			open := func(script Script) (*core.Engine, *Injector) {
 				t.Helper()
 				inj := NewInjector(script)
-				e, err := core.Open(injectedOptions(path, Config{Strategy: strat, PoolPages: 16}, inj))
+				e, err := core.Open(injectedOptions(path, strat, 16, inj))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,7 +47,7 @@ func TestReaderErrorLeavesNoPins(t *testing.T) {
 				return e, inj
 			}
 
-			e, err := core.Open(injectedOptions(path, Config{Strategy: strat, PoolPages: 1024}, NewInjector(Script{})))
+			e, err := core.Open(injectedOptions(path, strat, 1024, NewInjector(Script{})))
 			if err != nil {
 				t.Fatal(err)
 			}

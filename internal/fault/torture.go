@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,13 +20,8 @@ type Config struct {
 	// Strategy is the physical mapping under test.
 	Strategy atom.Strategy
 	// Seed drives the workload generator; the whole run is a deterministic
-	// function of (Strategy, Seed, Cuts, BatchSize, PoolPages).
+	// function of (Strategy, Seed, Cuts).
 	Seed int64
-	// BatchSize is operations per transaction (default 5).
-	BatchSize int
-	// PoolPages sizes the buffer pool; small pools force mid-transaction
-	// evictions (default 16).
-	PoolPages int
 	// Cuts is the number of power-cut points per fault variant, spread
 	// evenly over the probe run's operation count (default 14).
 	Cuts int
@@ -34,6 +30,14 @@ type Config struct {
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// batchSize is operations per transaction of the workload family.
+	batchSize = 5
+	// poolPages sizes the buffer pool of every store the crash families
+	// open; a pool this small forces mid-transaction evictions.
+	poolPages = 16
+)
 
 // Result summarizes a torture run.
 type Result struct {
@@ -63,110 +67,154 @@ func (s *ReplaySummary) add(rs wal.RecoveryStats) {
 	s.TornBytes += rs.TornBytes
 }
 
-// fact is one acknowledged (committed) attribute assignment: after recovery,
-// StateAt(id(handle), from, atom.Now) must show the latest acked fact for
-// (handle, attr) whose valid-from does not exceed from.
-type fact struct {
-	handle int
-	attr   string
-	val    value.V
-	from   temporal.Instant
-}
-
-// scenario is one scripted failure.
-type scenario struct {
-	name   string
-	script Script
-	// chop appends a torn partial page to the database file after the
-	// crash, modelling a power cut mid file-grow beneath the page layer.
-	chop bool
-}
-
 // Run executes the torture matrix for one strategy: a fault-free probe to
 // count the workload's I/O operations, then every fault variant at every
 // cut point, each in a fresh directory, each verified after reopening.
-func Run(cfg Config) (*Result, error) {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 5
-	}
-	if cfg.PoolPages <= 0 {
-		cfg.PoolPages = 16
-	}
+func Run(cfg Config) (*Result, error) { return runFamily(workloadFamily, cfg) }
+
+// A family is one crash-recovery matrix. runFamily and runCrashScenario
+// own every step its scenarios share; a family supplies only what differs:
+// how a scenario's store is built and checked (start and the trial it
+// returns), its variant table, and which file a chop damages.
+type family struct {
+	label  string // "" or "archive ": inserted before "probe" and "scenarios" in log lines
+	prefix string // prefix of every scenario name but the probe's
+	work   string // what the probe's trial.work counts, for its log line
+	// variants run at every cut point, in order; the driver sets CutAtOp.
+	variants             []variant
+	syncErrAt, readErrAt []int
+	// A chop variant appends chopLen bytes of chopFill to the file at the
+	// store's path plus chopSuffix after the crash.
+	chopSuffix string
+	chopLen    int
+	chopFill   byte
+	// start prepares one scenario's store at path, fault-free.
+	start func(cfg Config, path string) (trial, error)
+}
+
+// variant is one fault script run at every cut point.
+type variant struct {
+	name   string
+	script Script
+	chop   bool
+}
+
+// trial is one scenario's family-specific state and checks.
+type trial interface {
+	// fault runs the faulted phase on e, opened with injection, and reports
+	// whether e is still open; once it has crashed e must not be touched.
+	fault(e *core.Engine, inj *Injector, bad func(string, ...any)) bool
+	// verify holds a recovered engine to the family's oracle.
+	verify(e *core.Engine, bad func(string, ...any))
+	// post proves the recovered store still provides service.
+	post(e *core.Engine, bad func(string, ...any))
+	// work counts what the faulted phase completed; a probe that did none
+	// would make the matrix vacuous.
+	work() int
+}
+
+// workloadFamily cuts the personnel workload itself: the store is built
+// under injection, one batch per transaction, and checked against the
+// facts of every acknowledged commit.
+var workloadFamily = &family{
+	work: "batches",
+	variants: []variant{
+		{name: "cut"},
+		{name: "tear", script: Script{TearWrite: true, TearBytes: 512}},
+		{name: "buf", script: Script{Buffered: true}},
+		{name: "buftear", script: Script{Buffered: true, SyncApply: 2, TearWrite: true, TearBytes: 1000}},
+		{name: "chop", chop: true},
+	},
+	syncErrAt: []int{1, 2, 5},
+	readErrAt: []int{1, 5, 15},
+	// A torn partial page, as a power cut during a file grow leaves it.
+	chopLen:  517,
+	chopFill: 0xA7,
+	start: func(cfg Config, _ string) (trial, error) {
+		return &workloadTrial{ops: workload.Personnel(workload.PersonnelParams{
+			Depts: 3, Emps: 10, UpdatesPerEmp: 3, MovesPerEmp: 1,
+			TimeStep: 10, Seed: cfg.Seed,
+		}), ackedTypes: map[string]int{}}, nil
+	},
+}
+
+// runFamily executes one family's matrix for one strategy: a fault-free
+// probe to count the I/O operations and prove the harness sound, then
+// every variant at every cut point plus the transient sync and read
+// errors, all through Drive.
+func runFamily(fam *family, cfg Config) (*Result, error) {
 	if cfg.Cuts <= 0 {
 		cfg.Cuts = 14
 	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("fault: Config.Dir is required")
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	logf := func(string, ...any) {}
+	if cfg.Logf != nil {
+		logf = func(format string, args ...any) {
+			cfg.Logf("[%s] "+format, append([]any{cfg.Strategy}, args...)...)
+		}
 	}
-	ops := workload.Personnel(workload.PersonnelParams{
-		Depts: 3, Emps: 10, UpdatesPerEmp: 3, MovesPerEmp: 1,
-		TimeStep: 10, Seed: cfg.Seed,
-	})
 	res := &Result{}
+	tally := func(scs []Scenario) {
+		for i, out := range Drive(scs, 0, logf) {
+			res.Scenarios++
+			switch out.Verdict {
+			case outcomeRecovered:
+				res.Recovered++
+			case outcomeRefused:
+				res.Refused++
+			case outcomeClean:
+				res.Clean++
+			}
+			for _, v := range out.Violations {
+				res.Violations = append(res.Violations, scs[i].Name+": "+v)
+			}
+		}
+	}
 
-	// Probe: the same workload with a script that injects nothing, to learn
-	// the total operation count and to prove the harness itself is sound.
-	probe := runScenario(cfg, ops, scenario{name: "probe"})
-	res.Scenarios++
-	res.Clean++
-	res.ProbeOps = probe.report.Ops
-	res.Violations = append(res.Violations, probe.violations...)
-	if len(probe.violations) > 0 {
-		return res, fmt.Errorf("fault: probe run violated invariants: %s", probe.violations[0])
+	var probe crashRun
+	tally([]Scenario{{Name: "probe", Run: func() Outcome {
+		probe = runCrashScenario(fam, cfg, "probe", Script{}, false)
+		return probe.Outcome
+	}}})
+	if len(res.Violations) > 0 {
+		return res, fmt.Errorf("fault: %sprobe violated invariants: %s", fam.label, res.Violations[0])
+	}
+	res.ProbeOps = probe.ops
+	if probe.work == 0 {
+		return res, fmt.Errorf("fault: %sprobe did no %s; the matrix would be vacuous", fam.label, fam.work)
 	}
 	if res.ProbeOps < cfg.Cuts {
-		return res, fmt.Errorf("fault: probe counted only %d ops for %d cut points", res.ProbeOps, cfg.Cuts)
+		return res, fmt.Errorf("fault: %sprobe counted only %d ops for %d cut points", fam.label, res.ProbeOps, cfg.Cuts)
 	}
-	logf("[%s] probe: %d ops, %d batches", cfg.Strategy, res.ProbeOps, (len(ops)+cfg.BatchSize-1)/cfg.BatchSize)
+	logf("%sprobe: %d ops, %d %s", fam.label, res.ProbeOps, probe.work, fam.work)
 
-	var scenarios []scenario
+	var scs []Scenario
+	add := func(name string, script Script, chop bool) {
+		scs = append(scs, Scenario{Name: name, Run: func() Outcome {
+			r := runCrashScenario(fam, cfg, name, script, chop)
+			res.Replay.add(r.recovery)
+			return r.Outcome
+		}})
+	}
 	for k := 0; k < cfg.Cuts; k++ {
 		cut := 1 + k*(res.ProbeOps-1)/max(1, cfg.Cuts-1)
-		scenarios = append(scenarios,
-			scenario{name: fmt.Sprintf("cut@%d", cut), script: Script{CutAtOp: cut}},
-			scenario{name: fmt.Sprintf("tear@%d", cut), script: Script{CutAtOp: cut, TearWrite: true, TearBytes: 512}},
-			scenario{name: fmt.Sprintf("buf@%d", cut), script: Script{CutAtOp: cut, Buffered: true}},
-			scenario{name: fmt.Sprintf("buftear@%d", cut), script: Script{CutAtOp: cut, Buffered: true, SyncApply: 2, TearWrite: true, TearBytes: 1000}},
-			scenario{name: fmt.Sprintf("chop@%d", cut), script: Script{CutAtOp: cut}, chop: true},
-		)
-	}
-	for _, s := range []int{1, 2, 5} {
-		scenarios = append(scenarios, scenario{name: fmt.Sprintf("syncerr@%d", s), script: Script{SyncErrAt: s}})
-	}
-	for _, r := range []int{1, 5, 15} {
-		scenarios = append(scenarios, scenario{name: fmt.Sprintf("readerr@%d", r), script: Script{ReadErrAt: r}})
-	}
-
-	for _, sc := range scenarios {
-		out := runScenario(cfg, ops, sc)
-		res.Scenarios++
-		switch out.outcome {
-		case outcomeRecovered:
-			res.Recovered++
-		case outcomeRefused:
-			res.Refused++
-		case outcomeClean:
-			res.Clean++
-		}
-		res.Replay.add(out.recovery)
-		if out.outcome == outcomeRecovered {
-			logf("[%s] %s: %s (replayed %d/%d records, %d committed, %d torn bytes)",
-				cfg.Strategy, sc.name, out.outcome,
-				out.recovery.Replayed, out.recovery.Records, out.recovery.Committed, out.recovery.TornBytes)
-		} else {
-			logf("[%s] %s: %s", cfg.Strategy, sc.name, out.outcome)
-		}
-		res.Violations = append(res.Violations, out.violations...)
-		if len(out.violations) > 0 {
-			logf("[%s] %s: %d violation(s): %s", cfg.Strategy, sc.name, len(out.violations), out.violations[0])
+		for _, v := range fam.variants {
+			script := v.script
+			script.CutAtOp = cut
+			add(fmt.Sprintf("%s%s@%d", fam.prefix, v.name, cut), script, v.chop)
 		}
 	}
-	logf("[%s] %d scenarios: %d recovered, %d refused, %d clean, %d violations",
-		cfg.Strategy, res.Scenarios, res.Recovered, res.Refused, res.Clean, len(res.Violations))
+	for _, s := range fam.syncErrAt {
+		add(fmt.Sprintf("%ssyncerr@%d", fam.prefix, s), Script{SyncErrAt: s}, false)
+	}
+	for _, r := range fam.readErrAt {
+		add(fmt.Sprintf("%sreaderr@%d", fam.prefix, r), Script{ReadErrAt: r}, false)
+	}
+	tally(scs)
+	logf("%d %sscenarios: %d recovered, %d refused, %d clean, %d violations",
+		res.Scenarios, fam.label, res.Recovered, res.Refused, res.Clean, len(res.Violations))
 	return res, nil
 }
 
@@ -176,111 +224,86 @@ const (
 	outcomeRefused   = "refused"
 )
 
-type scenarioResult struct {
-	outcome    string
-	violations []string
-	report     Report
+// crashRun is one crash scenario's outcome plus what the driver aggregates.
+type crashRun struct {
+	Outcome
+	ops  int // I/O operations the injector counted
+	work int // the trial's work count
 	// recovery holds the first reopen's WAL replay statistics (zero when
-	// the scenario never crashed or the open was refused).
+	// the open was refused).
 	recovery wal.RecoveryStats
-	// archived counts versions the scenario's tiering run migrated before
-	// any fault fired (archive scenarios only; the probe uses it to prove
-	// the matrix is not vacuous).
-	archived int
 }
 
-// runScenario drives the workload against a fresh database with the
-// scenario's script injected, crashes when the fault fires, reopens without
-// injection, and verifies every invariant. It never returns an error:
-// everything unexpected becomes a violation.
-func runScenario(cfg Config, ops []workload.Op, sc scenario) (out scenarioResult) {
-	dir := filepath.Join(cfg.Dir, sc.name)
+// runCrashScenario builds the family's store, runs its faulted phase with
+// the script injected, crashes when the fault fires, optionally chops the
+// family's file, reopens without injection twice — verifying each time —
+// and proves the store still serves, checkpoints and passes a checksum
+// sweep. It never returns an error: everything unexpected becomes a
+// violation.
+func runCrashScenario(fam *family, cfg Config, name string, script Script, chop bool) (run crashRun) {
+	bad := run.Bad
+	dir := filepath.Join(cfg.Dir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		out.violations = append(out.violations, fmt.Sprintf("%s: mkdir: %v", sc.name, err))
-		return out
+		bad("mkdir: %v", err)
+		return run
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "db.tdb")
-	inj := NewInjector(sc.script)
-	bad := func(format string, args ...any) {
-		out.violations = append(out.violations, sc.name+": "+fmt.Sprintf(format, args...))
+	t, err := fam.start(cfg, path)
+	if err != nil {
+		bad("building the store: %v", err)
+		return run
 	}
 
-	var (
-		ids        []value.ID
-		acked      []fact
-		ackedTypes = map[string]int{} // type -> committed inserts
-		schemaOK   bool
-		crashed    bool
-	)
-	transient := func() bool {
-		r := inj.Report()
-		return r.SyncErrs > 0 || r.ReadErrs > 0
-	}
-	e, err := core.Open(injectedOptions(path, cfg, inj))
+	inj := NewInjector(script)
+	crashed := true
+	e, err := core.Open(injectedOptions(path, cfg.Strategy, poolPages, inj))
 	if err != nil {
-		crashed = true
-		if !inj.Cut() && !transient() {
-			bad("initial open failed without a fault firing: %v", err)
+		if !inj.Cut() && !inj.transient() {
+			bad("open failed without a fault firing: %v", err)
 		}
-	} else {
-		if err := installSchema(e); err != nil {
+	} else if t.fault(e, inj, bad) {
+		crashed = false
+		if err := e.Close(); err != nil {
 			crashed = true
 			_ = e.Crash()
-			if !inj.Cut() && !transient() {
-				bad("schema definition failed without a fault: %v", err)
-			}
-		} else {
-			schemaOK = true
-			crashed = !applyWorkload(e, ops, cfg.BatchSize, inj, &ids, &acked, ackedTypes, bad)
-			if !crashed {
-				if err := e.Close(); err != nil {
-					crashed = true
-					_ = e.Crash()
-				}
-			}
 		}
 	}
-	out.report = inj.Report()
-
-	if sc.chop && crashed {
-		chopTail(path)
+	report := inj.Report()
+	run.ops, run.work = report.Ops, t.work()
+	if chop && crashed {
+		chopTail(path+fam.chopSuffix, fam.chopLen, fam.chopFill)
 	}
 
 	// Reopen on the real files — the injector is out of the picture, exactly
 	// as after a machine reboot.
-	e2, err := core.Open(core.Options{Path: path, PoolPages: cfg.PoolPages})
+	e2, err := core.Open(core.Options{Path: path, PoolPages: poolPages})
 	if err != nil {
 		// A torn device-page write may have destroyed the meta page or a
 		// checkpointed page the log no longer covers; refusing to open is
 		// then the correct, detected outcome. Anything else is a violation.
-		if out.report.TornPage >= 0 {
-			out.outcome = outcomeRefused
-			return out
+		if report.TornPage >= 0 {
+			run.Verdict = outcomeRefused
+			return run
 		}
 		bad("reopen failed: %v", err)
-		return out
+		return run
 	}
-	out.recovery = e2.RecoveryStats()
-	verify(e2, ids, acked, ackedTypes, schemaOK, bad)
+	run.recovery = e2.RecoveryStats()
+	t.verify(e2, bad)
 
 	// Second recovery must be idempotent: crash the recovered engine before
 	// it checkpoints and recover again off the identical on-disk state.
 	_ = e2.Crash()
-	e3, err := core.Open(core.Options{Path: path, PoolPages: cfg.PoolPages})
+	e3, err := core.Open(core.Options{Path: path, PoolPages: poolPages})
 	if err != nil {
 		bad("second recovery failed: %v", err)
-		return out
+		return run
 	}
-	verify(e3, ids, acked, ackedTypes, schemaOK, bad)
+	t.verify(e3, bad)
 
-	// The database must still provide service: accept a write, checkpoint,
-	// and close cleanly.
-	if schemaOK {
-		if err := postRecoveryWrite(e3); err != nil {
-			bad("post-recovery write: %v", err)
-		}
-	}
+	// The database must still provide service, checkpoint, and close cleanly.
+	t.post(e3, bad)
 	if err := e3.Checkpoint(); err != nil {
 		bad("post-recovery checkpoint: %v", err)
 	}
@@ -289,22 +312,28 @@ func runScenario(cfg Config, ops []workload.Op, sc scenario) (out scenarioResult
 	}
 	sweepChecksums(path, bad)
 
+	run.Verdict = outcomeClean
 	if crashed {
-		out.outcome = outcomeRecovered
-	} else {
-		out.outcome = outcomeClean
+		run.Verdict = outcomeRecovered
 	}
-	return out
+	return run
+}
+
+// transient reports whether a scripted transient sync or read error has
+// fired.
+func (in *Injector) transient() bool {
+	r := in.Report()
+	return r.SyncErrs > 0 || r.ReadErrs > 0
 }
 
 // injectedOptions wires the fault device and log wrappers into the engine's
 // open seams, sharing one injector so the op counter spans both files.
-func injectedOptions(path string, cfg Config, inj *Injector) core.Options {
+func injectedOptions(path string, strategy atom.Strategy, poolPages int, inj *Injector) core.Options {
 	return core.Options{
 		Path:         path,
-		Strategy:     cfg.Strategy,
+		Strategy:     strategy,
 		SyncOnCommit: true,
-		PoolPages:    cfg.PoolPages,
+		PoolPages:    poolPages,
 		OpenDevice: func(p string) (storage.Device, error) {
 			fd, err := storage.OpenFileDevice(p)
 			if err != nil {
@@ -357,30 +386,55 @@ func installSchema(e *core.Engine) error {
 	return workload.Install(e, sch)
 }
 
-// applyWorkload runs ops in batches of batchSize, one transaction each,
-// recording the facts of every acknowledged commit. A batch that fails for
-// a transient reason (no power cut) is retried once — its effects were
-// rolled back, so the replay is exact. Returns false once the database has
-// crashed (the caller must not touch e afterwards).
-func applyWorkload(e *core.Engine, ops []workload.Op, batchSize int, inj *Injector,
-	ids *[]value.ID, acked *[]fact, ackedTypes map[string]int, bad func(string, ...any)) bool {
-	inserts := 0
-	for start := 0; start < len(ops); start += batchSize {
-		end := start + batchSize
-		if end > len(ops) {
-			end = len(ops)
+// fact is one acknowledged (committed) attribute assignment: after recovery,
+// StateAt(id(handle), from, atom.Now) must show the latest acked fact for
+// (handle, attr) whose valid-from does not exceed from.
+type fact struct {
+	handle int
+	attr   string
+	val    value.V
+	from   temporal.Instant
+}
+
+// workloadTrial is one workload-family scenario: the ops to apply and the
+// oracle of what the acknowledged commits made durable.
+type workloadTrial struct {
+	ops        []workload.Op
+	ids        []value.ID
+	acked      []fact
+	ackedTypes map[string]int // type -> committed inserts
+	schemaOK   bool
+	batches    int // batches acknowledged
+}
+
+func (w *workloadTrial) work() int { return w.batches }
+
+// fault installs the schema and runs the ops in batches of batchSize, one
+// transaction each, recording the facts of every acknowledged commit. A
+// batch that fails for a transient reason (no power cut) is retried once —
+// its effects were rolled back, so the replay is exact.
+func (w *workloadTrial) fault(e *core.Engine, inj *Injector, bad func(string, ...any)) bool {
+	if err := installSchema(e); err != nil {
+		_ = e.Crash()
+		if !inj.Cut() && !inj.transient() {
+			bad("schema definition failed without a fault: %v", err)
 		}
-		batch := ops[start:end]
-		mark := len(*ids)
-		if err := applyBatch(e, batch, ids); err != nil {
-			*ids = (*ids)[:mark]
+		return false
+	}
+	w.schemaOK = true
+	inserts := 0
+	for start := 0; start < len(w.ops); start += batchSize {
+		batch := w.ops[start:min(start+batchSize, len(w.ops))]
+		mark := len(w.ids)
+		if err := applyBatch(e, batch, &w.ids); err != nil {
+			w.ids = w.ids[:mark]
 			if inj.Cut() {
 				_ = e.Crash()
 				return false
 			}
 			// Transient fault: the transaction rolled back; retry it.
-			if err := applyBatch(e, batch, ids); err != nil {
-				*ids = (*ids)[:mark]
+			if err := applyBatch(e, batch, &w.ids); err != nil {
+				w.ids = w.ids[:mark]
 				if !inj.Cut() {
 					bad("batch %d failed twice without a power cut: %v", start/batchSize, err)
 				}
@@ -388,23 +442,24 @@ func applyWorkload(e *core.Engine, ops []workload.Op, batchSize int, inj *Inject
 				return false
 			}
 		}
+		w.batches++
 		// Acked: record the batch's facts against the now-known ids.
 		for _, op := range batch {
 			switch op.Kind {
 			case workload.OpInsert:
 				h := inserts
 				inserts++
-				ackedTypes[op.Type]++
+				w.ackedTypes[op.Type]++
 				for attr, v := range op.Vals {
-					*acked = append(*acked, fact{handle: h, attr: attr, val: v, from: op.From})
+					w.acked = append(w.acked, fact{handle: h, attr: attr, val: v, from: op.From})
 				}
 				for attr, th := range op.Refs {
-					*acked = append(*acked, fact{handle: h, attr: attr, val: value.Ref((*ids)[th]), from: op.From})
+					w.acked = append(w.acked, fact{handle: h, attr: attr, val: value.Ref(w.ids[th]), from: op.From})
 				}
 			case workload.OpUpdate:
-				*acked = append(*acked, fact{handle: op.Handle, attr: op.Attr, val: op.Val, from: op.From})
+				w.acked = append(w.acked, fact{handle: op.Handle, attr: op.Attr, val: op.Val, from: op.From})
 			case workload.OpUpdateRef:
-				*acked = append(*acked, fact{handle: op.Handle, attr: op.Attr, val: value.Ref((*ids)[op.Target]), from: op.From})
+				w.acked = append(w.acked, fact{handle: op.Handle, attr: op.Attr, val: value.Ref(w.ids[op.Target]), from: op.From})
 			}
 		}
 	}
@@ -458,9 +513,8 @@ func applyBatch(e *core.Engine, batch []workload.Op, ids *[]value.ID) error {
 // committed facts visible with the right time-sliced values, no effects of
 // unacknowledged transactions (exact per-type atom counts), and a working
 // query path.
-func verify(e *core.Engine, ids []value.ID, acked []fact, ackedTypes map[string]int,
-	schemaOK bool, bad func(string, ...any)) {
-	for typ, n := range ackedTypes {
+func (w *workloadTrial) verify(e *core.Engine, bad func(string, ...any)) {
+	for typ, n := range w.ackedTypes {
 		got, err := e.IDs(typ)
 		if err != nil {
 			bad("IDs(%s): %v", typ, err)
@@ -470,14 +524,14 @@ func verify(e *core.Engine, ids []value.ID, acked []fact, ackedTypes map[string]
 			bad("type %s has %d atoms, want %d (lost commit or leaked uncommitted insert)", typ, len(got), n)
 		}
 	}
-	for fi, f := range acked {
+	for fi, f := range w.acked {
 		want := f.val
-		for _, g := range acked[fi+1:] {
+		for _, g := range w.acked[fi+1:] {
 			if g.handle == f.handle && g.attr == f.attr && g.from <= f.from {
 				want = g.val
 			}
 		}
-		st, err := e.StateAt(ids[f.handle], f.from, atom.Now)
+		st, err := e.StateAt(w.ids[f.handle], f.from, atom.Now)
 		if err != nil {
 			bad("StateAt(handle %d, vt %d): %v", f.handle, f.from, err)
 			continue
@@ -486,10 +540,20 @@ func verify(e *core.Engine, ids []value.ID, acked []fact, ackedTypes map[string]
 			bad("handle %d attr %s at vt %d = %v, want %v", f.handle, f.attr, f.from, got, want)
 		}
 	}
-	if schemaOK {
+	if w.schemaOK {
 		if _, err := e.Query("SELECT (Emp.name, Emp.salary) FROM Emp"); err != nil {
 			bad("query after recovery: %v", err)
 		}
+	}
+}
+
+// post proves the recovered database still accepts commits.
+func (w *workloadTrial) post(e *core.Engine, bad func(string, ...any)) {
+	if !w.schemaOK {
+		return
+	}
+	if err := postRecoveryWrite(e); err != nil {
+		bad("post-recovery write: %v", err)
 	}
 }
 
@@ -519,23 +583,19 @@ func postRecoveryWrite(e *core.Engine) error {
 	return nil
 }
 
-// chopTail appends a torn partial page to the database file, as a power cut
-// during a file grow would leave it. A file without a single complete page
-// is left alone: chopping it would model a torn write of the very first
-// page, which the device layer (correctly) refuses as not-a-database.
-func chopTail(path string) {
-	if info, err := os.Stat(path); err != nil || info.Size() < storage.PageSize {
+// chopTail appends n bytes of fill to the file at path, as a power cut
+// while the file grows leaves it. A missing or empty file is left alone:
+// chopping it would model a torn write of the very first page or header,
+// which the device layer (correctly) refuses as not-a-database.
+func chopTail(path string, n int, fill byte) {
+	if info, err := os.Stat(path); err != nil || info.Size() == 0 {
 		return
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return // no database file materialized before the crash
+		return
 	}
-	garbage := make([]byte, 517)
-	for i := range garbage {
-		garbage[i] = 0xA7
-	}
-	_, _ = f.Write(garbage)
+	_, _ = f.Write(bytes.Repeat([]byte{fill}, n))
 	_ = f.Close()
 }
 
@@ -558,4 +618,3 @@ func sweepChecksums(path string, bad func(string, ...any)) {
 		}
 	}
 }
-

@@ -1,6 +1,6 @@
 // Command personnel loads the synthetic personnel workload and runs the
 // query repertoire over it: time slices, temporal selections (WHEN),
-// history retrieval, molecule queries, and step-function analytics
+// history retrieval, molecule queries, and temporal aggregates
 // (duration-weighted averages) over attribute histories.
 package main
 
@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"tcodm"
-	"tcodm/internal/history"
 	"tcodm/internal/temporal"
 	"tcodm/internal/workload"
 )
@@ -55,17 +54,24 @@ func main() {
 		fmt.Printf("\nstaffing at t=%d:\n%s", t, res.Table())
 	}
 
-	// 4. Step-function analytics: the duration-weighted average salary of
-	// one employee over the whole observation window.
+	// 4. Temporal analytics over one employee's salary history: its
+	// duration-weighted average over an observation window (a TMQL temporal
+	// aggregate), and the periods in which it exceeded a threshold.
 	emp := ids[params.Depts] // the first employee
+	res, err = db.Query(`SELECT (TAVG(salary)) FROM Emp WHERE name = "emp-0000" DURING [0, 80) AT 0`)
+	must(err)
+	if avg := res.Rows[0][0]; !avg.IsNull() {
+		fmt.Printf("\nduration-weighted average salary of %v over [0, 80): %.1f\n", emp, avg.AsFloat())
+	}
 	versions, err := db.History(emp, "salary", tcodm.Now)
 	must(err)
-	sf := history.FromVersions(versions)
-	if avg, ok := sf.WeightedAvg(temporal.NewInterval(0, 80)); ok {
-		fmt.Printf("\nduration-weighted average salary of %v over [0, 80): %.1f\n", emp, avg)
+	var high []temporal.Interval
+	for _, v := range versions {
+		if !v.Val.IsNull() && v.Val.AsInt() > 5000 {
+			high = append(high, v.Valid)
+		}
 	}
-	high := sf.When(func(v tcodm.V) bool { return !v.IsNull() && v.AsInt() > 5000 })
-	fmt.Printf("periods with salary > 5000: %v\n", high)
+	fmt.Printf("periods with salary > 5000: %v\n", temporal.NewElement(high...))
 }
 
 func must(err error) {

@@ -282,15 +282,3 @@ func (a *Atom) trimBackRef(sourceType, attr string, source value.ID, iv temporal
 	}
 	a.BackRefs[key] = kept
 }
-
-// BackRefsAt returns the IDs of atoms whose reference attr (declared on
-// sourceType) points at this atom at (vt, tt).
-func (a *Atom) BackRefsAt(sourceType, attr string, vt, tt temporal.Instant) []value.ID {
-	var out []value.ID
-	for _, v := range a.BackRefs[backRefKey(sourceType, attr)] {
-		if v.VisibleAt(vt, tt) {
-			out = append(out, v.Val.AsID())
-		}
-	}
-	return out
-}

@@ -945,7 +945,7 @@ func (e *Engine) Molecule(molType string, root value.ID, vt, tt temporal.Instant
 	if !ok {
 		return nil, fmt.Errorf("core: unknown molecule type %q", molType)
 	}
-	return e.builder.Materialize(mt, root, vt, tt)
+	return e.builder.Materialize(mt, root, vt, tt, nil)
 }
 
 // MoleculeHistory returns the step-wise history of a complex object.

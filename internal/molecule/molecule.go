@@ -65,14 +65,9 @@ func NewBuilder(mgr *atom.Manager) *Builder {
 // Materialize derives the molecule of type mt rooted at root, sliced at
 // (vt, tt). Atoms not alive at vt are excluded (and not traversed
 // through); cycles are handled by visiting each atom once. A dead or
-// missing root yields a molecule with no atoms.
-func (b *Builder) Materialize(mt *schema.MoleculeType, root value.ID, vt, tt temporal.Instant) (*Molecule, error) {
-	return b.MaterializeAcc(mt, root, vt, tt, nil)
-}
-
-// MaterializeAcc is Materialize with exact resource accounting: every atom
-// state read during the BFS charges pages and chain steps into acc.
-func (b *Builder) MaterializeAcc(mt *schema.MoleculeType, root value.ID, vt, tt temporal.Instant, acc *obs.Resources) (*Molecule, error) {
+// missing root yields a molecule with no atoms. Every atom state read
+// during the BFS charges pages and chain steps into acc (nil: uncharged).
+func (b *Builder) Materialize(mt *schema.MoleculeType, root value.ID, vt, tt temporal.Instant, acc *obs.Resources) (*Molecule, error) {
 	mol := &Molecule{
 		Type: mt, Root: root, VT: vt, TT: tt,
 		Atoms:    map[value.ID]*atom.State{},
@@ -172,7 +167,7 @@ func (b *Builder) ChangePoints(mt *schema.MoleculeType, root value.ID, window te
 		ordered := sortedInstants(points)
 		grew := false
 		for _, p := range ordered {
-			mol, err := b.Materialize(mt, root, p, tt)
+			mol, err := b.Materialize(mt, root, p, tt, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -273,7 +268,7 @@ func (b *Builder) History(mt *schema.MoleculeType, root value.ID, window tempora
 		if p >= end {
 			continue
 		}
-		mol, err := b.Materialize(mt, root, p, tt)
+		mol, err := b.Materialize(mt, root, p, tt, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -86,7 +86,7 @@ func TestMaterializeBasic(t *testing.T) {
 			t.Fatal(err)
 		}
 		mt, _ := m.Schema().MoleculeType("Design")
-		mol, err := b.Materialize(mt, asm, 10, atom.Now)
+		mol, err := b.Materialize(mt, asm, 10, atom.Now, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,14 +118,14 @@ func TestMaterializeTimeSlices(t *testing.T) {
 			t.Fatal(err)
 		}
 		mt, _ := m.Schema().MoleculeType("Design")
-		early, err := b.Materialize(mt, asm, 10, atom.Now)
+		early, err := b.Materialize(mt, asm, 10, atom.Now, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if early.Size() != 1 {
 			t.Errorf("molecule at 10 has %d atoms, want 1", early.Size())
 		}
-		late, _ := b.Materialize(mt, asm, 60, atom.Now)
+		late, _ := b.Materialize(mt, asm, 60, atom.Now, nil)
 		if late.Size() != 2 {
 			t.Errorf("molecule at 60 has %d atoms, want 2", late.Size())
 		}
@@ -133,12 +133,12 @@ func TestMaterializeTimeSlices(t *testing.T) {
 		if err := m.Delete(p, 80, 4); err != nil {
 			t.Fatal(err)
 		}
-		after, _ := b.Materialize(mt, asm, 90, atom.Now)
+		after, _ := b.Materialize(mt, asm, 90, atom.Now, nil)
 		if after.Size() != 1 {
 			t.Errorf("molecule at 90 has %d atoms, want 1", after.Size())
 		}
 		// But the time slice at 60 still shows it (history preserved).
-		again, _ := b.Materialize(mt, asm, 60, atom.Now)
+		again, _ := b.Materialize(mt, asm, 60, atom.Now, nil)
 		if again.Size() != 2 {
 			t.Errorf("molecule at 60 after deletion has %d atoms, want 2", again.Size())
 		}
@@ -160,7 +160,7 @@ func TestMaterializeCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		mt, _ := m.Schema().MoleculeType("Design")
-		mol, err := b.Materialize(mt, asm, 10, atom.Now)
+		mol, err := b.Materialize(mt, asm, 10, atom.Now, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestMaterializeDeadRoot(t *testing.T) {
 	forAllStrategies(t, func(t *testing.T, m *atom.Manager, b *Builder) {
 		asm, _ := m.Insert("Assembly", map[string]value.V{"name": value.String_("d")}, 10, 1)
 		mt, _ := m.Schema().MoleculeType("Design")
-		mol, err := b.Materialize(mt, asm, 5, atom.Now)
+		mol, err := b.Materialize(mt, asm, 5, atom.Now, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestMaterializeWrongRootType(t *testing.T) {
 	m, b := newCAD(t, atom.StrategyEmbedded)
 	p, _ := m.Insert("Part", map[string]value.V{"name": value.String_("p")}, 0, 1)
 	mt, _ := m.Schema().MoleculeType("Design")
-	if _, err := b.Materialize(mt, p, 10, atom.Now); err == nil {
+	if _, err := b.Materialize(mt, p, 10, atom.Now, nil); err == nil {
 		t.Error("wrong root type accepted")
 	}
 }
@@ -254,7 +254,7 @@ func TestMaxAtomsGuard(t *testing.T) {
 		}
 	}
 	mt, _ := m.Schema().MoleculeType("Design")
-	if _, err := b.Materialize(mt, asm, 10, atom.Now); err == nil {
+	if _, err := b.Materialize(mt, asm, 10, atom.Now, nil); err == nil {
 		t.Error("runaway molecule not capped")
 	}
 }
@@ -286,7 +286,7 @@ func TestReverseManyEdge(t *testing.T) {
 	}
 	mt, _ := s.MoleculeType("WhereUsed")
 	// At t=5 only the first user links to the bolt.
-	mol, err := b.Materialize(mt, base, 5, atom.Now)
+	mol, err := b.Materialize(mt, base, 5, atom.Now, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestReverseManyEdge(t *testing.T) {
 		t.Errorf("where-used at 5 = %d atoms", mol.Size())
 	}
 	// At t=25 all three do (plus transitively their own users — none).
-	mol, _ = b.Materialize(mt, base, 25, atom.Now)
+	mol, _ = b.Materialize(mt, base, 25, atom.Now, nil)
 	if mol.Size() != 4 {
 		t.Errorf("where-used at 25 = %d atoms", mol.Size())
 	}

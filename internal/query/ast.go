@@ -147,9 +147,6 @@ type Expr struct {
 	Lit *value.V // literal
 }
 
-// IsLeaf reports whether the node is an operand rather than an operator.
-func (e *Expr) IsLeaf() bool { return e.Op == "" }
-
 func (e *Expr) String() string {
 	switch {
 	case e == nil:

@@ -3,12 +3,12 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
 
 	"tcodm/internal/atom"
-	"tcodm/internal/history"
 	"tcodm/internal/molecule"
 	"tcodm/internal/obs"
 	"tcodm/internal/schema"
@@ -527,24 +527,65 @@ func evalAggregate(rd *atom.Reading, p Projection, window temporal.Interval) (va
 	if !ok {
 		return value.Null, errOutsideReadSet("history", p.Attr.Attr)
 	}
-	sf := history.FromVersions(hist)
-	switch p.Agg {
+	return foldAggregate(p.Agg, hist, window)
+}
+
+// foldAggregate folds a temporal aggregate over a history — versions sorted
+// by valid start, each a step of the attribute's step-wise constant
+// function — clipped to window, walking the versions in place:
+//
+//   - TAVG: duration-weighted average of the numeric steps; a step of
+//     unbounded duration has no weight. Null when no step has weight.
+//   - TMIN / TMAX: extremum of the non-Null values; ties keep the earliest.
+//   - CHANGES: value transitions, i.e. runs of equal, abutting steps minus one.
+func foldAggregate(agg string, hist []atom.Version, window temporal.Interval) (value.V, error) {
+	var (
+		sum, dur float64 // TAVG
+		best     value.V // TMIN, TMAX; Null until a value is found
+		runs     int64   // CHANGES
+		runVal   value.V // value and end of the current run
+		runTo    temporal.Instant
+	)
+	for i := range hist {
+		v := &hist[i]
+		iv := v.Valid.Intersect(window)
+		if iv.IsEmpty() {
+			continue
+		}
+		switch agg {
+		case "TAVG":
+			if d := iv.Duration(); v.Val.Numeric() && d != math.MaxInt64 {
+				sum += v.Val.FloatValue() * float64(d)
+				dur += float64(d)
+			}
+		case "TMIN", "TMAX":
+			if v.Val.IsNull() {
+				continue
+			}
+			if cmp := v.Val.Compare(best); best.IsNull() || (agg == "TMAX" && cmp > 0) || (agg == "TMIN" && cmp < 0) {
+				best = v.Val
+			}
+		case "CHANGES":
+			if runs > 0 && runVal.Equal(v.Val) && runTo == iv.From {
+				runTo = iv.To
+				continue
+			}
+			runs++
+			runVal, runTo = v.Val, iv.To
+		}
+	}
+	switch agg {
 	case "TAVG":
-		avg, ok := sf.WeightedAvg(window)
-		if !ok {
+		if dur == 0 {
 			return value.Null, nil
 		}
-		return value.Float(avg), nil
+		return value.Float(sum / dur), nil
 	case "TMIN", "TMAX":
-		v, ok := sf.Extremum(window, p.Agg == "TMAX")
-		if !ok {
-			return value.Null, nil
-		}
-		return v, nil
+		return best, nil
 	case "CHANGES":
-		return value.Int(int64(sf.Clip(window).Changes())), nil
+		return value.Int(max(runs-1, 0)), nil
 	default:
-		return value.Null, fmt.Errorf("query: unknown aggregate %q", p.Agg)
+		return value.Null, fmt.Errorf("query: unknown aggregate %q", agg)
 	}
 }
 
@@ -704,7 +745,7 @@ func (e *Engine) moleculeProc(a *Analyzed, vt, tt temporal.Instant) candProc {
 			if err := ctx.cancelErr(); err != nil {
 				return err
 			}
-			mol, err := e.Builder.MaterializeAcc(a.MolType, st.ID, vt, tt, &ctx.res)
+			mol, err := e.Builder.Materialize(a.MolType, st.ID, vt, tt, &ctx.res)
 			if err != nil {
 				return err
 			}

@@ -197,9 +197,6 @@ func (f *Follower) Staleness() time.Duration {
 	return time.Since(time.Unix(0, at))
 }
 
-// LeaderEpoch returns the highest replication epoch heard from upstream.
-func (f *Follower) LeaderEpoch() uint64 { return f.leaderEpoch.Load() }
-
 // Close shuts the local engine down.
 func (f *Follower) Close() error {
 	f.mu.Lock()

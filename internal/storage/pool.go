@@ -159,9 +159,6 @@ func (bp *BufferPool) Stats() PoolStats {
 	}
 }
 
-// Capacity returns the pool capacity in pages.
-func (bp *BufferPool) Capacity() int { return bp.capacity }
-
 // Fetch pins and returns the page. Callers must Unpin it when done.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	bp.mu.RLock()

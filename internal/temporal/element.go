@@ -143,14 +143,6 @@ func (e Element) Intersect(o Element) Element {
 	return out
 }
 
-// IntersectInterval returns the part of the element inside iv.
-func (e Element) IntersectInterval(iv Interval) Element {
-	if iv.IsEmpty() || e.IsEmpty() {
-		return nil
-	}
-	return e.Intersect(Element{iv})
-}
-
 // Subtract returns the canonical difference e \ o.
 func (e Element) Subtract(o Element) Element {
 	if e.IsEmpty() || o.IsEmpty() {

@@ -193,6 +193,3 @@ func (iv Interval) String() string {
 	}
 	return fmt.Sprintf("[%v, %v)", iv.From, iv.To)
 }
-
-// Clamp restricts the interval to bounds, returning the intersection.
-func (iv Interval) Clamp(bounds Interval) Interval { return iv.Intersect(bounds) }

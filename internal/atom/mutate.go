@@ -251,14 +251,16 @@ func (m *Manager) separatedMutate(id value.ID, span temporal.Interval, apply fun
 		return m.separatedMutateFull(id, rid, apply, tt)
 	}
 	// Fast path: apply against the current record. Versions the change
-	// displaces that are no longer current-shaped migrate to history.
+	// displaces that are no longer current-shaped migrate to history. The
+	// kept versions are filtered in place: cur was decoded by this call and
+	// migrate holds copies, so no one else sees the slices.
 	if _, err := apply(cur); err != nil {
 		return err
 	}
 	var migrate []HistoryEntry
 	for i := range cur.Attrs {
 		ad := &cur.Attrs[i]
-		var keep []Version
+		keep := ad.Versions[:0]
 		for _, v := range ad.Versions {
 			if v.currentShaped() {
 				keep = append(keep, v)
@@ -272,7 +274,7 @@ func (m *Manager) separatedMutate(id value.ID, span temporal.Interval, apply fun
 		ad.Versions = keep
 	}
 	for k, vs := range cur.BackRefs {
-		var keep []Version
+		keep := vs[:0]
 		for _, v := range vs {
 			if v.currentShaped() {
 				keep = append(keep, v)

@@ -12,6 +12,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tcodm/internal/atom"
@@ -35,7 +36,8 @@ type Options struct {
 	Strategy atom.Strategy
 	// PoolPages sizes the buffer pool (default 1024 pages = 8 MiB).
 	PoolPages int
-	// SyncOnCommit fsyncs the log on every commit.
+	// SyncOnCommit makes every commit durable before it returns or any
+	// read reports it; concurrent commits share the log's fsync.
 	SyncOnCommit bool
 	// TimeIndex maintains the version time index.
 	TimeIndex bool
@@ -79,6 +81,12 @@ type Options struct {
 // Engine is one open database.
 type Engine struct {
 	mu sync.RWMutex
+
+	// visible is the commit LSN of the last commit readers can see. A
+	// commit sets it under mu, releases mu and then waits for durability;
+	// a read that may have seen it waits too before it returns, so nothing
+	// is ever reported that a crash could still take back.
+	visible atomic.Uint64
 
 	opts    Options
 	dev     storage.Device
@@ -130,6 +138,7 @@ type Engine struct {
 
 	queryNS   *obs.Histogram // query latency (ns)
 	queryRuns *obs.Counter
+	beginNS   *obs.Histogram // contended Begins: time queued for the writer lock
 }
 
 // metaPayload is the engine state persisted in the meta page.
@@ -183,6 +192,7 @@ func Open(opts Options) (*Engine, error) {
 	e.tracer = obs.NewTracer(4096)
 	e.queryNS = e.metrics.Histogram("query.ns")
 	e.queryRuns = e.metrics.Counter("query.runs")
+	e.beginNS = e.metrics.Histogram("txn.begin_ns")
 
 	if opts.ReadOnly && opts.Follower {
 		return nil, fmt.Errorf("core: ReadOnly and Follower are mutually exclusive open modes")
@@ -637,6 +647,13 @@ func (e *Engine) Checkpoint() error {
 }
 
 func (e *Engine) checkpointLocked() error {
+	// A failed log may hold commits that are in memory but not durable:
+	// checkpointing would write them into the data file.
+	if e.log != nil {
+		if err := e.log.Err(); err != nil {
+			return err
+		}
+	}
 	// Order matters: all data pages must be durable before the clean flag
 	// is. First flush everything with the meta page still marked dirty,
 	// then truncate the log, and only then persist the clean mark.
@@ -661,7 +678,27 @@ func (e *Engine) checkpointLocked() error {
 	return nil
 }
 
-// Close checkpoints and releases the database.
+// markDirtyLocked re-marks the database dirty on disk before the first
+// write after a checkpoint — a transaction, a DDL change, a replicated
+// batch or a promotion — so that a crash triggers recovery: the meta page
+// must carry the dirty flag on disk before any logged change can matter.
+// Caller holds mu exclusively.
+func (e *Engine) markDirtyLocked() error {
+	if e.diskClean && e.opts.Path != "" {
+		if err := e.persistMeta(false); err != nil {
+			return err
+		}
+		if err := e.pool.FlushPage(0); err != nil {
+			return err
+		}
+	}
+	e.diskClean = false
+	return nil
+}
+
+// Close checkpoints and releases the database. After a failed log sync it
+// does not checkpoint: it closes the files as Crash does and returns the
+// log's ErrLogFailed, and the next Open recovers.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -763,34 +800,44 @@ func (e *Engine) DefineMoleculeType(m schema.MoleculeType) error {
 
 func (e *Engine) ddl(mutate func(*schema.Schema) error) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.opts.ReadOnly || e.opts.Follower {
+		e.mu.Unlock()
 		return ErrReadOnly
 	}
-	next := e.schema.Clone()
+	prev := e.schema
+	next := prev.Clone()
 	if err := mutate(next); err != nil {
+		e.mu.Unlock()
 		return err
 	}
 	next.Freeze()
 	catBytes, err := next.Marshal()
 	if err != nil {
+		e.mu.Unlock()
 		return err
 	}
 	// Persist the catalog atomically through a transaction.
-	tx, err := e.txns.Begin()
+	if err := e.markDirtyLocked(); err != nil {
+		e.mu.Unlock()
+		return err
+	}
+	inner, err := e.txns.Begin()
 	if err != nil {
+		e.mu.Unlock()
 		return err
 	}
 	if err := e.heap.Update(e.catalogRID, catBytes); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	if err := tx.Commit(); err != nil {
+		_ = inner.Abort()
+		e.mu.Unlock()
 		return err
 	}
 	e.schema = next
 	e.atoms.SetSchema(next)
-	return nil
+	tx := &Txn{e: e, inner: inner}
+	return tx.commit(func() {
+		e.schema = prev
+		e.atoms.SetSchema(prev)
+	})
 }
 
 // --- Transactions ------------------------------------------------------------
@@ -808,7 +855,13 @@ type Txn struct {
 
 // Begin starts a write transaction (engine-wide writer exclusion).
 func (e *Engine) Begin() (*Txn, error) {
-	e.mu.Lock() // held until Commit/Abort
+	// Held until Commit/Abort. Only a contended Begin is timed, so
+	// txn.begin_ns is a pure writer-queueing signal.
+	if !e.mu.TryLock() {
+		start := time.Now()
+		e.mu.Lock()
+		e.beginNS.Observe(time.Since(start))
+	}
 	if e.closed {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("core: database closed")
@@ -817,19 +870,10 @@ func (e *Engine) Begin() (*Txn, error) {
 		e.mu.Unlock()
 		return nil, ErrReadOnly
 	}
-	// Re-mark the database dirty before the first write after a
-	// checkpoint, so a crash triggers recovery.
-	if e.diskClean && e.opts.Path != "" {
-		if err := e.persistMeta(false); err != nil {
-			e.mu.Unlock()
-			return nil, err
-		}
-		if err := e.pool.FlushPage(0); err != nil {
-			e.mu.Unlock()
-			return nil, err
-		}
+	if err := e.markDirtyLocked(); err != nil {
+		e.mu.Unlock()
+		return nil, err
 	}
-	e.diskClean = false
 	inner, err := e.txns.Begin()
 	if err != nil {
 		e.mu.Unlock()
@@ -849,22 +893,43 @@ func (e *Engine) Begin() (*Txn, error) {
 // TT returns the transaction's transaction-time instant.
 func (t *Txn) TT() temporal.Instant { return t.inner.TT }
 
-// Commit makes the transaction durable and visible. If the log append or
-// sync fails, the transaction is rolled back before returning: a failed
-// commit must not leave the writer slot held or half-applied state in
-// memory, or the engine would be wedged for every later transaction.
-func (t *Txn) Commit() error {
-	t.e.atoms.SetIndexUndo(nil)
-	err := t.inner.Commit()
+// Commit makes the transaction visible and durable. The commit group is
+// appended under the writer lock, which is then released; Commit returns
+// once the group is durable, sharing the log's fsync with every commit
+// that waits alongside. If the append fails the transaction is rolled back
+// before the lock is released, so a failed commit leaves no half-applied
+// state and no held writer slot. A failed sync cannot be rolled back: it
+// returns wal.ErrLogFailed, and so does every later commit until reopen.
+func (t *Txn) Commit() error { return t.commit(nil) }
+
+// commit is Commit; undo, when non-nil, runs under the writer lock before
+// the rollback of a failed append, to retreat state the heap undo does not
+// cover.
+func (t *Txn) commit(undo func()) error {
+	e := t.e
+	e.atoms.SetIndexUndo(nil)
+	lsn, err := t.inner.Commit()
 	if err != nil {
+		if undo != nil {
+			undo()
+		}
 		_ = t.inner.Abort()
+	} else {
+		e.visible.Store(lsn)
+	}
+	var walBytes int64
+	if t.span != nil && e.log != nil {
+		// Measured under the lock, after the commit record lands, so the
+		// delta is exactly this transaction's.
+		walBytes = e.log.Size() - t.wal0
+	}
+	e.mu.Unlock()
+	if err == nil {
+		err = t.inner.WaitDurable()
 	}
 	if t.span != nil {
-		// Measure after the commit record lands so the delta covers it.
-		if t.e.log != nil {
-			if d := t.e.log.Size() - t.wal0; d > 0 {
-				t.span.Account(obs.Resources{WALBytes: uint64(d)})
-			}
+		if walBytes > 0 {
+			t.span.Account(obs.Resources{WALBytes: uint64(walBytes)})
 		}
 		if err != nil {
 			t.span.End("error: " + err.Error())
@@ -872,7 +937,6 @@ func (t *Txn) Commit() error {
 			t.span.End("committed")
 		}
 	}
-	t.e.mu.Unlock()
 	return err
 }
 
@@ -925,38 +989,59 @@ func (t *Txn) Revive(id value.ID, from temporal.Instant) error {
 // StateAt returns one atom's state at (vt, tt). Pass atom.Now as tt for
 // the latest recorded state.
 func (e *Engine) StateAt(id value.ID, vt, tt temporal.Instant) (*atom.State, error) {
+	seen := e.rlock()
+	s, err := e.atoms.StateAt(id, vt, tt)
+	return settle(e, seen, s, err)
+}
+
+// rlock takes the read lock and returns the LSN of the last commit the
+// read can see.
+func (e *Engine) rlock() uint64 {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.atoms.StateAt(id, vt, tt)
+	return e.visible.Load()
+}
+
+// settle releases the read lock and returns the read's result once the
+// commit at seen is durable — or the log's failure if it never will be.
+// A read after no new commit pays one atomic compare.
+func settle[T any](e *Engine, seen uint64, v T, err error) (T, error) {
+	e.mu.RUnlock()
+	if e.log != nil {
+		if derr := e.log.WaitDurable(seen); derr != nil {
+			var zero T
+			return zero, derr
+		}
+	}
+	return v, err
 }
 
 // History returns an attribute's valid-time history at transaction time tt.
 func (e *Engine) History(id value.ID, attr string, tt temporal.Instant) ([]atom.Version, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.atoms.History(id, attr, tt)
+	seen := e.rlock()
+	h, err := e.atoms.History(id, attr, tt)
+	return settle(e, seen, h, err)
 }
 
 // Molecule materializes a complex object at (vt, tt).
 func (e *Engine) Molecule(molType string, root value.ID, vt, tt temporal.Instant) (*molecule.Molecule, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	seen := e.rlock()
 	mt, ok := e.schema.MoleculeType(molType)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown molecule type %q", molType)
+		return settle[*molecule.Molecule](e, seen, nil, fmt.Errorf("core: unknown molecule type %q", molType))
 	}
-	return e.builder.Materialize(mt, root, vt, tt, nil)
+	m, err := e.builder.Materialize(mt, root, vt, tt, nil)
+	return settle(e, seen, m, err)
 }
 
 // MoleculeHistory returns the step-wise history of a complex object.
 func (e *Engine) MoleculeHistory(molType string, root value.ID, window temporal.Interval, tt temporal.Instant) ([]molecule.HistoryStep, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	seen := e.rlock()
 	mt, ok := e.schema.MoleculeType(molType)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown molecule type %q", molType)
+		return settle[[]molecule.HistoryStep](e, seen, nil, fmt.Errorf("core: unknown molecule type %q", molType))
 	}
-	return e.builder.History(mt, root, window, tt)
+	h, err := e.builder.History(mt, root, window, tt)
+	return settle(e, seen, h, err)
 }
 
 // Vacuum purges versions that left the recorded state before transaction
@@ -1041,8 +1126,7 @@ func (e *Engine) Archive(beforeTT temporal.Instant) (ArchiveResult, error) {
 		_ = tx.Abort()
 		return ArchiveResult{}, err
 	}
-	if err := tx.Commit(); err != nil {
-		e.arc.SetSize(size0)
+	if err := tx.commit(func() { e.arc.SetSize(size0) }); err != nil {
 		return ArchiveResult{}, err
 	}
 	return res, nil
@@ -1097,7 +1181,7 @@ func (e *Engine) QueryWith(ctx context.Context, src string, opts QueryOptions) (
 	}
 	exec := e.tracer.StartSpan(trace, opts.Parent, "exec")
 
-	e.mu.RLock()
+	seen := e.rlock()
 	def := query.Defaults{VT: e.clock.Now(), Trace: trace, Span: exec.ID()}
 	if opts.VT != nil {
 		def.VT = *opts.VT
@@ -1108,7 +1192,7 @@ func (e *Engine) QueryWith(ctx context.Context, src string, opts QueryOptions) (
 	start := time.Now()
 	res, err := e.queries.RunCtx(ctx, src, def)
 	dur := time.Since(start)
-	e.mu.RUnlock()
+	res, err = settle(e, seen, res, err)
 
 	e.queryRuns.Inc()
 	e.queryNS.Observe(dur)
@@ -1142,9 +1226,9 @@ func (e *Engine) SetQueryWorkers(n int) {
 
 // IDs lists the atoms of a type.
 func (e *Engine) IDs(typeName string) ([]value.ID, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.atoms.IDs(typeName)
+	seen := e.rlock()
+	ids, err := e.atoms.IDs(typeName)
+	return settle(e, seen, ids, err)
 }
 
 // Stats aggregates engine statistics.

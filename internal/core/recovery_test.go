@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tcodm/internal/atom"
+	"tcodm/internal/schema"
 	"tcodm/internal/storage"
 	"tcodm/internal/temporal"
 	"tcodm/internal/value"
@@ -249,5 +250,34 @@ func TestLegacyLogRefused(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
 		t.Error("refused open changed the data file")
+	}
+}
+
+// TestDDLAfterCheckpointSurvivesCrash defines a type after a checkpoint and
+// crashes. The DDL commit must re-mark the store dirty as a transaction
+// does; a store still marked clean opens without replaying the log, and
+// the acknowledged type would be lost.
+func TestDDLAfterCheckpointSurvivesCrash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.tdb")
+	e, err := Open(Options{Path: path, SyncOnCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DefineAtomType(schema.AtomType{Name: "Room", Attrs: []schema.Attribute{{Name: "no", Kind: value.KindInt}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if _, ok := e2.Schema().AtomType("Room"); !ok {
+		t.Fatalf("acknowledged DDL lost by a crash (recovered=%v)", e2.Recovered)
 	}
 }

@@ -235,17 +235,9 @@ func (e *Engine) ApplyReplicated(recs []wal.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return e.watermark, nil
 	}
-	// Same dirty-marking discipline as Begin: the meta page must carry the
-	// dirty flag on disk before any replayed page can reach the device.
-	if e.diskClean && e.opts.Path != "" {
-		if err := e.persistMeta(false); err != nil {
-			return 0, err
-		}
-		if err := e.pool.FlushPage(0); err != nil {
-			return 0, err
-		}
+	if err := e.markDirtyLocked(); err != nil {
+		return 0, err
 	}
-	e.diskClean = false
 	// Local WAL first: once appended, a crash at any point replays these
 	// groups through stock recovery — the follower is just a crash-safe
 	// engine whose "user" is the leader's log.
@@ -336,17 +328,9 @@ func (e *Engine) Promote(observedEpoch uint64) (uint64, error) {
 	}
 	newEpoch++
 	start := e.log.AppendedLSN()
-	// Same dirty-marking discipline as Begin: the meta page must carry the
-	// dirty flag on disk before the epoch group's effects can matter.
-	if e.diskClean && e.opts.Path != "" {
-		if err := e.persistMeta(false); err != nil {
-			return 0, err
-		}
-		if err := e.pool.FlushPage(0); err != nil {
-			return 0, err
-		}
+	if err := e.markDirtyLocked(); err != nil {
+		return 0, err
 	}
-	e.diskClean = false
 	// The indexes move from memory into the store, where a leader keeps
 	// them; the time and value indexes stay off (DESIGN.md §15).
 	if _, err := e.atoms.RebuildIndexes(e.pool); err != nil {

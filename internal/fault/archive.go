@@ -9,6 +9,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -16,6 +17,7 @@ import (
 	"tcodm/internal/core"
 	"tcodm/internal/temporal"
 	"tcodm/internal/value"
+	"tcodm/internal/wal"
 )
 
 // RunArchive executes the archive-migration torture matrix for one
@@ -66,14 +68,15 @@ func (a *archiveTrial) work() int { return a.archived }
 // fault runs the migration until it completes or the fault kills it.
 func (a *archiveTrial) fault(e *core.Engine, inj *Injector, bad func(string, ...any)) bool {
 	ar, err := e.Archive(a.wm)
-	if err != nil && !inj.Cut() && inj.transient() {
-		// Transient fault: the migration rolled back whole; retry it.
+	if err != nil && !inj.Cut() && inj.transient() && !errors.Is(err, wal.ErrLogFailed) {
+		// Transient fault: the migration rolled back whole; retry it. A
+		// failed log sync is not transient: the log fails stop until reopen.
 		ar, err = e.Archive(a.wm)
 	}
 	a.archived = ar.Archived
 	if err != nil {
 		_ = e.Crash()
-		if !inj.Cut() {
+		if !inj.Cut() && !errors.Is(err, wal.ErrLogFailed) {
 			bad("archive failed without a power cut: %v", err)
 		}
 		return false

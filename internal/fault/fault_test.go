@@ -297,16 +297,20 @@ func TestWALAbsorbsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Commit 1 syncs fine (write+sync = ops 1,2); commit 2's sync (op 4)
-	// tears mid-append.
-	inj := NewInjector(Script{CutAtOp: 4, TearWrite: true, TearBytes: 10})
+	// Commit 1 syncs fine (zero-fill, write, sync = ops 1-3); commit 2's
+	// sync (op 5) tears mid-append.
+	inj := NewInjector(Script{CutAtOp: 5, TearWrite: true, TearBytes: 10})
 	w := wal.OpenFile(NewLogFile(inj, f), 0, wal.Options{SyncOnCommit: true})
 	if err := w.BeginTxn(1); err != nil {
 		t.Fatal(err)
 	}
 	first := storage.RID{Page: 1, Slot: 0}
 	w.LogHeap(&storage.Change{Kind: storage.ChangeInsert, Home: first, Body: first, Data: []byte("first")})
-	if err := w.Commit(); err != nil {
+	lsn, err := w.Commit()
+	if err == nil {
+		err = w.WaitDurable(lsn)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.BeginTxn(2); err != nil {
@@ -314,8 +318,12 @@ func TestWALAbsorbsTornTail(t *testing.T) {
 	}
 	second := storage.RID{Page: 1, Slot: 1}
 	w.LogHeap(&storage.Change{Kind: storage.ChangeInsert, Home: second, Body: second, Data: []byte("second")})
-	if err := w.Commit(); !errors.Is(err, ErrPowerCut) {
-		t.Fatalf("second commit: %v, want ErrPowerCut", err)
+	lsn, err = w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WaitDurable(lsn); !errors.Is(err, ErrPowerCut) || !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("second commit: %v, want ErrLogFailed from ErrPowerCut", err)
 	}
 	f.Close()
 	if !inj.Report().TornLog {

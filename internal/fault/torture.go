@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -412,7 +413,9 @@ func (w *workloadTrial) work() int { return w.batches }
 // fault installs the schema and runs the ops in batches of batchSize, one
 // transaction each, recording the facts of every acknowledged commit. A
 // batch that fails for a transient reason (no power cut) is retried once —
-// its effects were rolled back, so the replay is exact.
+// its effects were rolled back, so the replay is exact. A failed log sync
+// is not transient: the log fails stop, so the store is crashed and
+// recovered instead.
 func (w *workloadTrial) fault(e *core.Engine, inj *Injector, bad func(string, ...any)) bool {
 	if err := installSchema(e); err != nil {
 		_ = e.Crash()
@@ -428,7 +431,7 @@ func (w *workloadTrial) fault(e *core.Engine, inj *Injector, bad func(string, ..
 		mark := len(w.ids)
 		if err := applyBatch(e, batch, &w.ids); err != nil {
 			w.ids = w.ids[:mark]
-			if inj.Cut() {
+			if inj.Cut() || errors.Is(err, wal.ErrLogFailed) {
 				_ = e.Crash()
 				return false
 			}

@@ -1,7 +1,8 @@
 // Package txn implements the transaction layer: single-writer transactions
 // that assign transaction-time instants from a monotone clock, buffer redo
 // records in the write-ahead log, restore the heap's before-images on
-// abort, and enforce the no-steal protocol on the buffer pool.
+// abort, and enforce the no-steal protocol on the buffer pool. The caller
+// serializes writers (the engine's lock); Begin refuses a second one.
 package txn
 
 import (
@@ -18,8 +19,6 @@ import (
 // Manager coordinates transactions over one database's heap, pool, clock,
 // and (optional) log.
 type Manager struct {
-	writeMu sync.Mutex // held by the active write transaction
-
 	mu      sync.Mutex
 	clock   *temporal.Clock
 	log     *wal.WAL // nil = unlogged database
@@ -34,13 +33,11 @@ type Manager struct {
 }
 
 // txnMetrics holds the transaction layer's instrumentation (nil = no-op).
-// beginNS records only contended Begins (time spent queued for the writer
-// slot); commitNS covers the WAL append + optional fsync on logged
-// databases. Uncontended unlogged transactions touch no clock at all.
+// commitNS covers the WAL append and the wait for durability on logged
+// databases. Unlogged transactions touch no clock at all.
 type txnMetrics struct {
 	commits  *obs.Counter
 	aborts   *obs.Counter
-	beginNS  *obs.Histogram
 	commitNS *obs.Histogram
 	abortNS  *obs.Histogram
 }
@@ -57,7 +54,6 @@ func (m *Manager) SetMetrics(reg *obs.Registry) {
 	m.met = txnMetrics{
 		commits:  reg.Counter("txn.commits"),
 		aborts:   reg.Counter("txn.aborts"),
-		beginNS:  reg.Histogram("txn.begin_ns"),
 		commitNS: reg.Histogram("txn.commit_ns"),
 		abortNS:  reg.Histogram("txn.abort_ns"),
 	}
@@ -88,6 +84,9 @@ type Txn struct {
 	mgr     *Manager
 	idxUndo []func() error
 	done    bool
+
+	lsn   uint64    // commit LSN, set by Commit
+	start time.Time // when Commit began, for commitNS (zero = untimed)
 }
 
 // RecordIndexUndo implements atom.IndexUndo: it collects inverse index
@@ -96,68 +95,73 @@ func (t *Txn) RecordIndexUndo(fn func() error) {
 	t.idxUndo = append(t.idxUndo, fn)
 }
 
-// Begin starts a write transaction, blocking until any current writer
-// finishes. The returned transaction's TT is a fresh clock tick, strictly
-// greater than every previously assigned instant.
+// Begin starts a write transaction. The caller serializes writers; Begin
+// fails while another transaction is active. The returned transaction's
+// TT is a fresh clock tick, strictly greater than every previously
+// assigned instant.
 func (m *Manager) Begin() (*Txn, error) {
-	// Time the writer-slot wait only when there is one: the uncontended
-	// path takes zero clock reads, and beginNS becomes a pure
-	// lock-contention signal (how long writers queue behind each other).
-	if !m.writeMu.TryLock() {
-		start := time.Time{}
-		if m.met.beginNS != nil {
-			start = time.Now()
-		}
-		m.writeMu.Lock()
-		if !start.IsZero() {
-			m.met.beginNS.Observe(time.Since(start))
-		}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{ID: m.nextTxn, mgr: m}
-	m.nextTxn++
-	t.TT = m.clock.Tick()
+	if m.active != nil {
+		return nil, fmt.Errorf("txn: transaction %d still active", m.active.ID)
+	}
 	if m.log != nil {
-		if err := m.log.BeginTxn(t.ID); err != nil {
-			m.writeMu.Unlock()
+		if err := m.log.BeginTxn(m.nextTxn); err != nil {
 			return nil, err
 		}
 	}
+	t := &Txn{ID: m.nextTxn, mgr: m}
+	m.nextTxn++
+	t.TT = m.clock.Tick()
 	m.heap.SetTxnActive(true)
 	m.pool.BeginTxn()
 	m.active = t
 	return t, nil
 }
 
-// Commit makes the transaction's effects durable (to the degree the WAL
-// options promise) and releases the writer slot.
-func (t *Txn) Commit() error {
+// Commit appends the transaction's records and commit marker to the log,
+// ends the transaction and returns the commit LSN (0 when unlogged). The
+// effects are durable once WaitDurable returns. If the append fails the
+// transaction stays active, for the caller to Abort.
+func (t *Txn) Commit() (uint64, error) {
 	if t.done {
-		return fmt.Errorf("txn: transaction %d already finished", t.ID)
+		return 0, fmt.Errorf("txn: transaction %d already finished", t.ID)
 	}
 	m := t.mgr
-	// commitNS covers the durability work (WAL append + optional fsync);
-	// an unlogged commit has no I/O worth timing, so it stays clock-free.
-	start := time.Time{}
+	// commitNS covers the durability work (WAL append and the wait for its
+	// sync); an unlogged commit has no I/O worth timing, so it stays
+	// clock-free.
 	if m.log != nil && m.met.commitNS != nil {
-		start = time.Now()
+		t.start = time.Now()
 	}
 	if m.log != nil {
-		if err := m.log.Commit(); err != nil {
-			return err
+		lsn, err := m.log.Commit()
+		if err != nil {
+			return 0, err
 		}
+		t.lsn = lsn
 	}
 	t.finish(true)
-	if !start.IsZero() {
-		m.met.commitNS.Observe(time.Since(start))
+	return t.lsn, nil
+}
+
+// WaitDurable returns once the committed transaction is durable (to the
+// degree the WAL options promise), or the log's ErrLogFailed. It needs no
+// lock: writers may begin while earlier commits wait here.
+func (t *Txn) WaitDurable() error {
+	m := t.mgr
+	if m.log == nil {
+		return nil
 	}
-	return nil
+	err := m.log.WaitDurable(t.lsn)
+	if !t.start.IsZero() {
+		m.met.commitNS.Observe(time.Since(t.start))
+	}
+	return err
 }
 
 // Abort rolls the transaction's effects back in memory — every heap page it
-// changed returns to its exact image from before Begin — and releases the
-// writer slot. Nothing of the transaction reaches the log or (thanks to
+// changed returns to its exact image from before Begin — and ends it. Nothing of the transaction reaches the log or (thanks to
 // no-steal) the device.
 func (t *Txn) Abort() error {
 	if t.done {
@@ -202,11 +206,11 @@ func (t *Txn) finish(committed bool) {
 	}
 	m.mu.Unlock()
 	t.done = true
-	m.writeMu.Unlock()
 }
 
 // Checkpoint flushes every dirty page, syncs the device, and truncates the
-// log. Must not run inside a write transaction.
+// log. Must not run inside a write transaction; the caller keeps writers
+// out until it returns.
 func (m *Manager) Checkpoint() error {
 	m.mu.Lock()
 	if m.active != nil {
@@ -214,9 +218,6 @@ func (m *Manager) Checkpoint() error {
 		return fmt.Errorf("txn: checkpoint during active transaction")
 	}
 	m.mu.Unlock()
-	// Serialize with writers for the duration of the flush.
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
 	if err := m.pool.FlushAll(); err != nil {
 		return err
 	}

@@ -36,6 +36,14 @@ func newEnv(t *testing.T, logged bool) (*Manager, *storage.Heap, *storage.Buffer
 	return m, heap, pool
 }
 
+// commit commits tx and waits until it is durable.
+func commit(tx *Txn) error {
+	if _, err := tx.Commit(); err != nil {
+		return err
+	}
+	return tx.WaitDurable()
+}
+
 func TestCommitAssignsMonotoneTT(t *testing.T) {
 	m, heap, _ := newEnv(t, true)
 	t1, err := m.Begin()
@@ -45,14 +53,14 @@ func TestCommitAssignsMonotoneTT(t *testing.T) {
 	if _, err := heap.Insert([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := t1.Commit(); err != nil {
+	if err := commit(t1); err != nil {
 		t.Fatal(err)
 	}
 	t2, _ := m.Begin()
 	if t2.TT <= t1.TT {
 		t.Errorf("TT not monotone: %v then %v", t1.TT, t2.TT)
 	}
-	_ = t2.Commit()
+	_ = commit(t2)
 	c, a := m.Stats()
 	if c != 2 || a != 0 {
 		t.Errorf("stats = %d commits, %d aborts", c, a)
@@ -67,7 +75,7 @@ func TestAbortRollsBackHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := t0.Commit(); err != nil {
+	if err := commit(t0); err != nil {
 		t.Fatal(err)
 	}
 	// Aborted transaction: insert, update, delete.
@@ -133,7 +141,7 @@ func TestAbortRestoresMovedRecord(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	if err := t0.Commit(); err != nil {
+	if err := commit(t0); err != nil {
 		t.Fatal(err)
 	}
 	before := slotImages(t, pool)
@@ -176,7 +184,7 @@ func TestIndexUndoRunsOnAbort(t *testing.T) {
 	t2, _ := m.Begin()
 	ran2 := false
 	t2.RecordIndexUndo(func() error { ran2 = true; return nil })
-	_ = t2.Commit()
+	_ = commit(t2)
 	if ran2 {
 		t.Error("index undo ran on commit")
 	}
@@ -185,10 +193,10 @@ func TestIndexUndoRunsOnAbort(t *testing.T) {
 func TestDoubleFinishRejected(t *testing.T) {
 	m, _, _ := newEnv(t, false)
 	t1, _ := m.Begin()
-	if err := t1.Commit(); err != nil {
+	if err := commit(t1); err != nil {
 		t.Fatal(err)
 	}
-	if err := t1.Commit(); err == nil {
+	if err := commit(t1); err == nil {
 		t.Error("double commit accepted")
 	}
 	if err := t1.Abort(); err == nil {
@@ -196,27 +204,39 @@ func TestDoubleFinishRejected(t *testing.T) {
 	}
 }
 
+// TestWritersSerialize runs concurrent writers serialized by a caller
+// lock, as the engine's lock serializes them, and checks that Begin
+// refuses a writer that overlaps an active one.
 func TestWritersSerialize(t *testing.T) {
 	m, heap, _ := newEnv(t, false)
 	const writers = 8
 	const perWriter = 25
+	var slot sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
+				slot.Lock()
 				tx, err := m.Begin()
 				if err != nil {
+					slot.Unlock()
 					t.Error(err)
 					return
+				}
+				if _, err := m.Begin(); err == nil {
+					t.Error("Begin accepted a second writer while one was active")
 				}
 				if _, err := heap.Insert([]byte{byte(w), byte(i)}); err != nil {
 					t.Error(err)
 					_ = tx.Abort()
+					slot.Unlock()
 					return
 				}
-				if err := tx.Commit(); err != nil {
+				err = commit(tx)
+				slot.Unlock()
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -258,7 +278,7 @@ func TestCheckpointFlushesAndTruncates(t *testing.T) {
 	if _, err := heap.Insert([]byte("data")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(tx); err != nil {
 		t.Fatal(err)
 	}
 	if w.Size() == 0 {
@@ -301,7 +321,7 @@ func TestCommittedSurviveCrashViaReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := commit(tx); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: pool discarded. Uncommitted writes never hit dev (no-steal),

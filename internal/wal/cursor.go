@@ -53,7 +53,9 @@ func (c *Cursor) Next() uint64 {
 // guaranteed to be an OpCommit marker). An empty batch with a nil error
 // means the cursor is caught up; pair it with AppendWatch to block for
 // more. Read never returns records of uncommitted transactions because the
-// file itself never contains them (commit groups are appended atomically).
+// file itself never contains them (commit groups are appended atomically),
+// and with SyncOnCommit it returns only durable groups: a follower never
+// holds a group its leader could still lose.
 func (c *Cursor) Read(maxRecords int) ([]Record, error) {
 	if maxRecords <= 0 {
 		maxRecords = 1
@@ -70,10 +72,14 @@ func (c *Cursor) Read(maxRecords int) ([]Record, error) {
 	if c.next <= w.truncLSN {
 		return nil, ErrGap
 	}
-	if c.off >= w.size {
+	end := w.size
+	if w.opts.SyncOnCommit {
+		end = w.durableEnd
+	}
+	if c.off >= end {
 		return nil, nil // caught up
 	}
-	data := make([]byte, w.size-c.off)
+	data := make([]byte, end-c.off)
 	n, err := w.f.ReadAt(data, c.off)
 	if err != nil && n < len(data) {
 		return nil, fmt.Errorf("wal: cursor read: %w", err)
@@ -130,8 +136,9 @@ func frameAt(data []byte, off int) (int, []byte, bool) {
 }
 
 // AppendWatch returns a channel that is closed the next time committed
-// records reach the log file. Callers re-arm by calling it again; a typical
-// tailing loop is: Read until empty, select on AppendWatch + timeout.
+// records become readable by cursors (with SyncOnCommit: become durable).
+// Callers re-arm by calling it again; a typical tailing loop is: Read
+// until empty, select on AppendWatch + timeout.
 func (w *WAL) AppendWatch() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -204,22 +211,17 @@ func (w *WAL) AppendGroups(recs []Record) ([]Record, error) {
 	if len(buf) == 0 {
 		return nil, nil // everything was overlap
 	}
-	if _, err := w.f.WriteAt(buf, w.size); err != nil {
-		return nil, fmt.Errorf("wal: append: %w", err)
+	last := fresh[len(fresh)-1].LSN
+	if err := w.appendLocked(buf, last, len(fresh)); err != nil {
+		return nil, err
 	}
-	w.met.appends.Inc()
-	w.met.appendBytes.Add(uint64(len(buf)))
-	w.size += int64(len(buf))
-	w.appended = fresh[len(fresh)-1].LSN
-	if w.appended >= w.nextLSN {
-		w.nextLSN = w.appended + 1
+	if last >= w.nextLSN {
+		w.nextLSN = last + 1
 	}
 	if w.opts.SyncOnCommit {
-		if err := w.syncLocked(); err != nil {
-			return nil, fmt.Errorf("wal: sync: %w", err)
+		if err := w.syncLocked(last); err != nil {
+			return nil, err
 		}
-		w.durable = w.appended
 	}
-	w.wakeLocked()
 	return fresh, nil
 }

@@ -22,7 +22,7 @@ func commitN(t *testing.T, w *WAL, txn uint64, n int) uint64 {
 	for i := 0; i < n; i++ {
 		logInsert(w, storage.RID{Page: storage.PageID(txn), Slot: uint16(i)}, []byte(fmt.Sprintf("txn%d-rec%d", txn, i)))
 	}
-	if err := w.Commit(); err != nil {
+	if _, err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	return w.AppendedLSN()
@@ -326,7 +326,7 @@ func TestReadOnlyWALRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	logInsert(ro, storage.RID{Page: 1}, []byte("x"))
-	if err := ro.Commit(); err == nil {
+	if _, err := ro.Commit(); err == nil {
 		t.Fatal("read-only WAL accepted a commit")
 	}
 	ro.Abort()

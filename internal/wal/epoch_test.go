@@ -14,7 +14,7 @@ func TestAppendEpochGroupWritesCommittedGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	logInsert(w, storage.RID{Page: 1, Slot: 0}, []byte("before"))
-	if err := w.Commit(); err != nil {
+	if _, err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +83,7 @@ func TestReplayRecoversEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	logInsert(w, storage.RID{Page: 1, Slot: 0}, []byte("x"))
-	if err := w.Commit(); err != nil {
+	if _, err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	frontier := w.NextLSN() - 1

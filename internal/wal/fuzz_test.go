@@ -31,7 +31,7 @@ func TestCorruptionRobustness(t *testing.T) {
 			payload[j] = byte(i)
 		}
 		logInsert(w, storage.RID{Page: 1, Slot: uint16(i)}, payload)
-		if err := w.Commit(); err != nil {
+		if _, err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		recordEnds = append(recordEnds, w.Size())
@@ -132,7 +132,7 @@ func TestTruncationRobustness(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		_ = w.BeginTxn(uint64(i))
 		logInsert(w, storage.RID{Page: 1, Slot: uint16(i)}, []byte{byte(i)})
-		_ = w.Commit()
+		w.Commit()
 	}
 	w.Close()
 	intact, _ := os.ReadFile(path)

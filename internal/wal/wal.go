@@ -1,8 +1,9 @@
 // Package wal implements the redo-only write-ahead log that makes
 // committed transactions durable: heap mutations are buffered per
-// transaction, written (with CRC framing) and optionally fsynced at commit,
-// replayed idempotently at recovery via page-LSN guards, and truncated at
-// checkpoints.
+// transaction, appended (with CRC framing) at commit and, with
+// SyncOnCommit, made durable by an fsync the commits waiting at that
+// moment share, replayed idempotently at recovery via page-LSN guards,
+// and truncated at checkpoints.
 //
 // The protocol pairs with the buffer pool's no-steal policy: pages dirtied
 // by an uncommitted transaction never reach the device, so the log needs no
@@ -10,6 +11,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,6 +19,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tcodm/internal/obs"
@@ -64,6 +67,14 @@ const (
 var ErrLegacyLog = errors.New("wal: the log holds heap records from a version before page-exact redo; " +
 	"open the store once with that version and close it cleanly (a clean close checkpoints and empties the log), then reopen it with this one")
 
+// ErrLogFailed reports that a log sync failed. A failed fsync cannot be
+// taken back: the commits it covered are in memory and may or may not be
+// on stable storage, and a later fsync could make them durable after all.
+// The log therefore fails stop: every later append, commit, WAL-rule
+// flush and durability wait returns this error (wrapping the sync's
+// cause) until the store is reopened and recovery settles what survived.
+var ErrLogFailed = errors.New("wal: log sync failed; reopen the store to recover")
+
 // Record is one decoded log record.
 type Record struct {
 	LSN  uint64
@@ -75,9 +86,10 @@ type Record struct {
 
 // Options configure a WAL.
 type Options struct {
-	// SyncOnCommit fsyncs the log at every commit (full durability).
+	// SyncOnCommit makes every commit durable before WaitDurable returns
+	// for it; commits that wait together share one fsync (group commit).
 	// When false, commits are durable only at the next checkpoint or
-	// explicit sync — the classic group-commit trade-off.
+	// WAL-rule flush, and WaitDurable returns at once.
 	SyncOnCommit bool
 
 	// ReadOnly opens the log for inspection only: appends, truncations
@@ -100,26 +112,48 @@ type File interface {
 
 // WAL is the write-ahead log over a single file. It implements
 // storage.RedoLogger; install it on the heap so mutations are captured.
+//
+// Appends and durability are separate steps. Commit appends a group under
+// w.mu and returns its LSN; WaitDurable(lsn) then returns once the group
+// is on stable storage. The first waiter that finds no sync running runs
+// one, outside w.mu, for everything appended before it began; waiters that
+// arrive meanwhile sleep on synced and are covered by that sync or the
+// next one. With SyncOnCommit the file is kept zero-filled ahead of the
+// append point, so a commit's fsync writes data blocks and no size change.
 type WAL struct {
 	mu   sync.Mutex
 	f    File
 	path string
 	opts Options
 
-	nextLSN  uint64 // next LSN to assign
-	appended uint64 // highest LSN written to the OS file
-	durable  uint64 // highest LSN known synced
+	nextLSN    uint64        // next LSN to assign
+	appended   uint64        // highest LSN written to the OS file
+	durable    atomic.Uint64 // highest LSN known synced (read without mu by WaitDurable's fast path)
+	durableEnd int64         // file offset the durable records end at: how far a cursor may ship
+
+	syncing bool       // a sync is running outside mu
+	synced  *sync.Cond // broadcast (on mu) when a sync finishes
+	failed  error      // sticky ErrLogFailed after a failed sync
 
 	txn     uint64   // active transaction (0 = none)
 	pending []Record // buffered records of the active transaction
-	size    int64    // current file size
+	size    int64    // logical log size: the append point
+	filled  int64    // physical file size; [size, filled) is zeros
 
 	truncations uint64        // checkpoint epoch: bumped whenever the file is truncated to 0
 	truncLSN    uint64        // highest LSN removed by the last checkpoint
-	notify      chan struct{} // closed when new records reach the file
+	notify      chan struct{} // closed when new records become readable by cursors
 
 	met walMetrics
 }
+
+// zeroChunk is how far, in bytes, a SyncOnCommit log is zero-filled past
+// its append point at a time: one size change per MiB of log rather than
+// one per commit.
+const zeroChunk = 1 << 20
+
+// zeros is the static source of zero-fill writes.
+var zeros [zeroChunk]byte
 
 // walMetrics holds the log's instrumentation handles (nil = no-op).
 // Latency histograms sit only where actual file I/O happens — commit
@@ -152,18 +186,18 @@ func (w *WAL) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// syncLocked runs one instrumented fsync.
-func (w *WAL) syncLocked() error {
+// syncFile runs one instrumented fsync of f.
+func syncFile(f File, met walMetrics) error {
 	start := time.Time{}
-	if w.met.fsyncNS != nil {
+	if met.fsyncNS != nil {
 		start = time.Now()
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return err
 	}
-	w.met.fsyncs.Inc()
+	met.fsyncs.Inc()
 	if !start.IsZero() {
-		w.met.fsyncNS.Observe(time.Since(start))
+		met.fsyncNS.Observe(time.Since(start))
 	}
 	return nil
 }
@@ -213,7 +247,9 @@ func (emptyFile) Close() error { return nil }
 // It is the injection seam for tests that need to interpose on the log's
 // I/O (see internal/fault); regular callers use Open.
 func OpenFile(f File, size int64, opts Options) *WAL {
-	return &WAL{f: f, opts: opts, nextLSN: 1, size: size}
+	w := &WAL{f: f, opts: opts, nextLSN: 1, size: size, filled: size, durableEnd: size}
+	w.synced = sync.NewCond(&w.mu)
+	return w
 }
 
 // SetNextLSN moves the LSN counter past LSNs already used (called after
@@ -227,7 +263,7 @@ func (w *WAL) SetNextLSN(lsn uint64) {
 	}
 	if w.nextLSN-1 > w.appended {
 		w.appended = w.nextLSN - 1
-		w.durable = w.appended
+		w.durable.Store(w.appended)
 		// Those LSNs were assigned before this file (or before its last
 		// checkpoint), so no cursor can read them back out of it.
 		w.truncLSN = w.appended
@@ -241,7 +277,9 @@ func (w *WAL) NextLSN() uint64 {
 	return w.nextLSN
 }
 
-// Size returns the current log file size in bytes.
+// Size returns the log's logical size in bytes: where the next group is
+// appended. With SyncOnCommit the file runs on past it in zeros until
+// Close trims it.
 func (w *WAL) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -252,6 +290,9 @@ func (w *WAL) Size() int64 {
 func (w *WAL) BeginTxn(id uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed != nil {
+		return w.failed
+	}
 	if w.txn != 0 {
 		return fmt.Errorf("wal: transaction %d already active", w.txn)
 	}
@@ -298,19 +339,20 @@ func (w *WAL) buffer(op Op, rid storage.RID, data []byte) uint64 {
 	return lsn
 }
 
-// Commit writes the buffered records plus a commit marker and (optionally)
-// syncs. After Commit the transaction's effects survive a crash.
-func (w *WAL) Commit() error {
+// Commit appends the buffered records plus a commit marker and returns
+// the marker's LSN. The transaction's effects survive a crash once
+// WaitDurable(lsn) returns. A failed append leaves the transaction active
+// for the caller to Abort.
+func (w *WAL) Commit() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.opts.ReadOnly {
-		return fmt.Errorf("wal: commit on read-only log")
+		return 0, fmt.Errorf("wal: commit on read-only log")
 	}
 	if w.txn == 0 {
-		return fmt.Errorf("wal: commit without active transaction")
+		return 0, fmt.Errorf("wal: commit without active transaction")
 	}
 	commit := Record{LSN: w.nextLSN, Txn: w.txn, Op: OpCommit}
-	w.nextLSN++
 	records := append(w.pending, commit)
 	size := 0
 	for _, r := range records {
@@ -320,31 +362,107 @@ func (w *WAL) Commit() error {
 	for _, r := range records {
 		buf = appendRecord(buf, r)
 	}
-	appendStart := time.Time{}
+	if err := w.appendLocked(buf, commit.LSN, len(records)); err != nil {
+		return 0, err
+	}
+	w.nextLSN++
+	w.txn = 0
+	w.pending = w.pending[:0]
+	return commit.LSN, nil
+}
+
+// appendLocked writes buf, whole commit groups ending at LSN last, at the
+// append point; records is the group size the metrics record. With
+// SyncOnCommit, an append that would pass the zero-filled end first
+// extends it by whole zeroChunks. Nothing moves unless every write
+// succeeds, so a failed append leaves the log as it was. Caller holds w.mu.
+func (w *WAL) appendLocked(buf []byte, last uint64, records int) error {
+	if w.failed != nil {
+		return w.failed
+	}
+	start := time.Time{}
 	if w.met.appendNS != nil {
-		appendStart = time.Now()
+		start = time.Now()
+	}
+	end := w.size + int64(len(buf))
+	filled := w.filled
+	for w.opts.SyncOnCommit && end > filled {
+		if _, err := w.f.WriteAt(zeros[:], filled); err != nil {
+			return fmt.Errorf("wal: zero-fill: %w", err)
+		}
+		filled += zeroChunk
 	}
 	if _, err := w.f.WriteAt(buf, w.size); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if !appendStart.IsZero() {
-		w.met.appendNS.Observe(time.Since(appendStart))
+	if !start.IsZero() {
+		w.met.appendNS.Observe(time.Since(start))
 	}
 	w.met.appends.Inc()
 	w.met.appendBytes.Add(uint64(len(buf)))
-	w.met.groupSize.Record(uint64(len(records)))
-	w.size += int64(len(buf))
-	w.appended = commit.LSN
-	if w.opts.SyncOnCommit {
-		if err := w.syncLocked(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		w.durable = w.appended
+	w.met.groupSize.Record(uint64(records))
+	w.size, w.filled = end, max(filled, end)
+	w.appended = last
+	if !w.opts.SyncOnCommit {
+		// Without sync-on-commit the file is as durable as the log promises:
+		// cursors may ship it as soon as it is appended.
+		w.wakeLocked()
 	}
-	w.txn = 0
-	w.pending = w.pending[:0]
-	w.wakeLocked()
 	return nil
+}
+
+// WaitDurable returns once every record through lsn is on stable storage,
+// or ErrLogFailed if a log sync has failed and lsn is not yet durable.
+// Without SyncOnCommit it returns at once. The fast path is one atomic
+// load; callers need not hold anything.
+func (w *WAL) WaitDurable(lsn uint64) error {
+	if !w.opts.SyncOnCommit || lsn <= w.durable.Load() {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.syncLocked(lsn)
+}
+
+// syncLocked returns once every record through lsn is durable; lsn must
+// already be appended. It is the log's one sync loop: the first caller to
+// find no sync running becomes the syncer and fsyncs, with w.mu released,
+// everything appended before it began; the others wait for that sync and
+// go round again if it did not cover them. A failed sync becomes the
+// log's sticky ErrLogFailed. Caller holds w.mu.
+func (w *WAL) syncLocked(lsn uint64) error {
+	for lsn > w.durable.Load() {
+		if w.failed != nil {
+			return w.failed
+		}
+		if w.syncing {
+			w.synced.Wait()
+			continue
+		}
+		w.syncing = true
+		target, end, met := w.appended, w.size, w.met
+		w.mu.Unlock()
+		err := syncFile(w.f, met)
+		w.mu.Lock()
+		w.syncing = false
+		if err != nil {
+			w.failed = fmt.Errorf("%w: %w", ErrLogFailed, err)
+		} else if target > w.durable.Load() {
+			w.durable.Store(target)
+			w.durableEnd = end
+			w.wakeLocked()
+		}
+		w.synced.Broadcast()
+	}
+	return nil
+}
+
+// waitIdleLocked waits until no sync is running, so the file may be
+// truncated or closed under it. Caller holds w.mu.
+func (w *WAL) waitIdleLocked() {
+	for w.syncing {
+		w.synced.Wait()
+	}
 }
 
 // AppendEpochGroup appends a committed [OpEpoch, OpCommit] group carrying
@@ -365,21 +483,15 @@ func (w *WAL) AppendEpochGroup(epoch uint64) (uint64, error) {
 	data := binary.LittleEndian.AppendUint64(nil, epoch)
 	rec := Record{LSN: w.nextLSN, Txn: w.nextLSN, Op: OpEpoch, RID: storage.NilRID, Data: data}
 	commit := Record{LSN: w.nextLSN + 1, Txn: rec.Txn, Op: OpCommit}
-	w.nextLSN += 2
 	buf := appendRecord(nil, rec)
 	buf = appendRecord(buf, commit)
-	if _, err := w.f.WriteAt(buf, w.size); err != nil {
-		return 0, fmt.Errorf("wal: epoch append: %w", err)
+	if err := w.appendLocked(buf, commit.LSN, 2); err != nil {
+		return 0, err
 	}
-	w.met.appends.Inc()
-	w.met.appendBytes.Add(uint64(len(buf)))
-	w.size += int64(len(buf))
-	w.appended = commit.LSN
-	if err := w.syncLocked(); err != nil {
-		return 0, fmt.Errorf("wal: epoch sync: %w", err)
+	w.nextLSN += 2
+	if err := w.syncLocked(commit.LSN); err != nil {
+		return 0, err
 	}
-	w.durable = w.appended
-	w.wakeLocked()
 	return commit.LSN, nil
 }
 
@@ -396,23 +508,29 @@ func (w *WAL) Abort() {
 // uncommitted transaction cannot be made durable — that is a protocol
 // violation (the no-steal policy should have prevented the flush).
 func (w *WAL) EnsureDurable(lsn uint64) error {
+	if lsn <= w.durable.Load() {
+		return nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if lsn <= w.durable {
-		return nil
+	if lsn > w.appended {
+		return fmt.Errorf("wal: WAL-rule violation: page LSN %d not yet appended (appended through %d)", lsn, w.appended)
 	}
-	if lsn <= w.appended {
-		if err := w.syncLocked(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		w.durable = w.appended
-		return nil
-	}
-	return fmt.Errorf("wal: WAL-rule violation: page LSN %d not yet appended (appended through %d)", lsn, w.appended)
+	return w.syncLocked(lsn)
+}
+
+// Err returns the log's sticky ErrLogFailed, or nil while the log is
+// healthy.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.failed
 }
 
 // Checkpoint truncates the log. The caller must have flushed and synced all
 // dirty pages first; the LSN counter keeps advancing across checkpoints.
+// A running sync is waited out first: its target offsets die with the
+// truncation.
 func (w *WAL) Checkpoint() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -422,25 +540,43 @@ func (w *WAL) Checkpoint() error {
 	if w.txn != 0 {
 		return fmt.Errorf("wal: checkpoint during active transaction %d", w.txn)
 	}
+	w.waitIdleLocked()
+	if w.failed != nil {
+		return w.failed
+	}
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
-	if err := w.syncLocked(); err != nil {
+	if err := syncFile(w.f, w.met); err != nil {
 		return fmt.Errorf("wal: sync after truncate: %w", err)
 	}
-	w.size = 0
-	w.durable = w.nextLSN - 1
+	w.size, w.filled, w.durableEnd = 0, 0, 0
 	w.appended = w.nextLSN - 1
+	w.durable.Store(w.appended)
 	w.truncations++
 	w.truncLSN = w.appended
+	// Every waiter's commit is now in the synced data file.
+	w.synced.Broadcast()
 	return nil
 }
 
-// Close releases the log file.
+// Close releases the log file. A healthy log is first trimmed back to its
+// logical end, dropping the zero-filled run past it; a failed one is left
+// exactly as it is, for recovery to read.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.f.Close()
+	w.waitIdleLocked()
+	var err error
+	if w.filled > w.size && w.failed == nil && !w.opts.ReadOnly {
+		if err = w.f.Truncate(w.size); err == nil {
+			w.filled = w.size
+		}
+	}
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // --- Framing -------------------------------------------------------------
@@ -493,21 +629,24 @@ func decodeRecord(payload []byte) (Record, error) {
 func (w *WAL) ReadAll() ([]Record, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	records, _, err := w.readAllLocked()
+	records, _, _, err := w.readAllLocked()
 	return records, err
 }
 
 // readAllLocked decodes the intact record prefix and returns it together
-// with the byte offset each record ends at.
-func (w *WAL) readAllLocked() ([]Record, []int64, error) {
+// with the byte offset each record ends at and the offset the file's
+// trailing run of zeros starts at. A zero-filled tail stops the decode like
+// a torn one: its first frame has length 0, too short for a record.
+func (w *WAL) readAllLocked() ([]Record, []int64, int64, error) {
 	data := make([]byte, w.size)
 	if w.size > 0 {
 		n, err := w.f.ReadAt(data, 0)
 		if err != nil && err != io.EOF {
-			return nil, nil, fmt.Errorf("wal: read: %w", err)
+			return nil, nil, 0, fmt.Errorf("wal: read: %w", err)
 		}
 		data = data[:n]
 	}
+	nonZero := int64(len(bytes.TrimRight(data, "\x00")))
 	var out []Record
 	var ends []int64
 	off := 0
@@ -524,7 +663,7 @@ func (w *WAL) readAllLocked() ([]Record, []int64, error) {
 		out = append(out, r)
 		ends = append(ends, int64(off))
 	}
-	return out, ends, nil
+	return out, ends, nonZero, nil
 }
 
 // RecoveryStats summarizes a replay.
@@ -533,7 +672,7 @@ type RecoveryStats struct {
 	Committed int    // records belonging to committed transactions
 	Replayed  int    // redo operations applied (page-LSN guard may no-op them)
 	MaxLSN    uint64 // highest LSN seen
-	TornBytes int64  // bytes of torn/corrupt tail truncated away
+	TornBytes int64  // bytes of torn/corrupt tail truncated away, not counting a zero-filled run
 
 	// Epoch is the highest committed replication epoch replayed (0 when
 	// the log holds no OpEpoch records) and EpochStart the appended
@@ -563,7 +702,7 @@ type RecoveryStats struct {
 func (w *WAL) Recover() ([]Record, RecoveryStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	records, ends, err := w.readAllLocked()
+	records, ends, nonZero, err := w.readAllLocked()
 	if err != nil {
 		return nil, RecoveryStats{}, err
 	}
@@ -591,9 +730,10 @@ func (w *WAL) Recover() ([]Record, RecoveryStats, error) {
 		}
 		stats.Committed++
 	}
-	stats.TornBytes = w.size
+	// The zero-filled run past the append point is padding, not damage.
+	stats.TornBytes = nonZero
 	if n := len(ends); n > 0 {
-		stats.TornBytes -= ends[n-1]
+		stats.TornBytes = max(0, nonZero-ends[n-1])
 	}
 	if !w.opts.ReadOnly {
 		// A read-only opener must not mutate a file another process may
@@ -603,15 +743,16 @@ func (w *WAL) Recover() ([]Record, RecoveryStats, error) {
 				return nil, stats, fmt.Errorf("wal: truncating torn tail: %w", err)
 			}
 		}
-		if err := w.syncLocked(); err != nil {
+		if err := syncFile(w.f, w.met); err != nil {
 			return nil, stats, fmt.Errorf("wal: sync before replay: %w", err)
 		}
 	}
-	w.size = end
+	w.size, w.filled, w.durableEnd = end, end, end
 	w.nextLSN = max(w.nextLSN, stats.MaxLSN+1)
 	if keep > 0 {
 		last := records[keep-1].LSN
-		w.appended, w.durable = max(w.appended, last), max(w.durable, last)
+		w.appended = max(w.appended, last)
+		w.durable.Store(max(w.durable.Load(), last))
 		// The file still holds these records: cursors may read from the
 		// first one onward.
 		w.truncLSN = min(w.truncLSN, records[0].LSN-1)

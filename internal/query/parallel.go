@@ -57,7 +57,8 @@ func (e *Engine) collectCandidates(a *Analyzed, typeName string, ctx *execCtx) (
 }
 
 // runParallel partitions the candidate stream into fixed-size chunks and
-// fans them out across e.Workers goroutines. Chunks are claimed in
+// fans them out across e.Workers goroutines, clamped to the chunk count; a
+// stream of one chunk runs on the calling goroutine. Chunks are claimed in
 // ascending order from a shared counter (dynamic load balancing); each
 // chunk fills its own output fragment, and fragments are concatenated in
 // chunk order — so row order, and therefore the merged result, is
@@ -102,51 +103,61 @@ func (e *Engine) runParallel(a *Analyzed, typeName string, ctx *execCtx, proc ca
 		failed.Store(true)
 	}
 
+	work := func(w int, wctx *execCtx) {
+		var start time.Time
+		if ctx.analyze || ctx.timed {
+			start = time.Now()
+		}
+		for {
+			k := next.Add(1) - 1
+			if k >= int64(nchunks) || failed.Load() {
+				break
+			}
+			lo := int(k) * chunk
+			// Chunk claims are the cancellation poll points (the serial
+			// path polls every 64 candidates; a worker polls per chunk).
+			if err := wctx.cancelErr(); err != nil {
+				record(int64(lo), err)
+				break
+			}
+			hi := lo + chunk
+			if hi > len(ids) {
+				hi = len(ids)
+			}
+			stats[w].chunks++
+			abort := false
+			for i, id := range ids[lo:hi] {
+				if err := proc(id, wctx, &frags[k]); err != nil {
+					record(int64(lo+i), err)
+					abort = true
+					break
+				}
+			}
+			if abort {
+				break
+			}
+		}
+		if ctx.analyze || ctx.timed {
+			stats[w].dur = time.Since(start)
+		}
+		stats[w].cands = wctx.scanned
+		stats[w].rows = wctx.emitOut
+	}
+
+	// One chunk means one worker, and it runs right here: a goroutine
+	// handoff buys nothing when there is nothing to overlap.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wctx := &execCtx{analyze: ctx.analyze, timed: ctx.timed, ctx: ctx.ctx}
 		wctxs[w] = wctx
+		if workers == 1 {
+			work(w, wctx)
+			continue
+		}
 		wg.Add(1)
 		go func(w int, wctx *execCtx) {
 			defer wg.Done()
-			var start time.Time
-			if ctx.analyze || ctx.timed {
-				start = time.Now()
-			}
-			for {
-				k := next.Add(1) - 1
-				if k >= int64(nchunks) || failed.Load() {
-					break
-				}
-				lo := int(k) * chunk
-				// Chunk claims are the cancellation poll points (the serial
-				// path polls every 64 candidates; a worker polls per chunk).
-				if err := wctx.cancelErr(); err != nil {
-					record(int64(lo), err)
-					break
-				}
-				hi := lo + chunk
-				if hi > len(ids) {
-					hi = len(ids)
-				}
-				stats[w].chunks++
-				abort := false
-				for i, id := range ids[lo:hi] {
-					if err := proc(id, wctx, &frags[k]); err != nil {
-						record(int64(lo+i), err)
-						abort = true
-						break
-					}
-				}
-				if abort {
-					break
-				}
-			}
-			if ctx.analyze || ctx.timed {
-				stats[w].dur = time.Since(start)
-			}
-			stats[w].cands = wctx.scanned
-			stats[w].rows = wctx.emitOut
+			work(w, wctx)
 		}(w, wctx)
 	}
 	wg.Wait()

@@ -17,15 +17,22 @@ import (
 // that poke at the admission gate directly.
 func startServerFull(t *testing.T, eng *core.Engine, mutate func(*Config)) (string, *Server) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln.Addr().String(), serveListener(t, eng, ln, mutate)
+}
+
+// serveListener serves eng on ln. The server is drained at test cleanup,
+// and Serve must then return nil.
+func serveListener(t *testing.T, eng *core.Engine, ln net.Listener, mutate func(*Config)) *Server {
+	t.Helper()
 	cfg := Config{Engine: eng, Banner: "tcoserve/test"}
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +46,7 @@ func startServerFull(t *testing.T, eng *core.Engine, mutate func(*Config)) (stri
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return ln.Addr().String(), srv
+	return srv
 }
 
 func TestAdmitQueueFullSheds(t *testing.T) {
@@ -134,10 +141,12 @@ func rawSession(t *testing.T, addr string) net.Conn {
 	if err := wire.WriteFrame(c, wire.FrameHello, wire.EncodeHello("test")); err != nil {
 		t.Fatal(err)
 	}
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	f, err := wire.ReadFrame(c)
 	if err != nil || f.Type != wire.FrameWelcome {
 		t.Fatalf("handshake: %+v, %v", f, err)
 	}
+	c.SetReadDeadline(time.Time{})
 	return c
 }
 
@@ -306,10 +315,13 @@ func TestByteBudgetStopsMidStream(t *testing.T) {
 	if err := wire.WriteFrame(c, wire.FrameQuery, wire.EncodeQueryTrace(`SELECT (name) FROM Emp`, 0)); err != nil {
 		t.Fatal(err)
 	}
-	_, serr := readResult(t, c)
+	rows, serr := readResult(t, c)
 	var te *testServerError
 	if !errors.As(serr, &te) || te.code != wire.CodeQuery {
 		t.Fatalf("expected mid-stream CodeQuery budget error, got %v", serr)
+	}
+	if rows == 0 {
+		t.Fatal("byte budget cut the result before any rows were sent")
 	}
 	if srv.budgetBytes.Value() != 1 {
 		t.Fatalf("server.budget_bytes = %d, want 1", srv.budgetBytes.Value())

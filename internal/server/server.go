@@ -38,7 +38,7 @@ type Config struct {
 
 	MaxConns     int           // concurrent session cap (default 64)
 	ReadTimeout  time.Duration // max idle time between client frames (default 5m)
-	WriteTimeout time.Duration // per-frame write deadline (default 30s)
+	WriteTimeout time.Duration // deadline for each network write (a reply is one write unless it outgrows the buffer; default 30s)
 	QueryTimeout time.Duration // hard per-query cap; 0 = unlimited
 	BatchRows    int           // rows per ResultRows frame (default 256)
 

@@ -19,30 +19,8 @@ import (
 // startServer serves eng on an ephemeral port and returns the address.
 // The server is drained at test cleanup.
 func startServer(t *testing.T, eng *core.Engine, mutate func(*Config)) string {
-	t.Helper()
-	cfg := Config{Engine: eng, Banner: "tcoserve/test"}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		if err := <-served; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return ln.Addr().String()
+	addr, _ := startServerFull(t, eng, mutate)
+	return addr
 }
 
 func personnelEngine(t *testing.T) *core.Engine {

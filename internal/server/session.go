@@ -23,6 +23,9 @@ type session struct {
 	id   uint64
 	conn net.Conn
 	br   *bufio.Reader
+	// bw holds the reply to the frame being handled; serve flushes it
+	// once per frame, so a small reply is one network write.
+	bw *bufio.Writer
 
 	// Time-slice defaults applied when a query names no AT/ASOF point.
 	vt *temporal.Instant
@@ -48,7 +51,7 @@ type session struct {
 }
 
 func newSession(s *Server, id uint64, conn net.Conn) *session {
-	ss := &session{s: s, id: id, conn: conn, br: bufio.NewReader(conn), batch: s.cfg.BatchRows, muState: make(chan struct{}, 1)}
+	ss := &session{s: s, id: id, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), batch: s.cfg.BatchRows, muState: make(chan struct{}, 1)}
 	ss.muState <- struct{}{}
 	return ss
 }
@@ -84,9 +87,11 @@ func (ss *session) endFrame() bool {
 }
 
 // serve runs the session loop until the client closes, a protocol error
-// occurs, or the server drains.
+// occurs, or the server drains. The reply to each frame is flushed before
+// the next frame is read and before the session ends.
 func (ss *session) serve(ctx context.Context) {
 	defer ss.conn.Close()
+	defer ss.flush() // before the Close above; the session ends either way
 
 	// Handshake: Hello in, Welcome out.
 	f, err := ss.readFrame()
@@ -109,7 +114,7 @@ func (ss *session) serve(ctx context.Context) {
 		// Writable tells failover probes whether this node accepts
 		// leader-targeted traffic; a follower or read-only engine does not.
 		Writable: !eng.IsReadOnly(),
-	})); err != nil {
+	})); err != nil || ss.flush() != nil {
 		return
 	}
 
@@ -126,6 +131,11 @@ func (ss *session) serve(ctx context.Context) {
 		ss.s.frames.Inc()
 		ss.beginFrame()
 		stop := ss.handle(ctx, f)
+		// Flush before endFrame: a drain that finds the session idle
+		// finds its reply already sent.
+		if ss.flush() != nil {
+			stop = true
+		}
 		if ss.endFrame() || stop {
 			return
 		}
@@ -183,6 +193,9 @@ func (ss *session) handle(ctx context.Context, f wire.Frame) bool {
 		}
 		// The connection becomes a one-way log stream owned by the
 		// replication source; it never returns to the session loop.
+		if ss.flush() != nil {
+			return true
+		}
 		ss.lock()
 		ss.subscriber = true
 		ss.unlock()
@@ -471,10 +484,36 @@ func (ss *session) readFrame() (wire.Frame, error) {
 	return wire.ReadFrame(ss.br)
 }
 
-// writeFrame writes one frame under the write deadline.
-func (ss *session) writeFrame(typ byte, payload []byte) error {
+// armWrite gives the next network write a fresh WriteTimeout deadline.
+func (ss *session) armWrite() {
 	ss.checkDeadline(ss.conn.SetWriteDeadline(time.Now().Add(ss.s.cfg.WriteTimeout)))
-	return wire.WriteFrame(ss.conn, typ, payload)
+}
+
+// flush sends the buffered reply in one write under the write deadline.
+func (ss *session) flush() error {
+	if ss.bw.Buffered() == 0 {
+		return nil
+	}
+	ss.armWrite()
+	return ss.bw.Flush()
+}
+
+// writeFrame appends one frame to the reply buffer. A frame that does not
+// fit in the buffer's free space first flushes what is buffered; one
+// larger than the whole buffer then goes straight to the network. Every
+// network write runs under its own deadline.
+func (ss *session) writeFrame(typ byte, payload []byte) error {
+	if n := wire.FrameLen(payload); n > ss.bw.Available() {
+		if err := ss.flush(); err != nil {
+			return err
+		}
+		if n > ss.bw.Available() {
+			ss.armWrite()
+			return wire.WriteFrame(ss.conn, typ, payload)
+		}
+	}
+	_, err := ss.bw.Write(wire.AppendFrame(ss.bw.AvailableBuffer(), typ, payload))
+	return err
 }
 
 func (ss *session) writeError(code uint16, msg, detail string) {

@@ -159,12 +159,15 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 	return append(dst, crc[:]...)
 }
 
+// FrameLen is the encoded size of a frame carrying payload.
+func FrameLen(payload []byte) int { return 4 + headerLen + len(payload) + crcLen }
+
 // WriteFrame writes one frame to w.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return ErrFrameTooLarge
 	}
-	_, err := w.Write(AppendFrame(make([]byte, 0, 4+headerLen+len(payload)+crcLen), typ, payload))
+	_, err := w.Write(AppendFrame(make([]byte, 0, FrameLen(payload)), typ, payload))
 	return err
 }
 

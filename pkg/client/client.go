@@ -56,7 +56,7 @@ type Config struct {
 	DialRetries  int           // extra attempts after a transient failure (default 3, -1 disables)
 	RetryBackoff time.Duration // first backoff, doubling per retry (default 50ms)
 	PoolSize     int           // max idle pooled connections (default 4)
-	ReadTimeout  time.Duration // per-response deadline; 0 = wait indefinitely
+	ReadTimeout  time.Duration // per-frame read deadline, re-armed for each frame of a reply; 0 = wait indefinitely
 	WriteTimeout time.Duration // per-request deadline (default 30s)
 
 	// Automatic retry of read-only calls (Query/Exec/Ping only; never

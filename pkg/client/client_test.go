@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -534,6 +535,42 @@ func TestRetryLogCarriesTraceID(t *testing.T) {
 	for i, line := range logLines {
 		if !strings.Contains(line, want) {
 			t.Errorf("log line %d %q missing %q", i, line, want)
+		}
+	}
+}
+
+// deadlineCountingConn counts SetReadDeadline calls.
+type deadlineCountingConn struct {
+	net.Conn
+	sets int
+}
+
+func (c *deadlineCountingConn) SetReadDeadline(t time.Time) error {
+	c.sets++
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestReadDeadlineClearedOnlyWhenArmed checks that with no ReadTimeout a
+// read clears the deadline a handshake read armed, once, and later reads
+// leave the connection's deadline alone.
+func TestReadDeadlineClearedOnlyWhenArmed(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	dc := &deadlineCountingConn{Conn: a}
+	cn := &conn{cfg: Config{}.withDefaults(), c: dc, r: bufio.NewReader(dc)}
+	go func() {
+		for i := 0; i < 4; i++ {
+			wire.WriteFrame(b, wire.FramePong, nil)
+		}
+	}()
+	want := []int{1, 2, 2, 2} // armed by the handshake read, cleared once
+	for i, timeout := range []time.Duration{cn.cfg.DialTimeout, 0, 0, 0} {
+		if _, err := cn.read(timeout); err != nil {
+			t.Fatal(err)
+		}
+		if dc.sets != want[i] {
+			t.Fatalf("after read %d: %d SetReadDeadline calls, want %d", i, dc.sets, want[i])
 		}
 	}
 }

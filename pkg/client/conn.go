@@ -18,6 +18,9 @@ type conn struct {
 	sessionID uint64
 	epoch     uint64 // leadership epoch the server reported at handshake
 	writable  bool   // whether the server accepted writes at handshake
+	// armed records that c carries a read deadline, so a read with none
+	// clears it once instead of on every frame.
+	armed bool
 }
 
 func (cn *conn) close() { cn.c.Close() }
@@ -35,8 +38,10 @@ func (cn *conn) read(timeout time.Duration) (wire.Frame, error) {
 	}
 	if timeout > 0 {
 		cn.c.SetReadDeadline(time.Now().Add(timeout))
-	} else {
+		cn.armed = true
+	} else if cn.armed {
 		cn.c.SetReadDeadline(time.Time{})
+		cn.armed = false
 	}
 	return wire.ReadFrame(cn.r)
 }

@@ -1172,9 +1172,10 @@ type QueryOptions struct {
 }
 
 // QueryWith runs a TMQL statement under ctx with explicit session
-// defaults. Each run is timed into the query.ns histogram and offered to
-// the slow-query log.
-func (e *Engine) QueryWith(ctx context.Context, src string, opts QueryOptions) (*query.Result, error) {
+// defaults, params bound into its $1..$n slots. Each run is timed into the
+// query.ns histogram and offered to the slow-query log, which records the
+// statement with its parameters spliced in (query.Bind).
+func (e *Engine) QueryWith(ctx context.Context, src string, opts QueryOptions, params ...value.V) (*query.Result, error) {
 	trace := opts.Trace
 	if trace == 0 {
 		trace = e.tracer.NextTraceID() // nil-safe: 0 when tracing is off
@@ -1190,7 +1191,7 @@ func (e *Engine) QueryWith(ctx context.Context, src string, opts QueryOptions) (
 		def.TT = *opts.TT
 	}
 	start := time.Now()
-	res, err := e.queries.RunCtx(ctx, src, def)
+	res, err := e.queries.RunCtx(ctx, src, def, params...)
 	dur := time.Since(start)
 	res, err = settle(e, seen, res, err)
 
@@ -1203,12 +1204,14 @@ func (e *Engine) QueryWith(ctx context.Context, src string, opts QueryOptions) (
 	rows := len(res.Rows) + len(res.Molecules)
 	exec.Account(res.Res)
 	exec.End(fmt.Sprintf("rows=%d", rows))
-	recorded := e.slow.Observe(src, dur, rows, res.Plan, trace)
-	if !recorded && opts.SlowThreshold > 0 && dur >= opts.SlowThreshold {
-		e.slow.Record(src, dur, rows, res.Plan, trace)
-		recorded = true
-	}
-	if recorded {
+	if e.slow.Slow(dur) || (opts.SlowThreshold > 0 && dur >= opts.SlowThreshold) {
+		// Rendered only for a record: the common path splices nothing.
+		// IDs have no literal syntax; such a statement is logged as sent.
+		stmt := src
+		if bound, err := query.Bind(src, params); err == nil {
+			stmt = bound
+		}
+		e.slow.Record(stmt, dur, rows, res.Plan, trace)
 		e.tracer.Point(trace, "slow-query", fmt.Sprintf("dur=%s rows=%d", dur, rows))
 	}
 	return res, err

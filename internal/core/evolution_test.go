@@ -23,11 +23,21 @@ func TestSchemaEvolutionAddAttribute(t *testing.T) {
 			}
 			_ = tx.Commit()
 
+			// A statement naming the attribute fails before the DDL (and
+			// is not kept as a plan); the same text runs after it.
+			const bonusQuery = `SELECT (name, bonus) FROM Emp AT 10`
+			if _, err := e.Query(bonusQuery); err == nil || !strings.Contains(err.Error(), `no attribute "bonus"`) {
+				t.Fatalf("before DDL: %v, want a no-attribute error", err)
+			}
+
 			// Evolve: add a bonus attribute.
 			if err := e.DefineAttribute("Emp", schema.Attribute{
 				Name: "bonus", Kind: value.KindInt, Temporal: true,
 			}); err != nil {
 				t.Fatal(err)
+			}
+			if res, err := e.Query(bonusQuery); err != nil || len(res.Rows) != 1 || !res.Rows[0][1].IsNull() {
+				t.Fatalf("after DDL: %v, %v", res, err)
 			}
 
 			// Old atoms read Null for the new attribute.

@@ -55,7 +55,11 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if tr.Events(0) != nil || tr.Recorded() != 0 {
 		t.Fatal("nil tracer must be empty")
 	}
-	if sl.Observe("q", time.Second, 0, "", 0) {
+	if sl.Slow(time.Second) {
+		t.Fatal("nil slowlog must find nothing slow")
+	}
+	sl.Record("q", time.Second, 0, "", 0)
+	if sl.Total() != 0 {
 		t.Fatal("nil slowlog must not record")
 	}
 	_ = r.String()

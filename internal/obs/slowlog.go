@@ -60,30 +60,21 @@ func (l *SlowLog) Threshold() time.Duration {
 	return l.threshold
 }
 
-// Observe records the query if it was slow. Returns true when recorded.
-// trace correlates the entry with its span tree (0 = untraced).
-func (l *SlowLog) Observe(query string, dur time.Duration, rows int, plan string, trace uint64) bool {
+// Slow reports whether a query that ran for dur meets the threshold (never
+// on a nil log or a zero threshold). A caller records a slow query with
+// Record, so it renders the text only for a record.
+func (l *SlowLog) Slow(dur time.Duration) bool {
 	if l == nil {
 		return false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.threshold <= 0 || dur < l.threshold {
-		return false
-	}
-	if len(query) > maxSlowQueryText {
-		query = query[:maxSlowQueryText] + "…"
-	}
-	l.ring[l.next%uint64(len(l.ring))] = SlowEntry{
-		When: time.Now(), Dur: dur, Query: query, Rows: rows, Plan: plan, Trace: trace,
-	}
-	l.next++
-	l.total++
-	return true
+	return l.threshold > 0 && dur >= l.threshold
 }
 
-// Record stores the query unconditionally, bypassing the threshold. Used
-// for per-session slow thresholds tighter than the engine-wide one.
+// Record stores the query unconditionally: after Slow, or for a
+// per-session slow threshold tighter than the engine-wide one. trace
+// correlates the entry with its span tree (0 = untraced).
 func (l *SlowLog) Record(query string, dur time.Duration, rows int, plan string, trace uint64) {
 	if l == nil {
 		return

@@ -109,13 +109,14 @@ func TestTracerConcurrent(t *testing.T) {
 
 func TestSlowLogThresholdAndWrap(t *testing.T) {
 	sl := NewSlowLog(3, 10*time.Millisecond)
-	if sl.Observe("fast", 5*time.Millisecond, 1, "", 0) {
-		t.Fatal("below-threshold query must not record")
+	if sl.Slow(5 * time.Millisecond) {
+		t.Fatal("below-threshold query must not be slow")
 	}
 	for i := 0; i < 5; i++ {
-		if !sl.Observe(fmt.Sprintf("q%d", i), 20*time.Millisecond, i, "scan", uint64(i+100)) {
-			t.Fatal("slow query must record")
+		if !sl.Slow(20 * time.Millisecond) {
+			t.Fatal("query over the threshold must be slow")
 		}
+		sl.Record(fmt.Sprintf("q%d", i), 20*time.Millisecond, i, "scan", uint64(i+100))
 	}
 	entries := sl.Entries()
 	if len(entries) != 3 {
@@ -134,7 +135,7 @@ func TestSlowLogThresholdAndWrap(t *testing.T) {
 		t.Fatalf("total = %d, want 5", sl.Total())
 	}
 	sl.SetThreshold(0)
-	if sl.Observe("any", time.Hour, 0, "", 0) {
+	if sl.Slow(time.Hour) {
 		t.Fatal("zero threshold must disable logging")
 	}
 	if sl.Threshold() != 0 {
@@ -148,7 +149,7 @@ func TestSlowLogThresholdAndWrap(t *testing.T) {
 func TestSlowLogTruncatesLongQueries(t *testing.T) {
 	sl := NewSlowLog(2, time.Nanosecond)
 	long := strings.Repeat("x", 2*maxSlowQueryText)
-	sl.Observe(long, time.Second, 0, "", 0)
+	sl.Record(long, time.Second, 0, "", 0)
 	e := sl.Entries()[0]
 	if len(e.Query) > maxSlowQueryText+len("…") {
 		t.Fatalf("query not truncated: %d bytes", len(e.Query))

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"tcodm/internal/temporal"
@@ -42,6 +43,9 @@ type Query struct {
 	// kept iff some constituent atom satisfies the predicate (an
 	// existential qualification over the complex object).
 	Having *Expr
+
+	// slots lists the $n placeholders of WHERE and HAVING in text order.
+	slots []int
 }
 
 // Projection is one output column: an attribute reference, COUNT(Type)
@@ -143,8 +147,9 @@ type Expr struct {
 	Right *Expr // nil for NOT
 
 	// Leaf forms:
-	Ref *AttrRef // attribute reference
-	Lit *value.V // literal
+	Ref   *AttrRef // attribute reference
+	Lit   *value.V // literal
+	Param int      // parameter slot $Param (1-based); binding replaces it with a literal
 }
 
 func (e *Expr) String() string {
@@ -155,6 +160,8 @@ func (e *Expr) String() string {
 		return e.Ref.String()
 	case e.Lit != nil:
 		return e.Lit.String()
+	case e.Param != 0:
+		return "$" + strconv.Itoa(e.Param)
 	case e.Op == "NOT":
 		return "NOT (" + e.Left.String() + ")"
 	default:

@@ -93,6 +93,7 @@ type Engine struct {
 
 	met    engineMetrics
 	tracer *obs.Tracer
+	plans  planCache
 }
 
 // SetTracer binds the engine to a span store: queries that carry a trace id
@@ -156,19 +157,21 @@ func (e *Engine) Run(src string, defaultVT temporal.Instant) (*Result, error) {
 	return e.RunCtx(context.Background(), src, Defaults{VT: defaultVT})
 }
 
-// RunCtx parses, analyzes, and executes src under ctx. Cancellation or
-// deadline expiry stops execution at the next operator-loop boundary and
-// surfaces the context's error.
-func (e *Engine) RunCtx(ctx context.Context, src string, def Defaults) (*Result, error) {
-	q, err := Parse(src)
+// RunCtx executes src under ctx with params bound into its $1..$n slots.
+// The text is parsed and analyzed once per engine and schema (see plan);
+// each run binds its own parameters into a copy. Cancellation or deadline
+// expiry stops execution at the next operator-loop boundary and surfaces
+// the context's error.
+func (e *Engine) RunCtx(ctx context.Context, src string, def Defaults, params ...value.V) (*Result, error) {
+	tmpl, err := e.plan(src, e.Mgr.Schema())
 	if err != nil {
 		return nil, err
 	}
-	a, err := Analyze(q, e.Mgr.Schema())
+	a, err := bind(tmpl, params)
 	if err != nil {
 		return nil, err
 	}
-	if q.Explain {
+	if a.Query.Explain {
 		return e.explain(ctx, a, def)
 	}
 	return e.ExecuteCtx(ctx, a, def)

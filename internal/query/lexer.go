@@ -31,6 +31,7 @@ const (
 	tokString
 	tokPunct // ( ) [ , . )
 	tokOp    // = != < <= > >=
+	tokParam // $1, $2, ...: a parameter slot
 )
 
 type token struct {
@@ -85,6 +86,15 @@ func lex(src string) ([]token, error) {
 			if err := l.lexString(start); err != nil {
 				return nil, err
 			}
+		case c == '$':
+			l.pos++
+			for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
+				l.pos++
+			}
+			if l.pos == start+1 {
+				return nil, fmt.Errorf("query: stray '$' at position %d (placeholders are $1, $2, ...)", start)
+			}
+			l.tokens = append(l.tokens, token{kind: tokParam, text: l.src[start:l.pos], pos: start})
 		case strings.ContainsRune("()[],.", rune(c)):
 			l.pos++
 			l.tokens = append(l.tokens, token{kind: tokPunct, text: string(c), pos: start})

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tcodm/internal/core"
+	"tcodm/internal/query"
 	"tcodm/internal/value"
 	"tcodm/internal/wire"
 	"tcodm/internal/workload"
@@ -119,12 +121,102 @@ func TestExecParamsOverWire(t *testing.T) {
 		t.Fatalf("bound %d rows, literal %d rows", len(bound.Rows), len(lit.Rows))
 	}
 
-	// A bad binding is a query error; the connection must survive it.
-	if _, err := cl.Exec(`SELECT (name) FROM Emp WHERE salary > $2`, value.Int(1)); err == nil {
-		t.Fatal("expected bind error")
+	// A bad binding is a query error the engine returns after admission:
+	// it counts in server.query_errors and the connection survives it. A
+	// Query frame binds zero parameters.
+	for _, c := range []struct {
+		params []value.V
+		want   string
+	}{
+		{[]value.V{value.Int(1)}, "placeholder $2 out of range (have 1 parameters)"},
+		{nil, "placeholder $2 out of range (have 0 parameters)"},
+	} {
+		errs0 := eng.CounterSnapshot()["server.query_errors"]
+		const text = `SELECT (name) FROM Emp WHERE salary > $2`
+		if c.params == nil {
+			_, err = cl.Query(text)
+		} else {
+			_, err = cl.Exec(text, c.params...)
+		}
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != wire.CodeQuery || !strings.Contains(se.Msg, c.want) {
+			t.Fatalf("bind error = %v, want CodeQuery %q", err, c.want)
+		}
+		if got := eng.CounterSnapshot()["server.query_errors"] - errs0; got != 1 {
+			t.Fatalf("server.query_errors rose by %d on a bind error, want 1", got)
+		}
+		if err := cl.Ping(); err != nil {
+			t.Fatalf("connection unusable after bind error: %v", err)
+		}
 	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("connection unusable after bind error: %v", err)
+}
+
+// TestExecBindsSurrogateIDs: an ID parameter binds into its slot, though
+// TMQL has no ID literal, and answers what a scan filtered on the ID does.
+func TestExecBindsSurrogateIDs(t *testing.T) {
+	eng := personnelEngine(t)
+	addr := startServer(t, eng, nil)
+	cl, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	depts, err := eng.IDs("Dept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dept := value.Ref(depts[1])
+	got, err := cl.Exec(`SELECT (name, dept) FROM Emp WHERE dept = $1`, dept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := eng.Query(`SELECT (name, dept) FROM Emp`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]value.V
+	for _, row := range all.Rows {
+		if row[1] == dept {
+			want = append(want, row)
+		}
+	}
+	if len(want) == 0 || fmt.Sprint(got.Rows) != fmt.Sprint(want) {
+		t.Fatalf("Exec dept = %v:\n got  %v\n want %v", dept, got.Rows, want)
+	}
+}
+
+// TestExecSlowLogRecordsBoundText: the slow-query log shows an Exec as the
+// statement with its parameters spliced in, not the template.
+func TestExecSlowLogRecordsBoundText(t *testing.T) {
+	eng := personnelEngine(t)
+	addr := startServer(t, eng, nil)
+	cl, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sess, err := cl.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Option("slow", "1ns"); err != nil {
+		t.Fatal(err)
+	}
+
+	const text = `SELECT (name, salary) FROM Emp WHERE salary > $1 AND NOT name = $2`
+	params := []value.V{value.Float(3000), value.String_(`a "quoted" $1`)}
+	if _, err := sess.Exec(text, params...); err != nil {
+		t.Fatal(err)
+	}
+	want, err := query.Bind(text, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := eng.SlowLog().Entries()
+	if len(entries) == 0 || entries[len(entries)-1].Query != want {
+		t.Fatalf("slow log = %+v, want last entry %q", entries, want)
 	}
 }
 

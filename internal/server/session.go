@@ -151,21 +151,16 @@ func (ss *session) handle(ctx context.Context, f wire.Frame) bool {
 			ss.writeError(wire.CodeProtocol, "malformed Query", err.Error())
 			return true
 		}
-		return ss.runQuery(ctx, text, trace)
+		return ss.runQuery(ctx, text, nil, trace)
 	case wire.FrameExec:
 		text, params, trace, err := wire.DecodeExecTrace(f.Payload)
 		if err != nil {
 			ss.writeError(wire.CodeProtocol, "malformed Exec", err.Error())
 			return true
 		}
-		bound, err := query.Bind(text, params)
-		if err != nil {
-			// A bad binding is a query error, not a protocol violation:
-			// the session stays usable.
-			ss.writeError(wire.CodeQuery, err.Error(), "")
-			return false
-		}
-		return ss.runQuery(ctx, bound, trace)
+		// A bad binding is a query error, not a protocol violation: the
+		// engine refuses it and the session stays usable.
+		return ss.runQuery(ctx, text, params, trace)
 	case wire.FrameOption:
 		key, val, err := wire.DecodeOption(f.Payload)
 		if err != nil {
@@ -317,10 +312,11 @@ func (ss *session) queryTimeout() time.Duration {
 	return d
 }
 
-// runQuery executes text and streams the result, returning true when the
-// session must end (transport failure). trace is the client-stamped trace
-// id (0 = unstamped; the server allocates one when tracing is enabled).
-func (ss *session) runQuery(ctx context.Context, text string, trace uint64) bool {
+// runQuery executes text with params bound into its $n slots and streams
+// the result, returning true when the session must end (transport
+// failure). trace is the client-stamped trace id (0 = unstamped; the
+// server allocates one when tracing is enabled).
+func (ss *session) runQuery(ctx context.Context, text string, params []value.V, trace uint64) bool {
 	ss.s.queries.Inc()
 	// One engine pointer for the whole statement: a replica re-bootstrap
 	// swapping the engine mid-query turns into a plain error on the old
@@ -373,7 +369,7 @@ func (ss *session) runQuery(ctx context.Context, text string, trace uint64) bool
 	opts.Trace = trace
 	opts.Parent = root.ID()
 	start := time.Now()
-	res, err := eng.QueryWith(ctx, text, opts)
+	res, err := eng.QueryWith(ctx, text, opts, params...)
 	ss.s.queryNS.Observe(time.Since(start))
 	if err != nil {
 		root.End("error: " + err.Error())

@@ -326,8 +326,11 @@ func (c *Client) Query(text string) (*Result, error) {
 	})
 }
 
-// Exec runs parameterized TMQL: $1..$n placeholders in text bind to
-// params server-side. Retries and traces like Query.
+// Exec runs parameterized TMQL: params bind server-side into the $1..$n
+// slots of text's cached plan. A placeholder stands only for a WHERE or
+// HAVING operand; every parameter must be referenced. Any value kind
+// binds, surrogate IDs (value.Ref) included, except NaN and ±Inf floats.
+// Retries and traces like Query.
 func (c *Client) Exec(text string, params ...value.V) (*Result, error) {
 	trace := c.nextTrace()
 	return c.doRetry(trace, func(cn *conn) (*Result, error) {

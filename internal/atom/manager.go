@@ -415,16 +415,22 @@ func (m *Manager) Insert(typeName string, vals map[string]value.V, validFrom, tt
 	if err := m.idxPut(m.typeIdx, typeKey(typeName, id), rid.Pack()); err != nil {
 		return 0, err
 	}
+	// Index entries go in in schema order, not map order, so B+-tree splits
+	// (and with them page numbers) follow the operations alone.
 	if m.timeIdx != nil {
-		for name := range vals {
-			if err := m.idxPut(m.timeIdx, timeKey(typeName, name, validFrom, id), uint64(id)); err != nil {
-				return 0, err
+		for _, at := range t.Attrs {
+			if _, ok := vals[at.Name]; ok {
+				if err := m.idxPut(m.timeIdx, timeKey(typeName, at.Name, validFrom, id), uint64(id)); err != nil {
+					return 0, err
+				}
 			}
 		}
 	}
-	for name, v := range vals {
-		if err := m.noteValue(typeName, name, v, id); err != nil {
-			return 0, err
+	for _, at := range t.Attrs {
+		if v, ok := vals[at.Name]; ok {
+			if err := m.noteValue(typeName, at.Name, v, id); err != nil {
+				return 0, err
+			}
 		}
 	}
 	// Record the inverse direction of initial One-references.

@@ -155,7 +155,6 @@ type metaPayload struct {
 	NextID     uint64           `json:"next_id"`
 	Clock      temporal.Instant `json:"clock"`
 	NextLSN    uint64           `json:"next_lsn"`
-	FreePages  []storage.PageID `json:"free_pages,omitempty"`
 	// Pages is the device size when this meta was written — the crash
 	// horizon. Pages allocated at or beyond it carry only data the log can
 	// reproduce, so recovery may quarantine them if a torn write left them
@@ -466,11 +465,6 @@ func (e *Engine) recoverOrLoad() error {
 	e.clock.Advance(meta.Clock)
 	e.epoch = meta.Epoch
 	e.epochStart = meta.EpochStart
-	if !e.opts.Follower {
-		// A follower allocates nothing until promoted, while the leader's log
-		// may fill any page its persisted free list names.
-		e.pool.SetFreePages(meta.FreePages)
-	}
 	// Rewind the archive's append frontier to the committed size: physical
 	// bytes past it were staged by migrations that never committed, and the
 	// next Append overwrites them. Replay below re-extends the frontier for
@@ -487,20 +481,10 @@ func (e *Engine) recoverOrLoad() error {
 		if err := e.quarantineTornPages(meta.Pages); err != nil {
 			return err
 		}
-	}
-	if err := e.heap.Rebuild(e.dev); err != nil {
-		return err
-	}
-
-	if !clean {
 		e.Recovered = true
 		if e.log == nil {
 			return fmt.Errorf("core: database is marked dirty but has no log")
 		}
-		// The persisted free list predates the crash and may name pages
-		// the replayed transactions reused; drop it (leaking the pages is
-		// safe, reusing them is not).
-		e.pool.SetFreePages(nil)
 		recs, rstats, err := e.log.Recover()
 		if err != nil {
 			return err
@@ -509,6 +493,13 @@ func (e *Engine) recoverOrLoad() error {
 		if e.recovery.Replayed, err = e.apply(recs, false); err != nil {
 			return err
 		}
+	}
+	// An unclean shutdown, a follower, or a store a follower last closed
+	// (its indexes lived in memory) rebuilds the indexes, so the old index
+	// pages join the derived free list.
+	rebuild := !clean || e.opts.Follower || meta.Primary == storage.InvalidPage
+	if err := e.heap.Rebuild(e.dev, rebuild); err != nil {
+		return err
 	}
 
 	e.catalogRID = storage.UnpackRID(meta.CatalogRID)
@@ -523,7 +514,7 @@ func (e *Engine) recoverOrLoad() error {
 
 	mgrOpts := atom.Options{Strategy: strat, SegmentCap: meta.SegmentCap,
 		TimeIndex: meta.TimeIndex, ValueIndex: meta.ValueIndex}
-	if clean && !e.opts.Follower && meta.Primary != storage.InvalidPage {
+	if !rebuild {
 		e.atoms, err = atom.OpenManager(e.heap, e.pool, e.schema, mgrOpts, atom.Roots{
 			Primary: meta.Primary, Type: meta.TypeIdx, Time: meta.TimeIdx,
 			Value: meta.ValueIdx, NextID: meta.NextID,
@@ -534,11 +525,9 @@ func (e *Engine) recoverOrLoad() error {
 		e.atoms.SetArchive(e.archiveSink())
 		return nil
 	}
-	// Unclean shutdown, a follower, or a store a follower last closed
-	// (its indexes lived in memory): rebuild the indexes. The archive must
-	// be attached first — the rebuild loads atoms at full fidelity, and a
-	// time index missing archived versions would under-approximate
-	// candidate sets for deep ASOF queries.
+	// Rebuild the indexes. The archive must be attached first — the rebuild
+	// loads atoms at full fidelity, and a time index missing archived
+	// versions would under-approximate candidate sets for deep ASOF queries.
 	e.atoms, err = atom.NewManager(e.heap, e.idxPool, e.schema, mgrOpts)
 	if err != nil {
 		return err
@@ -618,7 +607,6 @@ func (e *Engine) persistMeta(clean bool) error {
 		ValueIndex:  e.opts.ValueIndex,
 		NextID:      roots.NextID,
 		Clock:       e.clock.Now(),
-		FreePages:   e.pool.FreePages(),
 		Pages:       e.dev.NumPages(),
 		ArchiveSize: e.arc.Size(),
 		Epoch:       e.epoch,

@@ -332,7 +332,12 @@ func (e *Engine) Promote(observedEpoch uint64) (uint64, error) {
 		return 0, err
 	}
 	// The indexes move from memory into the store, where a leader keeps
-	// them; the time and value indexes stay off (DESIGN.md §15).
+	// them; the time and value indexes stay off (DESIGN.md §15). The free
+	// list is derived first, so they reuse the snapshot's old index pages
+	// and the chains no record reaches.
+	if err := e.heap.Rebuild(e.dev, true); err != nil {
+		return 0, err
+	}
 	if _, err := e.atoms.RebuildIndexes(e.pool); err != nil {
 		return 0, err
 	}

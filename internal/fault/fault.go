@@ -64,16 +64,16 @@ type Script struct {
 
 // Report records what the injector actually did, for assertions and logs.
 type Report struct {
-	Ops      int  // operations counted
-	Reads    int  // reads counted
-	Syncs    int  // syncs counted
-	Cut      bool // the power cut fired
-	CutOp    int  // operation index it fired at
+	Ops      int   // operations counted
+	Reads    int   // reads counted
+	Syncs    int   // syncs counted
+	Cut      bool  // the power cut fired
+	CutOp    int   // operation index it fired at
 	TornPage int64 // device page torn at the cut (-1 = none)
-	TornLog  bool // log append torn at the cut
-	Dropped  int  // buffered device writes discarded by the cut
-	SyncErrs int  // transient sync errors injected
-	ReadErrs int  // transient read errors injected
+	TornLog  bool  // log append torn at the cut
+	Dropped  int   // buffered device writes discarded by the cut
+	SyncErrs int   // transient sync errors injected
+	ReadErrs int   // transient read errors injected
 }
 
 // Injector holds the script, the shared operation counter, and the cut

@@ -319,7 +319,7 @@ func buildPlanTree(a *Analyzed, vt, tt temporal.Instant, ctx *execCtx, res *Resu
 
 	root := &PlanNode{
 		Name: "query", Detail: className(a.Class),
-		Dur:  ctx.totalDur, Analyzed: analyzed,
+		Dur: ctx.totalDur, Analyzed: analyzed,
 		Children: []*PlanNode{node},
 	}
 	if res != nil {

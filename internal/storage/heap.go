@@ -137,20 +137,62 @@ func (h *Heap) SetTxnActive(active bool) {
 	h.touched = h.touched[:0]
 }
 
-// Rebuild scans the device and reconstructs the free-space index.
-func (h *Heap) Rebuild(dev Device) error {
+// Rebuild scans the device and derives what is kept only in memory: the
+// free space of every heap page, and the pool's free list. A page is free
+// when it is zeroed or quarantined, when it is an overflow page no record's
+// chain reaches, or, with dropIndexes (the caller is about to rebuild the
+// indexes), when it is a B+-tree page. Run it after redo, so the pages it
+// reads hold every committed change. The list comes out lowest page first.
+func (h *Heap) Rebuild(dev Device, dropIndexes bool) error {
 	h.free = freeSpace{}
+	var free, heads []PageID
+	next := map[PageID]PageID{} // overflow pages no chain has reached yet
 	n := dev.NumPages()
 	for id := PageID(1); id < n; id++ {
 		p, err := h.pool.Fetch(id)
 		if err != nil {
 			return err
 		}
-		if p.Type() == PageHeap {
+		switch p.Type() {
+		case PageHeap:
 			h.free.set(id, p.FreeSpace())
+			for s := uint16(0); s < p.SlotCount(); s++ {
+				if !p.SlotUsed(s) {
+					continue
+				}
+				raw, err := p.ReadRecord(s)
+				if err != nil {
+					h.pool.Unpin(p)
+					return err
+				}
+				if first, _ := overflowHead(raw); first != InvalidPage {
+					heads = append(heads, first)
+				}
+			}
+		case PageOverflow:
+			next[id] = PageID(binary.LittleEndian.Uint32(p.data[12:]))
+		case PageBTreeLeaf, PageBTreeInner:
+			if dropIndexes {
+				free = append(free, id)
+			}
+		default:
+			free = append(free, id)
 		}
 		h.pool.Unpin(p)
 	}
+	for _, id := range heads {
+		for nx, ok := next[id]; ok; nx, ok = next[id] {
+			delete(next, id)
+			id = nx
+		}
+	}
+	for id := range next {
+		free = append(free, id)
+	}
+	slices.Sort(free)
+	h.pool.mu.Lock()
+	h.pool.freeList = free
+	h.pool.mu.Unlock()
 	return nil
 }
 
@@ -304,6 +346,20 @@ func recordHeader(moved bool) int {
 	return 1
 }
 
+// overflowHead returns the first page and total length of the overflow
+// chain a physical record points at, or InvalidPage when its payload is
+// inline or it is a forwarding stub.
+func overflowHead(raw []byte) (PageID, uint32) {
+	if raw[0]&flagOverflow == 0 {
+		return InvalidPage, 0
+	}
+	body := raw[1:]
+	if raw[0]&flagMoved != 0 {
+		body = body[8:]
+	}
+	return PageID(binary.LittleEndian.Uint32(body[4:])), binary.LittleEndian.Uint32(body)
+}
+
 // spills reports whether an n-byte payload needs an overflow chain.
 func spills(moved bool, n int) bool { return recordHeader(moved)+n > MaxHeapRecord }
 
@@ -388,20 +444,12 @@ func (h *Heap) locate(home RID) (RID, PageID, error) {
 			h.pool.Unpin(p)
 			return NilRID, InvalidPage, err
 		}
-		flag := raw[0]
-		if flag&flagForward != 0 {
+		if raw[0]&flagForward != 0 {
 			at = UnpackRID(binary.LittleEndian.Uint64(raw[1:]))
 			h.pool.Unpin(p)
 			continue
 		}
-		chain := InvalidPage
-		if flag&flagOverflow != 0 {
-			body := raw[1:]
-			if flag&flagMoved != 0 {
-				body = body[8:]
-			}
-			chain = PageID(binary.LittleEndian.Uint32(body[4:]))
-		}
+		chain, _ := overflowHead(raw)
 		h.pool.Unpin(p)
 		return at, chain, nil
 	}
@@ -755,9 +803,7 @@ func (h *Heap) Scan(fn func(rid RID, data []byte) (bool, error)) error {
 			}
 			rid := RID{Page: id, Slot: s}
 			var data []byte
-			if flag&flagOverflow != 0 {
-				total := binary.LittleEndian.Uint32(raw[1:])
-				first := PageID(binary.LittleEndian.Uint32(raw[5:]))
+			if first, total := overflowHead(raw); first != InvalidPage {
 				data, err = h.readOverflowChain(first, total, nil)
 				if err != nil {
 					h.pool.Unpin(p)

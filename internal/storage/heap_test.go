@@ -271,7 +271,7 @@ func TestHeapRebuildFreeSpace(t *testing.T) {
 	}
 	// Fresh heap over the same device: rebuild, then keep inserting.
 	h2 := NewHeap(bp, nil)
-	if err := h2.Rebuild(dev); err != nil {
+	if err := h2.Rebuild(dev, false); err != nil {
 		t.Fatal(err)
 	}
 	rid, err := h2.Insert([]byte("after rebuild"))
@@ -483,7 +483,7 @@ func TestHeapRedoHalfFlushedMove(t *testing.T) {
 			}
 			pool := NewBufferPool(crashed, 32)
 			rh := NewHeap(pool, nil)
-			if err := rh.Rebuild(crashed); err != nil {
+			if err := rh.Rebuild(crashed, false); err != nil {
 				t.Fatal(err)
 			}
 			for round := 0; round < 2; round++ {

@@ -16,7 +16,7 @@ import (
 //	offset 32: payload    [...]   (engine-owned bytes)
 //
 // The engine payload carries the catalog record RID, ID and clock high
-// water marks, index roots, and the persisted free list.
+// water marks and index roots, but no free list: every open derives that.
 const (
 	metaMagic   uint32 = 0x5443_444D // "TCDM"
 	metaVersion uint16 = 1

@@ -64,7 +64,8 @@ type BufferPool struct {
 	onFlush  FlushHook
 	met      poolMetrics
 
-	// freeList tracks deallocated device pages available for reuse.
+	// freeList holds the device pages available for reuse: those
+	// Heap.Rebuild derived at open, then those deallocated since.
 	freeList []PageID
 	// deferFrees quarantines deallocations made by the active transaction
 	// in pendingFree instead of freeList: their content may still be
@@ -230,9 +231,14 @@ func (bp *BufferPool) Allocate() (*Page, error) {
 			return nil, err
 		}
 	}
-	p, err := bp.allocFrameLocked(id)
-	if err != nil {
-		return nil, err
+	// A free page may still be resident (Rebuild read it). Take its frame:
+	// evicting a stale second frame would unmap the live one.
+	p, ok := bp.frames[id]
+	if !ok {
+		var err error
+		if p, err = bp.allocFrameLocked(id); err != nil {
+			return nil, err
+		}
 	}
 	clear(p.data[:])
 	p.pin.Store(1)
@@ -561,16 +567,10 @@ func (bp *BufferPool) ZapPage(id PageID) error {
 	return nil
 }
 
-// FreePages returns a copy of the device free list (for persistence).
+// FreePages returns a copy of the device free list: the pages Heap.Rebuild
+// derived at open, plus those deallocated since. It is never persisted.
 func (bp *BufferPool) FreePages() []PageID {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	return append([]PageID(nil), bp.freeList...)
-}
-
-// SetFreePages installs the free list (on open, from the meta page).
-func (bp *BufferPool) SetFreePages(ids []PageID) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.freeList = append([]PageID(nil), ids...)
 }

@@ -294,11 +294,61 @@ func TestBufferPoolDeallocateReuse(t *testing.T) {
 		t.Errorf("freed page not reused: got %d, want %d", p2.ID(), id)
 	}
 	bp.Unpin(p2)
-	// Free list round-trips through Set/Get.
-	bp.SetFreePages([]PageID{9, 11})
-	got := bp.FreePages()
-	if len(got) != 2 || got[0] != 9 || got[1] != 11 {
-		t.Errorf("free list = %v", got)
+}
+
+// TestAllocateTakesResidentFrame reallocates a free page that a read made
+// resident again (as the open scan does for every page). The page must keep
+// one frame: with two, evicting the stale one unmaps the live one, and the
+// next fetch reads the device's old bytes.
+func TestAllocateTakesResidentFrame(t *testing.T) {
+	dev := NewMemDevice()
+	bp := NewBufferPool(dev, 8)
+	var ids []PageID
+	for i := 0; i < 4; i++ {
+		p, err := bp.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, p.ID())
+		bp.Unpin(p)
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	free := ids[1]
+	if err := bp.Deallocate(free); err != nil {
+		t.Fatal(err)
+	}
+	p, err := bp.Fetch(free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(p)
+	live, err := bp.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.ID() != free {
+		t.Fatalf("allocated page %d, want the freed page %d", live.ID(), free)
+	}
+	live.Data()[100] = 0xAB
+	live.MarkDirty()
+	// Cycle the clock through other pages while the live frame is pinned.
+	for i := 0; i < 40; i++ {
+		p, err := bp.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(p)
+	}
+	bp.Unpin(live)
+	got, err := bp.Fetch(free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bp.Unpin(got)
+	if got.Data()[100] != 0xAB {
+		t.Fatal("a reallocated resident page lost its write: it had a second frame")
 	}
 }
 

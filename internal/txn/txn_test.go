@@ -335,7 +335,7 @@ func TestCommittedSurviveCrashViaReplay(t *testing.T) {
 	defer w2.Close()
 	pool2 := storage.NewBufferPool(dev, 64)
 	heap2 := storage.NewHeap(pool2, nil)
-	if err := heap2.Rebuild(dev); err != nil {
+	if err := heap2.Rebuild(dev, false); err != nil {
 		t.Fatal(err)
 	}
 	recs, _, err := w2.Recover()

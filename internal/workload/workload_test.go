@@ -13,9 +13,9 @@ import (
 	"tcodm/internal/value"
 )
 
-func openPersonnelDB(t *testing.T, strat atom.Strategy) *core.Engine {
+func openPersonnelDB(t *testing.T, opts core.Options) *core.Engine {
 	t.Helper()
-	db, err := core.Open(core.Options{Strategy: strat})
+	db, err := core.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,9 @@ func TestLoadIsDeterministic(t *testing.T) {
 	for _, strat := range []atom.Strategy{atom.StrategyEmbedded, atom.StrategySeparated, atom.StrategyTuple} {
 		t.Run(strat.String(), func(t *testing.T) {
 			load := func() [][]byte {
-				db := openPersonnelDB(t, strat)
+				// Both optional indexes, so their splits must follow the
+				// operations too.
+				db := openPersonnelDB(t, core.Options{Strategy: strat, TimeIndex: true, ValueIndex: true})
 				app := NewEngineApplier(db, 64)
 				if _, err := Apply(Personnel(DefaultPersonnel()), app); err != nil {
 					t.Fatal(err)
@@ -96,7 +98,7 @@ func TestPersonnelAppliesToAllStrategies(t *testing.T) {
 	ops := Personnel(p)
 	for _, strat := range []atom.Strategy{atom.StrategyEmbedded, atom.StrategySeparated, atom.StrategyTuple} {
 		t.Run(strat.String(), func(t *testing.T) {
-			db := openPersonnelDB(t, strat)
+			db := openPersonnelDB(t, core.Options{Strategy: strat})
 			app := NewEngineApplier(db, 16)
 			ids, err := Apply(ops, app)
 			if err != nil {

@@ -118,15 +118,18 @@ type Manager struct {
 	met      atomMetrics
 	idxUndo  IndexUndo
 	arc      ArchiveSink // cold archive (nil until SetArchive)
-	// maxTrans is the largest transaction-time instant seen by the last
-	// RebuildIndexes scan. After recovery the engine clock must advance
-	// past it, or post-recovery commits would reuse transaction times
-	// already bound to replayed versions.
+	// maxTrans is the largest transaction-time instant bound inside the
+	// records indexed by the note step (noteHead): those of the last
+	// RebuildIndexes scan and of every replayed record noted since. After
+	// recovery, and after a follower applies shipped commits, the engine
+	// clock must advance past it, or later commits would reuse transaction
+	// times already bound to replayed versions.
 	maxTrans temporal.Instant
 }
 
-// MaxTransactionTime returns the largest transaction-time instant observed
-// by the most recent RebuildIndexes scan (zero before any rebuild).
+// MaxTransactionTime returns the largest transaction-time instant bound
+// inside the records the last RebuildIndexes scan and the follower's notes
+// since have indexed (zero before either).
 func (m *Manager) MaxTransactionTime() temporal.Instant { return m.maxTrans }
 
 // IndexUndo receives inverse operations for index mutations so the

@@ -154,38 +154,21 @@ func (m *Manager) resolveAttr(id value.ID, attr string) (*schema.AtomType, *sche
 	return t, &at, nil
 }
 
-// typeOf reads just the atom's type name.
+// typeOf reads the atom's type name from its home record's head, in place.
 func (m *Manager) typeOf(id value.ID) (string, error) {
 	rid, err := m.homeRID(id)
 	if err != nil {
 		return "", err
 	}
-	data, err := m.heap.Fetch(rid)
-	if err != nil {
-		return "", err
-	}
-	switch RecordKind(data) {
-	case recFullAtom:
-		a, err := DecodeFull(data)
-		if err != nil {
-			return "", err
+	var h head
+	err = m.heap.View(rid, nil, func(data []byte) (err error) {
+		var ok bool
+		if h, ok, err = readHead(data); err == nil && !ok {
+			err = fmt.Errorf("atom: record of atom %v has unknown kind %#x", id, h.kind)
 		}
-		return a.Type, nil
-	case recCurrentAtom:
-		a, _, err := DecodeCurrent(data)
-		if err != nil {
-			return "", err
-		}
-		return a.Type, nil
-	case recSnapshot:
-		s, err := DecodeSnapshot(data)
-		if err != nil {
-			return "", err
-		}
-		return s.Type, nil
-	default:
-		return "", fmt.Errorf("atom: record of atom %v has unknown kind %#x", id, RecordKind(data))
-	}
+		return err
+	})
+	return h.typ, err
 }
 
 // mutate loads the atom appropriately for the strategy, applies the

@@ -1,187 +1,119 @@
 package atom
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"tcodm/internal/index"
 	"tcodm/internal/storage"
-	"tcodm/internal/temporal"
 	"tcodm/internal/value"
 )
 
-// RebuildIndexes reconstructs the primary, type, and (if enabled) time
-// indexes from a heap scan. Indexes are derived, unlogged state: the engine
-// calls this after WAL replay following an unclean shutdown. Returns the
-// fresh index roots (the old index pages are abandoned; their space is
-// reclaimed only by offline compaction, a documented trade-off).
+// RebuildIndexes derives every index afresh from a heap scan: the engine
+// calls it after WAL replay following an unclean shutdown, on a store a
+// follower last closed, and when a follower is promoted. The caller's open
+// (or promote) has put the old index pages on the derived free list, so the
+// fresh trees take their space. Returns the fresh index roots.
+//
+// The primary and type entries are the follower's note step (noteHead)
+// applied to every home record the scan meets. A heap scan is in page
+// order, not commit order, so a tuple atom's home snapshot is chosen after
+// the scan: the newest TransFrom wins, and among the snapshots one
+// transaction wrote (a change and the back-references it moves can each
+// add one) the chain's head, the one no other names as its predecessor.
+// The chosen snapshots are noted in ascending surrogate order, which keeps
+// the trees' pages a function of the heap. The time and value entries then
+// come from one full-fidelity Load per atom.
 func (m *Manager) RebuildIndexes(pool *storage.BufferPool) (Roots, error) {
-	primary, err := index.New(pool)
-	if err != nil {
-		return Roots{}, err
-	}
-	typeIdx, err := index.New(pool)
-	if err != nil {
-		return Roots{}, err
-	}
-	var timeIdx, valueIdx *index.BPTree
+	trees := []**index.BPTree{&m.primary, &m.typeIdx}
 	if m.opts.TimeIndex {
-		timeIdx, err = index.New(pool)
-		if err != nil {
-			return Roots{}, err
-		}
+		trees = append(trees, &m.timeIdx)
 	}
 	if m.opts.ValueIndex {
-		valueIdx, err = index.New(pool)
+		trees = append(trees, &m.valueIdx)
+	}
+	for _, t := range trees {
+		fresh, err := index.New(pool)
 		if err != nil {
 			return Roots{}, err
 		}
+		*t = fresh
 	}
-
-	type newest struct {
-		rid   storage.RID
-		trans temporal.Instant
-	}
-	snapshots := map[value.ID]newest{}
-	snapshotTypes := map[value.ID]string{}
-	var maxID value.ID
-
-	// Transaction times are derived state too: the persisted clock predates
+	// The clock low-water mark is derived too: the persisted clock predates
 	// the crash, so the largest transaction instant bound to any recovered
-	// version is the true low-water mark for the engine clock.
-	var maxTrans temporal.Instant
-	noteTrans := func(iv temporal.Interval) {
-		if iv.From > maxTrans {
-			maxTrans = iv.From
-		}
-		if iv.To != temporal.Forever && iv.To > maxTrans {
-			maxTrans = iv.To
-		}
-	}
-	noteAtomTrans := func(a *Atom) {
-		for i := range a.Attrs {
-			for _, v := range a.Attrs[i].Versions {
-				noteTrans(v.Trans)
-			}
-		}
-		for _, vs := range a.BackRefs {
-			for _, v := range vs {
-				noteTrans(v.Trans)
-			}
-		}
-	}
+	// version is what the engine clock must pass.
+	m.maxTrans = 0
 
-	err = m.heap.Scan(func(rid storage.RID, data []byte) (bool, error) {
-		switch RecordKind(data) {
-		case recFullAtom:
-			a, err := DecodeFull(data)
-			if err != nil {
-				return false, err
-			}
-			if err := primary.Insert(primaryKey(a.ID), rid.Pack()); err != nil {
-				return false, err
-			}
-			if err := typeIdx.Insert(typeKey(a.Type, a.ID), rid.Pack()); err != nil {
-				return false, err
-			}
-			if a.ID > maxID {
-				maxID = a.ID
-			}
-			noteAtomTrans(a)
-		case recCurrentAtom:
-			a, _, err := DecodeCurrent(data)
-			if err != nil {
-				return false, err
-			}
-			if err := primary.Insert(primaryKey(a.ID), rid.Pack()); err != nil {
-				return false, err
-			}
-			if err := typeIdx.Insert(typeKey(a.Type, a.ID), rid.Pack()); err != nil {
-				return false, err
-			}
-			if a.ID > maxID {
-				maxID = a.ID
-			}
-			noteAtomTrans(a)
-		case recSnapshot:
-			s, err := DecodeSnapshot(data)
-			if err != nil {
-				return false, err
-			}
-			cur, seen := snapshots[s.ID]
-			if !seen || s.TransFrom > cur.trans {
-				snapshots[s.ID] = newest{rid: rid, trans: s.TransFrom}
-				snapshotTypes[s.ID] = s.Type
-			}
-			if s.ID > maxID {
-				maxID = s.ID
-			}
-			if s.TransFrom > maxTrans {
-				maxTrans = s.TransFrom
-			}
-		case recHistorySeg:
-			// Reached through current records; nothing to index.
-		default:
-			// Not an atom-layer record (e.g. the engine's catalog record):
-			// nothing to index.
+	type noted struct {
+		rid storage.RID
+		h   head
+	}
+	var snaps []noted
+	named := map[storage.RID]bool{} // snapshots a later one names as its predecessor
+	err := m.heap.Scan(func(rid storage.RID, data []byte) (bool, error) {
+		h, ok, err := readHead(data)
+		switch {
+		case !ok:
+			return err == nil, err
+		case h.kind == recSnapshot:
+			snaps = append(snaps, noted{rid, h})
+			named[h.prev] = true
+			return true, nil
 		}
-		return true, nil
+		return true, m.noteHead(rid, h)
 	})
 	if err != nil {
 		return Roots{}, err
 	}
-	for id, n := range snapshots {
-		if err := primary.Insert(primaryKey(id), n.rid.Pack()); err != nil {
-			return Roots{}, err
+	home := map[value.ID]noted{}
+	for _, s := range snaps {
+		cur, seen := home[s.h.id]
+		if !seen || s.h.trans > cur.h.trans || s.h.trans == cur.h.trans && named[cur.rid] && !named[s.rid] {
+			home[s.h.id] = s
 		}
-		if err := typeIdx.Insert(typeKey(snapshotTypes[id], id), n.rid.Pack()); err != nil {
+	}
+	ids := make([]value.ID, 0, len(home))
+	for id := range home {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := m.noteHead(home[id].rid, home[id].h); err != nil {
 			return Roots{}, err
 		}
 	}
-	m.primary = primary
-	m.typeIdx = typeIdx
-	if maxID >= value.ID(m.nextID) {
-		m.nextID = uint64(maxID) + 1
-	}
-	m.maxTrans = maxTrans
-	if valueIdx != nil {
-		if err := m.rebuildValueIndex(valueIdx); err != nil {
-			return Roots{}, err
-		}
-		m.valueIdx = valueIdx
-	}
-	if timeIdx != nil {
-		m.timeIdx = timeIdx
-		// Re-derive version start entries from full loads.
-		var rebuildErr error
-		err := primary.Scan(nil, func(k []byte, v uint64) (bool, error) {
-			id := value.ID(decodeU64BE(k))
-			a, err := m.Load(id)
+
+	if m.timeIdx != nil || m.valueIdx != nil {
+		err := m.primary.Scan(nil, func(k []byte, _ uint64) (bool, error) {
+			a, err := m.Load(value.ID(binary.BigEndian.Uint64(k)))
 			if err != nil {
-				rebuildErr = err
-				return false, nil
+				return false, err
 			}
-			for _, ad := range a.Attrs {
-				for _, ver := range ad.Versions {
-					if err := timeIdx.Insert(timeKey(a.Type, ad.Name, ver.Valid.From, id), uint64(id)); err != nil {
-						rebuildErr = err
-						return false, nil
-					}
-				}
-			}
-			return true, nil
+			return true, m.indexVersions(a)
 		})
 		if err != nil {
 			return Roots{}, err
-		}
-		if rebuildErr != nil {
-			return Roots{}, rebuildErr
 		}
 	}
 	return m.Roots(), nil
 }
 
-func decodeU64BE(b []byte) uint64 {
-	var v uint64
-	for _, c := range b[:8] {
-		v = v<<8 | uint64(c)
+// indexVersions enters every version of a fully loaded atom in the time
+// index and, when it holds a value, in the value index.
+func (m *Manager) indexVersions(a *Atom) error {
+	for _, ad := range a.Attrs {
+		for _, ver := range ad.Versions {
+			if m.timeIdx != nil {
+				if err := m.timeIdx.Insert(timeKey(a.Type, ad.Name, ver.Valid.From, a.ID), uint64(a.ID)); err != nil {
+					return err
+				}
+			}
+			if m.valueIdx != nil && !ver.Val.IsNull() {
+				if err := m.valueIdx.Insert(valueKey(a.Type, ad.Name, ver.Val, a.ID), uint64(a.ID)); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	return v
+	return nil
 }

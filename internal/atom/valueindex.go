@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"tcodm/internal/index"
 	"tcodm/internal/value"
 )
 
@@ -100,32 +99,3 @@ func (m *Manager) ValueIndexScan(typeName, attr, op string, lit value.V, fn func
 
 // HasValueIndex reports whether the value index is maintained.
 func (m *Manager) HasValueIndex() bool { return m.valueIdx != nil }
-
-// rebuildValueIndex re-derives value entries during RebuildIndexes.
-func (m *Manager) rebuildValueIndex(valueIdx *index.BPTree) error {
-	var rebuildErr error
-	err := m.primary.Scan(nil, func(k []byte, _ uint64) (bool, error) {
-		id := value.ID(decodeU64BE(k))
-		a, err := m.Load(id)
-		if err != nil {
-			rebuildErr = err
-			return false, nil
-		}
-		for _, ad := range a.Attrs {
-			for _, ver := range ad.Versions {
-				if ver.Val.IsNull() {
-					continue
-				}
-				if err := valueIdx.Insert(valueKey(a.Type, ad.Name, ver.Val, id), uint64(id)); err != nil {
-					rebuildErr = err
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	})
-	if err != nil {
-		return err
-	}
-	return rebuildErr
-}

@@ -535,3 +535,69 @@ func (k *snapKeeper) item(raw []byte) error {
 	}
 	return nil
 }
+
+// --- The head reader: what indexing reads of a record --------------------
+
+// head is what indexing needs of an atom's home record: its surrogate, its
+// type and the largest transaction instant bound inside it (the clock
+// low-water mark the record implies). kind is the record's tag byte; prev
+// is a snapshot's predecessor in its atom's chain.
+type head struct {
+	kind  byte
+	id    value.ID
+	typ   string
+	trans temporal.Instant
+	prev  storage.RID
+}
+
+// headReader is the walkers' sink that reads a head. It keeps no version
+// and builds no atom, but it declines no snapshot body, so a record it
+// accepts is one DecodeFull, DecodeCurrent or DecodeSnapshot accepts.
+type headReader struct{ h head }
+
+func (r *headReader) atom(id value.ID, typ []byte, _ temporal.ElementWire, _ uint64) error {
+	r.h.id, r.h.typ = id, string(typ)
+	return nil
+}
+
+func (r *headReader) entries(uint64) {}
+
+func (r *headReader) attr([]byte, bool, bool, uint64) error { return nil }
+
+func (r *headReader) version(_, trans temporal.Interval, _ []byte) error {
+	r.h.trans = max(r.h.trans, trans.From)
+	if trans.To != temporal.Forever {
+		r.h.trans = max(r.h.trans, trans.To)
+	}
+	return nil
+}
+
+func (r *headReader) snapshot(h snapHeader) (bool, error) {
+	r.h.id, r.h.typ, r.h.trans, r.h.prev = h.ID, string(h.Type), h.TransFrom, h.Prev
+	return true, nil
+}
+
+func (r *headReader) group(snapGroup, []byte, uint64) error { return nil }
+
+func (r *headReader) item([]byte) error { return nil }
+
+// readHead reads the head of a heap record. ok is false for a record that
+// is no atom's home record: a history segment, reached through its atom's
+// current record, or a record of another layer (the engine's catalog).
+func readHead(data []byte) (h head, ok bool, err error) {
+	r := headReader{h: head{kind: RecordKind(data)}}
+	switch r.h.kind {
+	case recFullAtom:
+		_, err = walkFull(data, &r)
+	case recCurrentAtom:
+		_, _, err = walkCurrent(data, &r)
+	case recSnapshot:
+		_, err = walkSnapshot(data, &r)
+	default:
+		return r.h, false, nil
+	}
+	if err != nil {
+		return head{}, false, err
+	}
+	return r.h, true, nil
+}

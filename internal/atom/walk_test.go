@@ -150,13 +150,68 @@ func walkBoth(data []byte) (walkErr, decodeErr error, walked, decoded int) {
 	return walkErr, decodeErr, walked, decoded
 }
 
+// headMismatch runs data through readHead and through the decoder of its
+// kind. readHead must refuse exactly what the decoder refuses, with the
+// same error, and otherwise report the decoded surrogate, type, largest
+// transaction instant and (for a snapshot) predecessor. It returns what
+// differs, or "".
+func headMismatch(data []byte) string {
+	got, ok, err := readHead(data)
+	want := head{kind: RecordKind(data)}
+	var derr error
+	atomHead := func(a *Atom) {
+		want.id, want.typ = a.ID, a.Type
+		for _, vs := range a.BackRefs {
+			a.Attrs = append(a.Attrs, AttrData{Versions: vs})
+		}
+		for _, ad := range a.Attrs {
+			for _, v := range ad.Versions {
+				want.trans = max(want.trans, v.Trans.From)
+				if v.Trans.To != temporal.Forever {
+					want.trans = max(want.trans, v.Trans.To)
+				}
+			}
+		}
+	}
+	switch want.kind {
+	case recFullAtom:
+		var a *Atom
+		if a, derr = DecodeFull(data); derr == nil {
+			atomHead(a)
+		}
+	case recCurrentAtom:
+		var a *Atom
+		if a, _, derr = DecodeCurrent(data); derr == nil {
+			atomHead(a)
+		}
+	case recSnapshot:
+		var s *Snapshot
+		if s, derr = DecodeSnapshot(data); derr == nil {
+			want.id, want.typ, want.trans, want.prev = s.ID, s.Type, s.TransFrom, s.Prev
+		}
+	default:
+		if ok || err != nil {
+			return fmt.Sprintf("kind %#x: ok %v, err %v; want no head", want.kind, ok, err)
+		}
+		return ""
+	}
+	switch {
+	case !sameError(err, derr):
+		return fmt.Sprintf("readHead %v, decoder %v", err, derr)
+	case err == nil && (!ok || got != want):
+		return fmt.Sprintf("head %+v (ok %v), decoded %+v", got, ok, want)
+	}
+	return ""
+}
+
 func sameError(a, b error) bool {
 	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
 }
 
 // TestWalkersAgreeWithDecoders: on every valid encoding and every
 // truncation of it, the walker and the decoder built on it accept or refuse
-// together, with the same error, and see the same content.
+// together, with the same error, and see the same content; so do the head
+// reader and the decoder.
 func TestWalkersAgreeWithDecoders(t *testing.T) {
 	for i, seed := range walkSeeds() {
 		for cut := len(seed); cut >= 0; cut-- {
@@ -171,14 +226,18 @@ func TestWalkersAgreeWithDecoders(t *testing.T) {
 			if cut == len(seed) && (werr != nil || walked == 0) {
 				t.Fatalf("seed %d: valid encoding: err %v, %d seen", i, werr, walked)
 			}
+			if d := headMismatch(data); d != "" {
+				t.Fatalf("seed %d cut %d: %s", i, cut, d)
+			}
 		}
 	}
 }
 
 // FuzzWalkRecord throws arbitrary bytes at the walkers. Whatever the input:
 // no walker panics; a walker errs exactly when the materializing decoder of
-// its format errs, with the same message; and the query reader, used as the
-// walkers' sink, never panics either.
+// its format errs, with the same message; the head reader agrees with the
+// decoders too; and the query reader, used as the walkers' sink, never
+// panics either.
 func FuzzWalkRecord(f *testing.F) {
 	for _, seed := range walkSeeds() {
 		f.Add(seed)
@@ -197,6 +256,9 @@ func FuzzWalkRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if werr, derr, _, _ := walkBoth(data); !sameError(werr, derr) {
 			t.Fatalf("walker %v, decoder %v", werr, derr)
+		}
+		if d := headMismatch(data); d != "" {
+			t.Fatal(d)
 		}
 		_, _ = walkSnapshot(data, &countSink{headerOnly: true})
 		_, _ = walkArcSnapChunk(data, &countSink{headerOnly: true})

@@ -15,6 +15,7 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -452,7 +453,9 @@ func (e *env) runWorkload(scriptFor func(i int) netfault.Script, tw clientTweaks
 	return out
 }
 
-// probeRun measures the fault-free per-direction byte streams.
+// probeRun measures the fault-free per-direction byte streams; the
+// server-to-client one by replyLen, so the offsets placed along it are a
+// function of the seed alone.
 func probeRun(e *env) (c2s, s2c int64, out fault.Outcome) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -480,7 +483,14 @@ func probeRun(e *env) (c2s, s2c int64, out fault.Outcome) {
 				var inner sync.WaitGroup
 				inner.Add(2)
 				go func() { defer inner.Done(); n, _ := io.Copy(b, c); up.Add(n); b.Close(); c.Close() }()
-				go func() { defer inner.Done(); n, _ := io.Copy(c, b); down.Add(n); b.Close(); c.Close() }()
+				go func() {
+					defer inner.Done()
+					var reply bytes.Buffer
+					io.Copy(io.MultiWriter(c, &reply), b)
+					down.Add(replyLen(reply.Bytes()))
+					b.Close()
+					c.Close()
+				}()
 				inner.Wait()
 			}()
 		}
@@ -508,6 +518,31 @@ func probeRun(e *env) (c2s, s2c int64, out fault.Outcome) {
 	ln.Close()
 	wg.Wait()
 	return up.Load(), down.Load(), out
+}
+
+// replyLen is the length of a recorded server-to-client stream with each
+// ResultDone's elapsed time counted at its one-byte minimum. The elapsed
+// nanoseconds are the one field of a reply that timing decides: their
+// uvarint grows a byte with every factor of 128. Never more than the
+// stream's real length, so every offset derived from it lies inside the
+// stream.
+func replyLen(stream []byte) int64 {
+	n := int64(len(stream))
+	var buf [binary.MaxVarintLen64]byte
+	for len(stream) > 0 {
+		f, used, err := wire.DecodeFrame(stream)
+		if err != nil {
+			break
+		}
+		stream = stream[used:]
+		if f.Type != wire.FrameResultDone {
+			continue
+		}
+		if d, err := wire.DecodeResultDone(f.Payload); err == nil {
+			n -= int64(binary.PutUvarint(buf[:], uint64(d.Elapsed)) - 1)
+		}
+	}
+	return n
 }
 
 // spread returns n 1-based offsets spread evenly across [1, total].

@@ -1,9 +1,13 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -179,6 +183,33 @@ func TestCheckpointWithManyFreePages(t *testing.T) {
 // personnelS is the scan benchmark's personnel store at full size.
 var personnelS = workload.PersonnelParams{Depts: 16, Emps: 800, UpdatesPerEmp: 30, MovesPerEmp: 2, TimeStep: 10, Seed: 1}
 
+// loadPersonnel opens a store with opts and commits the personnel
+// workload p, 256 operations a transaction; it returns the surrogates the
+// workload created, departments first.
+func loadPersonnel(t *testing.T, opts core.Options, p workload.PersonnelParams) (*core.Engine, []value.ID) {
+	t.Helper()
+	e, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := workload.PersonnelSchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.Install(e, sch); err != nil {
+		t.Fatal(err)
+	}
+	app := workload.NewEngineApplier(e, 256)
+	ids, err := workload.Apply(workload.Personnel(p), app)
+	if err == nil {
+		err = app.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, ids
+}
+
 // TestCrashCyclesKeepDeviceFlat crashes and reopens a personnel store
 // with both optional indexes five times, 20 commits a cycle. Each unclean
 // open rebuilds the indexes into the pages the old ones held, so after the
@@ -193,25 +224,7 @@ func TestCrashCyclesKeepDeviceFlat(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "db")
 			opts := core.Options{Path: path, Strategy: strat, TimeIndex: true, ValueIndex: true}
-			e, err := core.Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sch, err := workload.PersonnelSchema()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := workload.Install(e, sch); err != nil {
-				t.Fatal(err)
-			}
-			app := workload.NewEngineApplier(e, 256)
-			ids, err := workload.Apply(workload.Personnel(personnelS), app)
-			if err == nil {
-				err = app.Flush()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			e, ids := loadPersonnel(t, opts, personnelS)
 			if err := e.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -236,6 +249,7 @@ func TestCrashCyclesKeepDeviceFlat(t *testing.T) {
 				if err := e.Crash(); err != nil {
 					t.Fatal(err)
 				}
+				var err error
 				if e, err = core.Open(opts); err != nil {
 					t.Fatalf("reopen %d: %v", cycle+1, err)
 				}
@@ -377,4 +391,61 @@ func TestStaleFreeListInMetaIgnored(t *testing.T) {
 	writeDocs(t, e, ids, func(i int) string { return body(fmt.Sprint("new", i), 12000) })
 	checkDocs(t, e, more, big)
 	checkDocs(t, e, ids, func(i int) string { return body(fmt.Sprint("new", i), 12000) })
+}
+
+// TestUncleanOpenIsDeterministic crashes a personnel store with both
+// optional indexes and opens two copies of it: each open replays the log
+// and rebuilds the indexes, and once both close their store files must be
+// byte-equal. The rebuilt trees' pages are a function of the heap alone,
+// not of map order, and so is every later placement in the pages they
+// share with the heap.
+func TestUncleanOpenIsDeterministic(t *testing.T) {
+	for _, strat := range []atom.Strategy{atom.StrategyEmbedded, atom.StrategySeparated, atom.StrategyTuple} {
+		t.Run(strat.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := core.Options{Path: filepath.Join(dir, "db"), Strategy: strat, TimeIndex: true, ValueIndex: true}
+			e, _ := loadPersonnel(t, opts, workload.DefaultPersonnel())
+			if err := e.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			var stores [2][]byte
+			for i := range stores {
+				copyOpts := opts
+				copyOpts.Path = filepath.Join(dir, fmt.Sprint("copy", i))
+				for _, ext := range []string{"", ".wal", ".arc"} {
+					data, err := os.ReadFile(opts.Path + ext)
+					if err == nil {
+						err = os.WriteFile(copyOpts.Path+ext, data, 0o644)
+					}
+					if err != nil && !errors.Is(err, fs.ErrNotExist) {
+						t.Fatal(err)
+					}
+				}
+				e, err := core.Open(copyOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !e.Recovered {
+					t.Fatal("the copy of the crashed store opened clean")
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if stores[i], err = os.ReadFile(copyOpts.Path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(stores[0], stores[1]) {
+				differ := 0
+				for off := 0; off < min(len(stores[0]), len(stores[1])); off += storage.PageSize {
+					end := min(off+storage.PageSize, len(stores[0]), len(stores[1]))
+					if !bytes.Equal(stores[0][off:end], stores[1][off:end]) {
+						differ++
+					}
+				}
+				t.Fatalf("two opens of one crashed store closed to different files: %d and %d bytes, %d pages differ",
+					len(stores[0]), len(stores[1]), differ)
+			}
+		})
+	}
 }

@@ -341,7 +341,6 @@ func (s *loopback) stop() {
 // clientTweaks parameterize the scenario client.
 type clientTweaks struct {
 	queryRetries    int
-	dialRetries     int
 	readTimeout     time.Duration
 	breakerFailures int // 0 = disabled for scenario determinism
 	breakerCooldown time.Duration
@@ -351,9 +350,6 @@ type clientTweaks struct {
 func (e *env) newClient(addr string, tw clientTweaks, seedOffset int64) (*client.Client, *obs.Registry, error) {
 	if tw.queryRetries == 0 {
 		tw.queryRetries = 5
-	}
-	if tw.dialRetries == 0 {
-		tw.dialRetries = 3
 	}
 	if tw.breakerFailures == 0 {
 		tw.breakerFailures = -1
@@ -368,7 +364,6 @@ func (e *env) newClient(addr string, tw clientTweaks, seedOffset int64) (*client
 	cl, err := client.New(client.Config{
 		Addr:            addr,
 		PoolSize:        1, // sequential per-connection determinism
-		DialRetries:     tw.dialRetries,
 		QueryRetries:    tw.queryRetries,
 		RetryBackoff:    time.Millisecond,
 		MaxBackoff:      20 * time.Millisecond,
@@ -496,7 +491,7 @@ func probeRun(e *env) (c2s, s2c int64, out fault.Outcome) {
 		}
 	}()
 
-	cl, _, err := e.newClient(ln.Addr().String(), clientTweaks{queryRetries: -1, dialRetries: -1}, 0)
+	cl, _, err := e.newClient(ln.Addr().String(), clientTweaks{queryRetries: -1}, 0)
 	if err != nil {
 		out.Bad("probe client: %v", err)
 		ln.Close()
@@ -606,7 +601,7 @@ func buildScenarios(e *env, c2s, s2c int64) []fault.Scenario {
 				add(fmt.Sprintf("%s-%s@%d-all", d.name, f.name, off), oi%8 == 0, func() fault.Outcome {
 					return e.runWorkload(func(i int) netfault.Script {
 						return d.pipe(f.ps(off))
-					}, clientTweaks{queryRetries: -1, dialRetries: -1})
+					}, clientTweaks{queryRetries: -1})
 				})
 			}
 		}
@@ -669,7 +664,7 @@ func buildScenarios(e *env, c2s, s2c int64) []fault.Scenario {
 	add("refuse-all", true, func() fault.Outcome {
 		out := e.runWorkload(func(int) netfault.Script {
 			return netfault.Script{RefuseAccept: true}
-		}, clientTweaks{queryRetries: -1, dialRetries: -1})
+		}, clientTweaks{queryRetries: -1})
 		if out.Verdict != verdictError {
 			out.Bad("every accept refused yet the workload reported %q", out.Verdict)
 		}
@@ -688,7 +683,7 @@ func buildScenarios(e *env, c2s, s2c int64) []fault.Scenario {
 		add("freeze-timeout-"+d.name, true, func() fault.Outcome {
 			out := e.runWorkload(func(int) netfault.Script {
 				return d.pipe(netfault.PipeScript{FreezeAt: d.len / 3, FreezeFor: 600 * time.Millisecond})
-			}, clientTweaks{queryRetries: -1, dialRetries: -1, readTimeout: 100 * time.Millisecond})
+			}, clientTweaks{queryRetries: -1, readTimeout: 100 * time.Millisecond})
 			if out.Verdict != verdictError {
 				out.Bad("600ms freeze under a 100ms read deadline reported %q", out.Verdict)
 			}
@@ -728,7 +723,7 @@ func buildScenarios(e *env, c2s, s2c int64) []fault.Scenario {
 		})
 		add("combo-"+cb.name+"-all", false, func() fault.Outcome {
 			return e.runWorkload(func(int) netfault.Script { return cb.sc },
-				clientTweaks{queryRetries: -1, dialRetries: -1})
+				clientTweaks{queryRetries: -1})
 		})
 	}
 
@@ -861,7 +856,7 @@ func (e *env) breakerTripScenario() fault.Outcome {
 	}
 	defer proxy.Close()
 	cl, _, err := e.newClient(proxy.Addr(), clientTweaks{
-		queryRetries: -1, dialRetries: -1,
+		queryRetries:    -1,
 		breakerFailures: 2, breakerCooldown: time.Hour,
 	}, 2)
 	if err != nil {
@@ -894,7 +889,7 @@ func (e *env) breakerRecoverScenario() fault.Outcome {
 	}
 	defer proxy.Close()
 	cl, _, err := e.newClient(proxy.Addr(), clientTweaks{
-		queryRetries: -1, dialRetries: -1,
+		queryRetries:    -1,
 		breakerFailures: 2, breakerCooldown: 30 * time.Millisecond,
 	}, 3)
 	if err != nil {

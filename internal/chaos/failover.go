@@ -332,7 +332,7 @@ func failoverScenarios(e *env) []fault.Scenario {
 				for i := 0; i < 2; i++ {
 					cl, err := client.New(client.Config{
 						Addr: deadAddr, Replicas: replicas,
-						DialRetries: -1, QueryRetries: 1,
+						QueryRetries: 1,
 						RetryBackoff: time.Millisecond, JitterSeed: e.seed + int64(i),
 					})
 					if err != nil {
@@ -563,7 +563,7 @@ func failoverScenarios(e *env) []fault.Scenario {
 		defer ns.stop()
 		cl, err := client.New(client.Config{
 			Addr: deadAddr, Replicas: []string{ns.addr()},
-			DialRetries: -1, QueryRetries: 1,
+			QueryRetries: 1,
 			RetryBackoff: time.Millisecond, JitterSeed: e.seed,
 		})
 		if err != nil {
@@ -606,7 +606,7 @@ func failoverScenarios(e *env) []fault.Scenario {
 		defer ns.stop()
 		cl, err := client.New(client.Config{
 			Addr: deadAddr, Replicas: []string{ns.addr()},
-			DialRetries: -1, QueryRetries: 1,
+			QueryRetries: 1,
 			RetryBackoff: time.Millisecond, JitterSeed: e.seed,
 		})
 		if err != nil {
@@ -632,7 +632,7 @@ func failoverScenarios(e *env) []fault.Scenario {
 		deadAddr := l.addr()
 		l.srv.stop()
 		cl, err := client.New(client.Config{
-			Addr: deadAddr, DialRetries: -1, QueryRetries: 1,
+			Addr: deadAddr, QueryRetries: 1,
 			RetryBackoff: time.Millisecond, DialTimeout: time.Second, JitterSeed: e.seed,
 		})
 		if err != nil {
@@ -750,7 +750,7 @@ func failoverScenarios(e *env) []fault.Scenario {
 		}
 		defer ns.stop()
 		cl, err := client.New(client.Config{
-			Addr: ns.addr(), DialRetries: -1, QueryRetries: 1,
+			Addr: ns.addr(), QueryRetries: 1,
 			RetryBackoff: time.Millisecond, JitterSeed: e.seed,
 		})
 		if err != nil {

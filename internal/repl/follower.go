@@ -44,7 +44,7 @@ type FollowerConfig struct {
 	// Backoff is the base reconnect delay after a failure (default 500ms).
 	// Consecutive failures without stream progress double it up to
 	// MaxBackoff (default 10s), plus up to 50% seeded jitter — the same
-	// policy as the client's dial retry — so a flapping leader is not
+	// policy as the client's retry loop — so a flapping leader is not
 	// hammered in lockstep by every follower.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
@@ -259,7 +259,7 @@ func (f *Follower) Run(ctx context.Context) error {
 
 // backoff computes the reconnect delay for the given consecutive-failure
 // count: base doubled per attempt, capped at MaxBackoff, plus up to 50%
-// jitter — mirroring the client's dial-retry policy. A nil rng yields the
+// jitter — mirroring the client's retry loop. A nil rng yields the
 // deterministic base (used for log messages).
 func (f *Follower) backoff(attempt int, rng *rand.Rand) time.Duration {
 	d := f.cfg.Backoff

@@ -293,7 +293,6 @@ func TestClientFailoverToPromotedReplica(t *testing.T) {
 	cl, err := client.New(client.Config{
 		Addr:         leaderAddr,
 		Replicas:     []string{replicaAddr},
-		DialRetries:  -1,
 		RetryBackoff: time.Millisecond,
 		Logf:         t.Logf,
 	})

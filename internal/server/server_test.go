@@ -477,7 +477,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// New dials must be refused now that the listener is closed.
-	cl, err := client.New(client.Config{Addr: addr, DialRetries: -1, DialTimeout: time.Second})
+	cl, err := client.New(client.Config{Addr: addr, QueryRetries: -1, DialTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestMaxConnsRefusesWithBusy(t *testing.T) {
 	eng := personnelEngine(t)
 	addr := startServer(t, eng, func(c *Config) { c.MaxConns = 1 })
 
-	cl, err := client.New(client.Config{Addr: addr, DialRetries: -1})
+	cl, err := client.New(client.Config{Addr: addr, QueryRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,12 +21,15 @@ const (
 	breakerHalfOpen = 2
 )
 
-// breaker is a circuit breaker over transport-level failures. Server-
-// reported errors never trip it — an Error frame proves the transport and
-// the server both work — only dial failures, resets, and corrupt frames
-// count. After threshold consecutive failures the circuit opens: calls
-// fail fast with ErrBreakerOpen until the cooldown elapses, then exactly
-// one probe is allowed through (half-open); its outcome closes or
+// breaker is a circuit breaker over the leader's transport. It gates
+// leader attempts only; a replica's failure is the replica's, and the
+// call falls back to the leader through the gate. Server-reported errors
+// never trip it — an Error frame proves the transport and the server both
+// work — only dial failures, resets, and corrupt frames count. After
+// threshold consecutive failures the circuit opens: leader attempts fail
+// fast with ErrBreakerOpen until the cooldown elapses, then exactly one
+// probe is allowed through (half-open). Every attempt allow admits
+// records success or failure, so the probe's outcome always closes or
 // re-opens the circuit.
 type breaker struct {
 	threshold int // <= 0 disables the breaker
@@ -52,7 +55,7 @@ func newBreaker(threshold int, cooldown time.Duration, reg *obs.Registry) *break
 	}
 }
 
-// allow reports whether a call may proceed.
+// allow reports whether a leader attempt may proceed.
 func (b *breaker) allow() error {
 	if b.threshold <= 0 {
 		return nil

@@ -1,20 +1,20 @@
 // Package client is the Go client for the tcodm query service. It speaks
-// the wire protocol, pools connections for stateless queries, and retries
-// transient dial failures (refused, timed out, or server-busy) with
-// exponential backoff.
+// the wire protocol and pools connections for stateless queries.
 //
-// Stateless queries go through Client.Query/Exec, which borrow a pooled
-// connection per call. TMQL over the wire is read-only, so a failed
-// Query/Exec/Ping is automatically retried on transport failures and
-// server sheds (CodeBusy/CodeDraining) with jittered exponential backoff
-// that honors the server's retry-after hint, bounded by a per-client
-// retry budget and a circuit breaker over transport failures.
+// Every call runs under one retry loop. TMQL over the wire is read-only
+// and every read names its (vt, tt), so running a Query, Exec or Ping
+// again is always safe. An attempt that fails on the transport — its dial
+// included — or that the server sheds (CodeBusy/CodeDraining) is retried
+// after a jittered exponential backoff that honors the server's
+// retry-after hint, bounded by a per-client retry budget and by a circuit
+// breaker over the leader's transport.
 //
 // Stateful workflows — time-slice defaults, pinned read views
-// ("begin"/"end") — need a dedicated connection: use Client.Session,
-// whose connection never returns to the pool. Session statements are
-// NEVER auto-retried: they depend on session state the server may have
-// lost with the connection, so the caller must decide.
+// ("begin"/"end") — need a dedicated connection: use Client.Session. Its
+// dial is an attempt of the same loop, and its connection never returns
+// to the pool. Session statements are NEVER auto-retried: they depend on
+// session state the server may have lost with the connection, so the
+// caller must decide.
 package client
 
 import (
@@ -24,14 +24,19 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"tcodm/internal/obs"
 	"tcodm/internal/value"
 	"tcodm/internal/wire"
+)
+
+const (
+	banner       = "tcodm-client/1" // sent in the Hello frame
+	writeTimeout = 30 * time.Second // per-frame write deadline
 )
 
 // Config parameterizes a Client. Addr is required.
@@ -51,24 +56,24 @@ type Config struct {
 	// which routes the query to the leader. 0 = any staleness is fine.
 	MaxStaleness time.Duration
 
-	Banner       string        // sent in the Hello frame
-	DialTimeout  time.Duration // per-attempt dial timeout (default 5s)
-	DialRetries  int           // extra attempts after a transient failure (default 3, -1 disables)
-	RetryBackoff time.Duration // first backoff, doubling per retry (default 50ms)
-	PoolSize     int           // max idle pooled connections (default 4)
-	ReadTimeout  time.Duration // per-frame read deadline, re-armed for each frame of a reply; 0 = wait indefinitely
-	WriteTimeout time.Duration // per-request deadline (default 30s)
+	DialTimeout time.Duration // per-attempt dial timeout (default 5s)
+	PoolSize    int           // max idle pooled connections (default 4)
+	ReadTimeout time.Duration // per-frame read deadline, re-armed for each frame of a reply; 0 = wait indefinitely
 
-	// Automatic retry of read-only calls (Query/Exec/Ping only; never
-	// Session statements). A retry fires on transport failures and on
-	// server sheds, waits a jittered exponential backoff of at least the
-	// server's RetryAfter hint, and spends one token of the budget.
+	// The retry loop. Every call — Query, Exec, Ping and the dial that
+	// opens a Session, never a Session statement — retries a transport
+	// failure or a server shed after a jittered exponential backoff of at
+	// least the server's RetryAfter hint. Each retry spends one token of
+	// the budget.
 	QueryRetries int           // extra attempts per call (default 3, -1 disables)
+	RetryBackoff time.Duration // first backoff, doubling per retry (default 50ms)
 	MaxBackoff   time.Duration // backoff ceiling per attempt (default 2s)
 	RetryBudget  int           // lifetime cap on automatic retries (default 1024, -1 unlimited)
 
-	// Circuit breaker over transport-level failures. Server-reported
-	// errors do not count: an Error frame proves the server is alive.
+	// Circuit breaker over the leader's transport: it gates leader
+	// attempts only, and every leader attempt it admits settles it.
+	// Server-reported errors do not count: an Error frame proves the
+	// server is alive.
 	BreakerFailures int           // consecutive failures to open (default 8, -1 disables)
 	BreakerCooldown time.Duration // open period before the half-open probe (default 500ms)
 
@@ -82,25 +87,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Banner == "" {
-		c.Banner = "tcodm-client/1"
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
-	}
-	if c.DialRetries < 0 {
-		c.DialRetries = 0
-	} else if c.DialRetries == 0 {
-		c.DialRetries = 3
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Millisecond
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 4
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 	if c.QueryRetries < 0 {
 		c.QueryRetries = 0
@@ -223,7 +217,7 @@ type Client struct {
 	brk    *breaker
 	budget atomic.Int64 // remaining automatic retries; negative = exhausted
 
-	// leader is the endpoint leader-targeted traffic (Exec fallback,
+	// leader is the endpoint leader-targeted traffic (read fallback,
 	// Sessions, Pings) goes to. It starts as cfg.Addr and is re-pointed by
 	// failover() when a probe finds a higher-epoch writable node.
 	leader   atomic.Pointer[endpoint]
@@ -321,9 +315,8 @@ func (c *Client) Close() error {
 // a logical call's attempts share one server-side trace.
 func (c *Client) Query(text string) (*Result, error) {
 	trace := c.nextTrace()
-	return c.doRetry(trace, func(cn *conn) (*Result, error) {
-		return cn.query(wire.FrameQuery, wire.EncodeQueryTrace(text, trace))
-	})
+	res, _, err := c.doRetry(trace, wire.FrameQuery, wire.EncodeQueryTrace(text, trace))
+	return res, err
 }
 
 // Exec runs parameterized TMQL: params bind server-side into the $1..$n
@@ -333,17 +326,27 @@ func (c *Client) Query(text string) (*Result, error) {
 // Retries and traces like Query.
 func (c *Client) Exec(text string, params ...value.V) (*Result, error) {
 	trace := c.nextTrace()
-	return c.doRetry(trace, func(cn *conn) (*Result, error) {
-		return cn.query(wire.FrameExec, wire.EncodeExecTrace(text, params, trace))
-	})
+	res, _, err := c.doRetry(trace, wire.FrameExec, wire.EncodeExecTrace(text, params, trace))
+	return res, err
 }
 
-// Ping round-trips a liveness probe on a pooled connection.
+// Ping round-trips a liveness probe to the leader on a pooled connection.
 func (c *Client) Ping() error {
-	_, err := c.doRetry(0, func(cn *conn) (*Result, error) {
-		return nil, cn.ping()
-	})
+	_, _, err := c.doRetry(0, wire.FramePing, nil)
 	return err
+}
+
+// Session returns a dedicated connection for stateful use, always on the
+// leader (session state — pins, time defaults — must see every commit the
+// moment it lands). Its dial runs under the retry loop and fails over
+// with it. Its Close closes the underlying connection rather than pooling
+// it, because session options would leak into unrelated queries.
+func (c *Client) Session() (*Session, error) {
+	_, cn, err := c.doRetry(0, wire.FrameHello, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{cn: cn, c: c}, nil
 }
 
 // nextTrace allocates a client-side trace id from the seeded jitter rng:
@@ -372,28 +375,19 @@ func (c *Client) nextReplica() *endpoint {
 	return c.replicas[int(n-1)%len(c.replicas)]
 }
 
-// fallbackToLeader reports whether a failed replica attempt should be
-// redirected to the leader: the replica refused for staleness or read-only
-// reasons, or the transport to it failed. Query-level errors are the
-// query's own fault and would fail identically on the leader.
-func fallbackToLeader(err error) bool {
+// failed reports whether an attempt's error is a transport failure or a
+// server error carrying one of codes. A call on a closed client is
+// neither. The loop asks it three questions: is the failure transient
+// (sheds and drains), should a replica's call move to the leader
+// (staleness and read-only refusals), and may the leadership have moved
+// (fenced and read-only). Query errors and timeouts answer no to all
+// three: they are the query's own fault and would fail anywhere.
+func failed(err error, codes ...uint16) bool {
 	var se *ServerError
 	if errors.As(err, &se) {
-		return se.Code == wire.CodeStale || se.Code == wire.CodeReadOnly
+		return slices.Contains(codes, se.Code)
 	}
-	return !errors.Is(err, errClosed) && !errors.Is(err, ErrBreakerOpen)
-}
-
-// leaderFailure reports whether an error from the leader endpoint means
-// the leadership itself may have moved: the node is fenced (a higher
-// epoch exists somewhere), refusing writes, or the transport died. Query
-// errors and sheds are not leadership signals.
-func leaderFailure(err error) bool {
-	var se *ServerError
-	if errors.As(err, &se) {
-		return se.Code == wire.CodeFenced || se.Code == wire.CodeReadOnly
-	}
-	return !errors.Is(err, errClosed) && !errors.Is(err, ErrBreakerOpen)
+	return !errors.Is(err, errClosed)
 }
 
 // Epoch returns the highest leadership epoch this client has observed on
@@ -420,43 +414,14 @@ func (c *Client) noteEpoch(e uint64) {
 	}
 }
 
-// probe dials addr just far enough to read its Welcome — epoch and
-// writability — then closes. It never touches the pools.
-func (c *Client) probe(addr string) (wire.WelcomeInfo, error) {
-	raw, err := net.DialTimeout("tcp", addr, c.cfg.DialTimeout)
-	if err != nil {
-		return wire.WelcomeInfo{}, err
-	}
-	defer raw.Close()
-	raw.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-	if err := wire.WriteFrame(raw, wire.FrameHello, wire.EncodeHello(c.cfg.Banner)); err != nil {
-		return wire.WelcomeInfo{}, err
-	}
-	f, err := wire.ReadFrame(bufio.NewReader(raw))
-	if err != nil {
-		return wire.WelcomeInfo{}, err
-	}
-	switch f.Type {
-	case wire.FrameWelcome:
-		info, err := wire.DecodeWelcomeInfo(f.Payload)
-		if err != nil {
-			return wire.WelcomeInfo{}, err
-		}
-		wire.WriteFrame(raw, wire.FrameClose, nil)
-		return info, nil
-	case wire.FrameError:
-		return wire.WelcomeInfo{}, decodeServerError(f.Payload)
-	default:
-		return wire.WelcomeInfo{}, fmt.Errorf("client: unexpected handshake frame 0x%02x", f.Type)
-	}
-}
-
 // failover probes every configured address for the highest-epoch writable
 // node and re-points the leader endpoint at it. Ties go to the earliest
 // address in probe order (Addr first, then Replicas), so every client
 // with the same config picks the same winner during a double promotion.
-// It reports whether a writable node was found. Probes are serialized:
-// concurrent failures share one sweep's outcome.
+// It reports whether a writable node was found. A probe is a dial that
+// reads the Welcome's epoch and writability and closes; it never touches
+// the pools. Sweeps are serialized, so a burst of failures re-points the
+// leader once, but each failed caller still runs its own sweep in turn.
 func (c *Client) failover(trace uint64) bool {
 	if len(c.cfg.Replicas) == 0 {
 		return false // nowhere to fail over to; plain retry covers Addr
@@ -468,18 +433,18 @@ func (c *Client) failover(trace uint64) bool {
 	var bestEpoch uint64
 	found := false
 	for _, addr := range append([]string{c.cfg.Addr}, c.cfg.Replicas...) {
-		info, err := c.probe(addr)
+		cn, err := c.dial(&endpoint{addr: addr})
 		if err != nil {
 			c.logf("client: trace=%d failover probe %s: %v", trace, addr, err)
 			continue
 		}
-		c.noteEpoch(info.Epoch)
-		if !info.Writable {
+		cn.quit()
+		if !cn.writable {
 			continue
 		}
 		// Strictly-greater keeps the earliest address on epoch ties.
-		if !found || info.Epoch > bestEpoch {
-			found, bestAddr, bestEpoch = true, addr, info.Epoch
+		if !found || cn.epoch > bestEpoch {
+			found, bestAddr, bestEpoch = true, addr, cn.epoch
 		}
 	}
 	if !found {
@@ -505,45 +470,50 @@ func (c *Client) failover(trace uint64) bool {
 	return true
 }
 
-// doRetry runs one read-only call with the automatic retry loop, the
-// retry budget, and the circuit breaker. trace is the call's trace id
-// (0 for pings), carried into every log line for correlation. With
-// replicas configured the first attempt goes to the next read replica;
-// a stale or unreachable replica redirects the call to the leader for
-// the remaining attempts.
-func (c *Client) doRetry(trace uint64, fn func(*conn) (*Result, error)) (*Result, error) {
+// doRetry is the client's one retry loop. trace is the call's trace id
+// (0 for pings and sessions), carried into every log line for
+// correlation. typ names the call: FrameQuery or FrameExec runs payload
+// on a pooled connection, FramePing pings on one, and FrameHello — the
+// handshake itself — dials a fresh leader connection and returns it for a
+// Session. With replicas configured a query's first attempt goes to the
+// next read replica; a stale or unreachable replica redirects the call to
+// the leader for the remaining attempts. Pings and sessions go to the
+// leader only. The breaker gates every leader attempt, and each one it
+// admits records success or failure, so a half-open probe always
+// resolves.
+func (c *Client) doRetry(trace uint64, typ byte, payload []byte) (*Result, *conn, error) {
 	backoff := c.cfg.RetryBackoff
-	useLeader := len(c.replicas) == 0
+	useLeader := len(c.replicas) == 0 || typ == wire.FramePing || typ == wire.FrameHello
 	for attempt := 0; ; attempt++ {
-		if err := c.brk.allow(); err != nil {
-			c.logf("client: trace=%d rejected: %v", trace, err)
-			return nil, err
-		}
 		ep := c.leader.Load()
 		if !useLeader {
 			ep = c.nextReplica()
+		} else if err := c.brk.allow(); err != nil {
+			c.logf("client: trace=%d rejected: %v", trace, err)
+			return nil, nil, err
 		}
-		res, err := c.withConn(ep, fn)
+		// Leader attempts settle the breaker; a replica's failure says
+		// nothing about the leader.
+		res, cn, err := c.attempt(ep, typ, payload)
 		if err == nil {
-			c.brk.success()
+			if !ep.replica {
+				c.brk.success()
+			}
 			if res != nil {
 				c.noteEpoch(res.Epoch)
 			}
-			return res, nil
+			return res, cn, nil
 		}
 		var se *ServerError
-		if errors.As(err, &se) {
+		answered := errors.As(err, &se)
+		if !ep.replica && answered {
 			c.brk.success() // the server answered: the transport works
-		} else if !errors.Is(err, errClosed) && !ep.replica {
-			// Replica transport failures do not trip the breaker: the
-			// leader may be fine, and fallback is about to try it.
-			if c.brk.failure() {
-				c.logf("client: trace=%d breaker opened after %v", trace, err)
-			}
+		} else if !ep.replica && !errors.Is(err, errClosed) && c.brk.failure() {
+			c.logf("client: trace=%d breaker opened after %v", trace, err)
 		}
-		canRetry := retryable(err)
+		canRetry := failed(err, wire.CodeBusy, wire.CodeDraining)
 		fellBack := false
-		if !useLeader && fallbackToLeader(err) {
+		if !useLeader && failed(err, wire.CodeStale, wire.CodeReadOnly) {
 			useLeader = true
 			canRetry = true
 			fellBack = true
@@ -551,7 +521,7 @@ func (c *Client) doRetry(trace uint64, fn func(*conn) (*Result, error)) (*Result
 			c.logf("client: trace=%d replica %s failed (%v); falling back to leader", trace, ep.addr, err)
 		}
 		failedOver := false
-		if !ep.replica && leaderFailure(err) {
+		if !ep.replica && failed(err, wire.CodeFenced, wire.CodeReadOnly) {
 			// The leader is unreachable, fenced, or refusing writes: probe
 			// the full replica set for the highest-epoch writable node and
 			// re-route leader traffic there.
@@ -562,14 +532,14 @@ func (c *Client) doRetry(trace uint64, fn func(*conn) (*Result, error)) (*Result
 			}
 		}
 		if attempt >= c.cfg.QueryRetries || !canRetry {
-			return nil, err
+			return nil, nil, err
 		}
 		if c.budget.Add(-1) < 0 {
 			c.retryGiveups.Inc()
 			c.logf("client: trace=%d retry budget exhausted after %v", trace, err)
-			return nil, err
+			return nil, nil, err
 		}
-		delay := c.retryDelay(backoff, err)
+		delay := c.retryDelay(backoff, se)
 		if fellBack && se != nil {
 			// A staleness refusal says nothing about the leader's health;
 			// redirect immediately instead of backing off.
@@ -581,7 +551,7 @@ func (c *Client) doRetry(trace uint64, fn func(*conn) (*Result, error)) (*Result
 		}
 		c.logf("client: trace=%d attempt %d failed (%v); retrying in %s", trace, attempt+1, err, delay)
 		if !c.sleep(delay) {
-			return nil, errClosed
+			return nil, nil, errClosed
 		}
 		c.retries.Inc()
 		if backoff *= 2; backoff > c.cfg.MaxBackoff {
@@ -590,26 +560,35 @@ func (c *Client) doRetry(trace uint64, fn func(*conn) (*Result, error)) (*Result
 	}
 }
 
-// retryable reports whether running the call again could succeed. Only
-// read-only calls reach here, so the question is purely "is this failure
-// transient": server sheds and drains are, query errors and timeouts are
-// the query's own fault, and everything non-ServerError is a transport
-// failure where re-running cannot double-apply anything.
-func retryable(err error) bool {
-	var se *ServerError
-	if errors.As(err, &se) {
-		return se.Code == wire.CodeBusy || se.Code == wire.CodeDraining
+// attempt runs one attempt of a call on ep (see doRetry for typ). A
+// pooled connection goes back to the pool unless the error left it
+// unusable; a session's fresh connection is returned instead.
+func (c *Client) attempt(ep *endpoint, typ byte, payload []byte) (*Result, *conn, error) {
+	session := typ == wire.FrameHello
+	cn, err := c.get(ep, session)
+	if err != nil || session {
+		return nil, cn, err
 	}
-	return !errors.Is(err, errClosed) && !errors.Is(err, ErrBreakerOpen)
+	var res *Result
+	if typ == wire.FramePing {
+		err = cn.ping()
+	} else {
+		res, err = cn.query(typ, payload)
+	}
+	if err != nil && !isSessionUsable(err) {
+		cn.close()
+		return res, nil, err
+	}
+	c.put(ep, cn)
+	return res, nil, err
 }
 
 // retryDelay computes the jittered backoff for the next attempt: at
 // least max(backoff, server hint), plus up to half that again of seeded
 // jitter so synchronized clients do not retry in lockstep.
-func (c *Client) retryDelay(backoff time.Duration, err error) time.Duration {
+func (c *Client) retryDelay(backoff time.Duration, se *ServerError) time.Duration {
 	base := backoff
-	var se *ServerError
-	if errors.As(err, &se) && se.RetryAfterMs > 0 {
+	if se != nil && se.RetryAfterMs > 0 {
 		if hint := time.Duration(se.RetryAfterMs) * time.Millisecond; hint > base {
 			base = hint
 		}
@@ -636,37 +615,6 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// Session returns a dedicated connection for stateful use, always on the
-// leader (session state — pins, time defaults — must see every commit the
-// moment it lands). Its Close closes the underlying connection rather
-// than pooling it, because session options would leak into unrelated
-// queries.
-func (c *Client) Session() (*Session, error) {
-	cn, err := c.dialRetry(c.leader.Load())
-	if err != nil && leaderFailure(err) && c.failover(0) {
-		// The leader moved: one more dial at the probe's winner.
-		cn, err = c.dialRetry(c.leader.Load())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Session{cn: cn, c: c}, nil
-}
-
-func (c *Client) withConn(ep *endpoint, fn func(*conn) (*Result, error)) (*Result, error) {
-	cn, err := c.get(ep)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fn(cn)
-	if err != nil && !isSessionUsable(err) {
-		cn.close()
-		return res, err
-	}
-	c.put(ep, cn)
-	return res, err
-}
-
 // isSessionUsable reports whether the connection survives the error: the
 // server keeps a session open across query-level failures and admission
 // sheds (a shed says "later", not "goodbye").
@@ -678,7 +626,9 @@ func isSessionUsable(err error) bool {
 	return false
 }
 
-func (c *Client) get(ep *endpoint) (*conn, error) {
+// get returns a connection to ep: an idle pooled one unless fresh is
+// set, else one dial — a failed dial is a failed attempt of the call.
+func (c *Client) get(ep *endpoint, fresh bool) (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -686,14 +636,14 @@ func (c *Client) get(ep *endpoint) (*conn, error) {
 	}
 	c.mu.Unlock()
 	ep.mu.Lock()
-	if n := len(ep.idle); n > 0 {
+	if n := len(ep.idle); n > 0 && !fresh {
 		cn := ep.idle[n-1]
 		ep.idle = ep.idle[:n-1]
 		ep.mu.Unlock()
 		return cn, nil
 	}
 	ep.mu.Unlock()
-	return c.dialRetry(ep)
+	return c.dial(ep)
 }
 
 func (c *Client) put(ep *endpoint, cn *conn) {
@@ -710,92 +660,27 @@ func (c *Client) put(ep *endpoint, cn *conn) {
 	cn.close()
 }
 
-// dialRetry dials with the handshake, retrying transient failures. The
-// backoff sleep aborts as soon as the client closes — a Close must never
-// wait out a retry schedule.
-func (c *Client) dialRetry(ep *endpoint) (*conn, error) {
-	backoff := c.cfg.RetryBackoff
-	var last error
-	for attempt := 0; attempt <= c.cfg.DialRetries; attempt++ {
-		if attempt > 0 {
-			if !c.sleep(backoff) {
-				return nil, errClosed
-			}
-			backoff *= 2
-		}
-		cn, err := c.dial(ep)
-		if err == nil {
-			return cn, nil
-		}
-		last = err
-		if !isTransientDial(err) {
-			break
-		}
-	}
-	return nil, fmt.Errorf("client: dial %s: %w", ep.addr, last)
-}
-
-// isTransientDial reports whether retrying the dial could help: the
-// server not yet listening, a timeout, or an at-capacity/draining server.
-func isTransientDial(err error) bool {
-	if errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	var se *ServerError
-	if errors.As(err, &se) {
-		return se.Code == wire.CodeBusy
-	}
-	return false
-}
-
-// dial makes one connection attempt including the Hello/Welcome handshake.
-// Replica connections additionally set the "max_staleness" session option
-// when the config bounds staleness, so the server sheds too-stale reads
-// with CodeStale before running them.
+// dial makes one connection attempt including the Hello/Welcome
+// handshake. Replica connections additionally set the "max_staleness"
+// session option when the config bounds staleness, so the server sheds
+// too-stale reads with CodeStale before running them.
 func (c *Client) dial(ep *endpoint) (*conn, error) {
 	raw, err := net.DialTimeout("tcp", ep.addr, c.cfg.DialTimeout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("client: dial %s: %w", ep.addr, err)
 	}
 	cn := &conn{cfg: c.cfg, c: raw, r: bufio.NewReader(raw)}
-	if err := cn.write(wire.FrameHello, wire.EncodeHello(c.cfg.Banner)); err != nil {
-		cn.close()
-		return nil, err
+	var staleness time.Duration
+	if ep.replica {
+		staleness = c.cfg.MaxStaleness
 	}
-	f, err := cn.read(c.cfg.DialTimeout)
+	err = cn.handshake(staleness)
+	c.noteEpoch(cn.epoch)
 	if err != nil {
 		cn.close()
-		return nil, err
+		return nil, fmt.Errorf("client: dial %s: %w", ep.addr, err)
 	}
-	switch f.Type {
-	case wire.FrameWelcome:
-		info, err := wire.DecodeWelcomeInfo(f.Payload)
-		if err != nil {
-			cn.close()
-			return nil, err
-		}
-		cn.sessionID = info.Session
-		cn.epoch = info.Epoch
-		cn.writable = info.Writable
-		c.noteEpoch(info.Epoch)
-		if ep.replica && c.cfg.MaxStaleness > 0 {
-			if _, err := cn.option("max_staleness", c.cfg.MaxStaleness.String()); err != nil {
-				cn.close()
-				return nil, fmt.Errorf("client: setting max_staleness on %s: %w", ep.addr, err)
-			}
-		}
-		return cn, nil
-	case wire.FrameError:
-		cn.close()
-		return nil, decodeServerError(f.Payload)
-	default:
-		cn.close()
-		return nil, fmt.Errorf("client: unexpected handshake frame 0x%02x", f.Type)
-	}
+	return cn, nil
 }
 
 func decodeServerError(payload []byte) error {

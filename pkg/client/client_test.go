@@ -77,8 +77,9 @@ func writeOKResult(c net.Conn) {
 }
 
 // TestDialBackoffInterruptedByClose is the regression test for the
-// context-blind backoff sleep: Close must interrupt a dial retry
-// schedule promptly instead of waiting it out.
+// context-blind backoff sleep: a failed dial is a failed attempt of the
+// call, and Close must interrupt the call's retry schedule promptly
+// instead of waiting it out.
 func TestDialBackoffInterruptedByClose(t *testing.T) {
 	// A port with nothing listening: dials fail instantly with refused.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -90,9 +91,8 @@ func TestDialBackoffInterruptedByClose(t *testing.T) {
 
 	cl, err := New(Config{
 		Addr:            addr,
-		DialRetries:     5,
+		QueryRetries:    5,
 		RetryBackoff:    400 * time.Millisecond,
-		QueryRetries:    -1,
 		BreakerFailures: -1,
 	})
 	if err != nil {
@@ -266,8 +266,7 @@ func TestBreakerOpensHalfOpensRecovers(t *testing.T) {
 	reg := obs.New()
 	cl, err := New(Config{
 		Addr:            proxy.Addr(),
-		DialRetries:     -1, // one dial per call: failures are countable
-		QueryRetries:    -1,
+		QueryRetries:    -1, // one dial per call: failures are countable
 		BreakerFailures: 2,
 		BreakerCooldown: 50 * time.Millisecond,
 		Metrics:         reg,
@@ -313,6 +312,52 @@ func TestBreakerOpensHalfOpensRecovers(t *testing.T) {
 	}
 	if got := cl.brk.snapshot(); got != breakerClosed {
 		t.Fatalf("breaker state = %d, want closed", got)
+	}
+}
+
+// TestRetryBudgetBoundsDials: a dial is one attempt of the call, so the
+// retry budget bounds dials too. Against a server that refuses every
+// connection, a call dials once plus once per budget token, and once the
+// budget is spent a call dials exactly once.
+func TestRetryBudgetBoundsDials(t *testing.T) {
+	addr := startRealServer(t, emptyEngine(t))
+	proxy, err := netfault.NewProxy(addr, 1, func(int) netfault.Script {
+		return netfault.Script{RefuseAccept: true}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	reg := obs.New()
+	cl, err := New(Config{
+		Addr:            proxy.Addr(),
+		RetryBudget:     2,
+		RetryBackoff:    time.Millisecond,
+		BreakerFailures: -1,
+		JitterSeed:      1,
+		Metrics:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if err := cl.Ping(); err == nil {
+		t.Fatal("Ping through a refusing proxy succeeded")
+	}
+	if got := proxy.Accepted(); got > 3 {
+		t.Fatalf("first call dialed %d times, want at most 3 (one plus the budget of 2)", got)
+	}
+	before := proxy.Accepted()
+	if err := cl.Ping(); err == nil {
+		t.Fatal("Ping through a refusing proxy succeeded")
+	}
+	if got := proxy.Accepted() - before; got != 1 {
+		t.Fatalf("a call after the budget ran out dialed %d times, want 1", got)
+	}
+	if got := reg.Counters()["client.retry_budget_exhausted"]; got != 2 {
+		t.Fatalf("client.retry_budget_exhausted = %d, want 2", got)
 	}
 }
 

@@ -25,9 +25,46 @@ type conn struct {
 
 func (cn *conn) close() { cn.c.Close() }
 
+// quit sends an orderly Close frame and closes the connection.
+func (cn *conn) quit() {
+	cn.write(wire.FrameClose, nil)
+	cn.close()
+}
+
 func (cn *conn) write(typ byte, payload []byte) error {
-	cn.c.SetWriteDeadline(time.Now().Add(cn.cfg.WriteTimeout))
+	cn.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return wire.WriteFrame(cn.c, typ, payload)
+}
+
+// handshake sends the Hello and reads the Welcome, recording the server's
+// session id, epoch and writability. A positive staleness is then set as
+// the "max_staleness" session option.
+func (cn *conn) handshake(staleness time.Duration) error {
+	if err := cn.write(wire.FrameHello, wire.EncodeHello(banner)); err != nil {
+		return err
+	}
+	f, err := cn.read(cn.cfg.DialTimeout)
+	if err != nil {
+		return err
+	}
+	switch f.Type {
+	case wire.FrameWelcome:
+	case wire.FrameError:
+		return decodeServerError(f.Payload)
+	default:
+		return fmt.Errorf("client: unexpected handshake frame 0x%02x", f.Type)
+	}
+	info, err := wire.DecodeWelcomeInfo(f.Payload)
+	if err != nil {
+		return err
+	}
+	cn.sessionID, cn.epoch, cn.writable = info.Session, info.Epoch, info.Writable
+	if staleness > 0 {
+		if _, err := cn.option("max_staleness", staleness.String()); err != nil {
+			return fmt.Errorf("client: setting max_staleness: %w", err)
+		}
+	}
+	return nil
 }
 
 // read reads one frame. timeout 0 falls back to cfg.ReadTimeout; that
@@ -190,7 +227,6 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.cn.write(wire.FrameClose, nil)
-	s.cn.close()
+	s.cn.quit()
 	return nil
 }

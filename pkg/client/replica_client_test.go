@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tcodm/internal/netfault"
 	"tcodm/internal/obs"
 	"tcodm/internal/value"
 	"tcodm/internal/wire"
@@ -175,7 +176,6 @@ func TestDeadReplicaFallsBackToLeader(t *testing.T) {
 
 	cl, err := New(Config{
 		Addr: leader, Replicas: []string{dead},
-		DialRetries:  -1,
 		RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
@@ -216,6 +216,93 @@ func TestSessionsAlwaysUseLeader(t *testing.T) {
 	}
 	if leaderQ.Load() != 1 || q1.Load() != 0 {
 		t.Errorf("session query went to replica (leader=%d replica=%d)", leaderQ.Load(), q1.Load())
+	}
+}
+
+// TestPingUsesLeader: a Ping goes to the leader even with replicas
+// configured, and never opens a connection to a replica.
+func TestPingUsesLeader(t *testing.T) {
+	leader, _, _ := replicaEndpoint(t, writeOKResult)
+	r1, _, _ := replicaEndpoint(t, writeOKResult)
+	proxy, err := netfault.NewProxy(r1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	cl, err := New(Config{Addr: leader, Replicas: []string{proxy.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < 3; i++ {
+		if err := cl.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := proxy.Accepted(); got != 0 {
+		t.Errorf("Ping opened %d connections to the replica, want 0", got)
+	}
+}
+
+// TestBreakerProbeOnDeadReplicaResolves: the breaker gates leader
+// attempts only, so once the leader is back, the half-open probe of a
+// call whose first attempt goes to a dead replica reaches the leader and
+// closes the circuit instead of leaving it half-open for good.
+func TestBreakerProbeOnDeadReplicaResolves(t *testing.T) {
+	leader, leaderQ, _ := replicaEndpoint(t, writeOKResult)
+	var refuse atomic.Bool
+	refuse.Store(true)
+	proxy, err := netfault.NewProxy(leader, 1, func(int) netfault.Script {
+		return netfault.Script{RefuseAccept: refuse.Load()}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	cl, err := New(Config{
+		Addr: proxy.Addr(), Replicas: []string{dead},
+		QueryRetries:    1,
+		RetryBackoff:    time.Millisecond,
+		BreakerFailures: 2,
+		BreakerCooldown: 50 * time.Millisecond,
+		JitterSeed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// Each call: the dead replica, then the refused leader — one leader
+	// failure per call, so two calls open the circuit.
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Query(`SELECT (n) FROM T`); err == nil {
+			t.Fatalf("call %d with a dead replica and a refused leader succeeded", i)
+		}
+	}
+	if got := cl.brk.snapshot(); got != breakerOpen {
+		t.Fatalf("breaker state = %d after two leader failures, want open", got)
+	}
+
+	refuse.Store(false) // the leader comes back
+	time.Sleep(70 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Query(`SELECT (n) FROM T`); err != nil {
+			t.Fatalf("call %d after the leader came back: %v (breaker state %d)", i, err, cl.brk.snapshot())
+		}
+	}
+	if got := cl.brk.snapshot(); got != breakerClosed {
+		t.Fatalf("breaker state = %d, want closed", got)
+	}
+	if got := leaderQ.Load(); got != 3 {
+		t.Fatalf("leader served %d queries, want 3", got)
 	}
 }
 
